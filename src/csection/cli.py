@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage or input error.
+Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage or input error,
+4 internal error (a broken invariant, never a verdict).
 Informational commands (order, maximals, sec) exit 0 on success.  The scan
 command folds its battery of theorem checks into the worst verdict seen and
 can persist line-delimited records to an append-only store; identical records
@@ -27,6 +28,7 @@ from .sections import (VerdictReport, check_conclusion, check_hypothesis, sec,
 
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 2}
 USAGE_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,9 +80,11 @@ def _store_path(args) -> Optional[str]:
 def _store_records(path: str, records: list[dict]) -> int:
     """Append records not already present (content-addressed, timestamp aside)."""
     seen = set()
+    torn = False  # last line lacks its newline; the next append must not join it
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
+                torn = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -89,16 +93,17 @@ def _store_records(path: str, records: list[dict]) -> int:
                 except json.JSONDecodeError:
                     continue
                 seen.add(_record_key(doc))
-    written = 0
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in records:
-            key = _record_key(rec)
-            if key in seen:
-                continue
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            seen.add(key)
-            written += 1
-    return written
+    lines = []
+    for rec in records:
+        key = _record_key(rec)
+        if key in seen:
+            continue
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+        seen.add(key)
+    if lines:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(("\n" if torn else "") + "".join(lines))
+    return len(lines)
 
 
 def _record_key(doc: dict) -> str:
@@ -205,6 +210,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, CapExceededError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except (RuntimeError, AssertionError) as e:
+        message = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def _dispatch(args) -> int:

@@ -316,14 +316,34 @@ def random_maximal_subgroups(G: PermGroup, *, seed: int = 0, attempts: int = 8,
     return out
 
 
+def _normal_join(et: ElementTable, s: frozenset[int], sgens: list[int], x: int) -> frozenset[int]:
+    """Normal closure of a normal subgroup s and one element x.
+
+    A subgroup is normal once the conjugates of its generators by G's
+    generators lie in it; s is normal already, so only x and the conjugates
+    added after it are checked.
+    """
+    gens = list(sgens) + [x]
+    current = et.closure(s, sgens, [x])
+    pending = [x]
+    while pending:
+        y = pending.pop()
+        for g in et.generator_indices:
+            z = et.conj(y, g)
+            if z not in current:
+                current = et.closure(current, gens, [z])
+                gens.append(z)
+                pending.append(z)
+    return current
+
+
 def normal_subgroups(G: PermGroup, *, cap: int = NORMAL_CAP) -> list[Subgroup]:
     """All normal subgroups, as joins of element conjugacy classes."""
     cached = G._cache.get("normal_subgroups")
     if cached is not None:
         return cached
     et = element_table(G, cap)
-    classes = et.conjugacy_classes()
-    reps = [c[0] for c in classes]
+    reps = [c[0] for c in et.conjugacy_classes()]
     trivial = frozenset([0])
     found: dict[frozenset[int], list[int]] = {trivial: []}
     queue = deque([trivial])
@@ -333,9 +353,7 @@ def normal_subgroups(G: PermGroup, *, cap: int = NORMAL_CAP) -> list[Subgroup]:
         for rep in reps:
             if rep in s or rep == 0:
                 continue
-            class_members = list(classes[et.class_of(rep)])
-            grown = et.closure(s, sgens, class_members)
-            assert grown is not None
+            grown = _normal_join(et, s, sgens, rep)
             if grown not in found:
                 found[grown] = et.extract_generators(grown)
                 queue.append(grown)

@@ -8,9 +8,10 @@ import json
 
 import pytest
 
-from csection import __version__
+from csection import __version__, cli
 from csection.catalog import build_group, builtin_battery, parse_group_spec
 from csection.cli import emit_report, main, parse_report
+from csection.groups import CapExceededError
 from csection.sections import check_hypothesis
 
 S4 = '{"kind":"named","name":"Sym","params":[4]}'
@@ -87,6 +88,26 @@ def test_bad_group_inputs_exit_3(arg, capsys):
 def test_max_order_cap_enforced(capsys):
     assert main(["order", "--group", S5, "--max-order", "50"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,code", [
+    (RuntimeError("chain broke\nat level 2"), 4),
+    (AssertionError("class map is stale"), 4),
+    (CapExceededError("element cap 10 exceeded"), 3),  # a RuntimeError, still input-sized
+])
+def test_internal_errors_get_their_own_exit_code(error, code, monkeypatch, capsys):
+    def broken(G, subject):
+        raise error
+    monkeypatch.setattr(cli, "check_hypothesis", broken)
+    assert main(["hypothesis", "--group", S4]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    if code == 4:
+        assert err[0] == f"internal error: {type(error).__name__}: {' '.join(str(error).split())}"
+    else:
+        assert err[0].startswith("error:")
 
 
 def test_maximals_s4(capsys):
@@ -196,6 +217,27 @@ def test_store_appends_once(tmp_path, capsys):
     assert rec["check"] == "hypothesis"
     assert rec["version"] == __version__
     assert "timestamp" in rec
+
+
+def test_store_append_after_torn_last_line(tmp_path, capsys):
+    store = tmp_path / "reports.jsonl"
+    assert main(["order", "--group", S4, "--store", str(store)]) == 0
+    store.write_text(store.read_text().rstrip("\n"))  # a crash before the newline
+    assert main(["hypothesis", "--group", S4, "--store", str(store)]) == 0
+    assert main(["order", "--group", S4, "--store", str(store)]) == 0  # still a duplicate
+    capsys.readouterr()
+    records = [json.loads(ln) for ln in store.read_text().splitlines()]
+    assert [rec["check"] for rec in records] == ["order", "hypothesis"]
+
+
+def test_store_keeps_skipping_an_earlier_glued_line(tmp_path, capsys):
+    store = tmp_path / "reports.jsonl"
+    store.write_text('{"check": "order"}{"check": "hypothesis"}')
+    assert main(["order", "--group", S4, "--store", str(store)]) == 0
+    capsys.readouterr()
+    lines = store.read_text().splitlines()
+    assert lines[0] == '{"check": "order"}{"check": "hypothesis"}'
+    assert len(lines) == 2 and json.loads(lines[1])["check"] == "order"
 
 
 def test_store_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):

@@ -180,10 +180,15 @@ NORMAL_CASES = [
     (lambda: named("Dihedral", 4), 6),
     (quaternion, 6),
     (lambda: named("Cyclic", 12), 6),
+    (lambda: named("Alt", 4), 3),
+    (lambda: named("Dihedral", 6), 7),
+    (lambda: product("Sym", [3], "Cyclic", [2]), 7),
+    (lambda: product("Sym", [3], "Sym", [3]), 10),
 ]
 
 
-@pytest.mark.parametrize("make,count", NORMAL_CASES, ids=["S4", "A5", "D8", "Q8", "C12"])
+@pytest.mark.parametrize("make,count", NORMAL_CASES,
+                         ids=["S4", "A5", "D8", "Q8", "C12", "A4", "D12", "S3xC2", "S3xS3"])
 def test_normal_subgroups_match_oracle(make, count):
     G = make()
     normals = normal_subgroups(G)

@@ -1,0 +1,79 @@
+"""Element tables: the Cayley table and closures against independent oracles."""
+
+import random
+
+import pytest
+
+from csection.catalog import build_group, parse_group_spec
+from csection.groups import PermGroup
+from csection.tables import ElementTable, element_table
+
+from gtools import elements_of, named, product
+from oracles import NaiveTable, compose
+
+# S4 on the points 3, 5, 6, 8 of eight; its base avoids the first points.
+RELABELED_S4 = '{"kind":"perm","degree":8,"generators":[[[3,5,6,8]],[[3,5]]]}'
+
+
+def test_table_cases_cover_empty_and_offset_bases():
+    assert PermGroup(3, []).base == ()
+    base = build_group(parse_group_spec(RELABELED_S4)).base
+    assert base != tuple(range(len(base)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PermGroup(3, []),
+    lambda: named("Cyclic", 12),
+    lambda: named("Sym", 4),
+    lambda: build_group(parse_group_spec(RELABELED_S4)),
+    lambda: product("Sym", [3], "Cyclic", [2]),
+    lambda: named("PSL2", 7),
+], ids=["trivial", "C12", "S4", "S4_relabeled", "S3xC2", "PSL2_7"])
+def test_cayley_table_matches_oracle(make):
+    G = make()
+    et = ElementTable(G)
+    assert et._mul_table is not None
+    oracle = NaiveTable(elements_of(G))
+    to_oracle = [oracle.index[t] for t in et.tuples]
+    got = [[to_oracle[et.mul(i, j)] for j in range(et.n)] for i in range(et.n)]
+    want = [[oracle.mul[to_oracle[i]][to_oracle[j]] for j in range(et.n)] for i in range(et.n)]
+    assert got == want
+
+
+@pytest.mark.parametrize("name,order,tabled", [("PSL2", 2448, True), ("PGL2", 4896, False)])
+def test_mul_spot_check_against_tuple_composition(name, order, tabled):
+    et = element_table(named(name, 17))
+    assert et.n == order
+    assert (et._mul_table is not None) == tabled  # the table stops at order 4096
+    rng = random.Random(17)
+    for _ in range(10_000):
+        i, j = rng.randrange(et.n), rng.randrange(et.n)
+        assert et.tuples[et.mul(i, j)] == compose(et.tuples[i], et.tuples[j])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: named("Sym", 4),
+    lambda: named("Alt", 5),
+    lambda: named("PSL2", 7),
+], ids=["S4", "A5", "PSL2_7"])
+def test_closure_of_the_generators_is_the_whole_group(make):
+    et = element_table(make())
+    gens = et.generator_indices
+    everything = frozenset(range(et.n))
+    assert et.closure(None, [], gens) == everything
+    first = et.cyclic_subgroup(gens[0])
+    assert et.closure(first, gens[:1], gens[1:]) == everything
+    assert et.closure(first, gens[:1], gens[1:], abort_above=et.n - 1) is None
+
+
+def test_closure_aborts_exactly_above_the_bound():
+    G = named("Sym", 4)
+    et = element_table(G)
+    oracle = NaiveTable(elements_of(G))
+    to_oracle = [oracle.index[t] for t in et.tuples]
+    for x in range(1, et.n):
+        for y in range(x, et.n):
+            size = len(oracle.span({to_oracle[x], to_oracle[y]}))
+            assert et.closure(None, [], [x, y], abort_above=size - 1) is None
+            grown = et.closure(None, [], [x, y], abort_above=size)
+            assert grown is not None and len(grown) == size
