@@ -11,6 +11,7 @@ can persist line-delimited records to an append-only store; identical records
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
@@ -78,31 +79,42 @@ def _store_path(args) -> Optional[str]:
 
 
 def _store_records(path: str, records: list[dict]) -> int:
-    """Append records not already present (content-addressed, timestamp aside)."""
-    seen = set()
-    torn = False  # last line lacks its newline; the next append must not join it
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                torn = not line.endswith("\n")
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                seen.add(_record_key(doc))
-    lines = []
-    for rec in records:
-        key = _record_key(rec)
-        if key in seen:
-            continue
-        lines.append(json.dumps(rec, sort_keys=True) + "\n")
-        seen.add(key)
-    if lines:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(("\n" if torn else "") + "".join(lines))
+    """Append records not already present (content-addressed, timestamp aside).
+
+    An exclusive lock on the store is held across the read, the dedup and the
+    append, so concurrent writers never store a record twice; the new lines go
+    out in one write to an append-only descriptor, so no line is torn.
+    """
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        with open(fd, "rb", closefd=False) as fh:
+            data = fh.read()
+        seen = set()
+        for line in data.decode("utf-8").split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            seen.add(_record_key(doc))
+        lines = []
+        for rec in records:
+            key = _record_key(rec)
+            if key in seen:
+                continue
+            lines.append(json.dumps(rec, sort_keys=True) + "\n")
+            seen.add(key)
+        if lines:
+            # a torn last line (a crash before its newline) must not join the next
+            torn = bool(data) and not data.endswith(b"\n")
+            payload = (("\n" if torn else "") + "".join(lines)).encode("utf-8")
+            if os.write(fd, payload) != len(payload):
+                raise OSError(f"short write to the store {path}")
+    finally:
+        os.close(fd)  # releases the lock
     return len(lines)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import PermGroup, derived_subgroup, group_from_generators
+from .groups import PermGroup, derived_subgroup
 from .perms import Permutation
 from .tables import ElementTable, element_table
 
@@ -136,13 +136,32 @@ def _generating_sequence(et: ElementTable) -> list[int]:
     return gens
 
 
-def _diagonal_order(gG: Sequence[Permutation], gH: Sequence[Permutation],
-                    dG: int, dH: int) -> int:
-    pairs = []
-    for a, b in zip(gG, gH):
-        images = tuple(a.images) + tuple(dG + x for x in b.images)
-        pairs.append(Permutation._unsafe(images))
-    return PermGroup(dG + dH, pairs).order
+def _is_graph(etG: ElementTable, etH: ElementTable, src: Sequence[int],
+              images: Sequence[int], bound: int) -> bool:
+    """Whether the subgroup of G x H generated by the pairs (src_i, images_i)
+    has at most `bound` elements.
+
+    With `bound` the order of <src>, onto which that subgroup projects, this
+    holds exactly when the subgroup is the graph of a homomorphism.  The walk
+    runs on the two element tables, keys a pair (a, b) as a * |H| + b, and
+    stops once it passes the bound.
+    """
+    nH = etH.n
+    mulG, mulH = etG.mul, etH.mul
+    pairs = list(zip(src, images))
+    seen = {0}
+    stack = [(0, 0)]
+    while stack:
+        a, b = stack.pop()
+        for x, y in pairs:
+            u, v = mulG(a, x), mulH(b, y)
+            key = u * nH + v
+            if key not in seen:
+                seen.add(key)
+                if len(seen) > bound:
+                    return False
+                stack.append((u, v))
+    return True
 
 
 def is_isomorphic(G: PermGroup, H: PermGroup) -> bool:
@@ -191,15 +210,11 @@ def _backtrack_iso(G: PermGroup, H: PermGroup) -> bool:
         buckets.setdefault(h_stats(i), []).append(i)
     first_reps = [c[0] for c in classesH]
 
-    gperms = [etG.permutation(i) for i in src]
-    dG, dH = G.degree, H.degree
-
     def extend(depth: int, images: list[int]) -> bool:
         if depth == k:
-            hperms = [etH.permutation(i) for i in images]
-            if PermGroup(dH, hperms).order != H.order:
+            if len(etH.closure(None, [], images)) != etH.n:
                 return False
-            return _diagonal_order(gperms, hperms, dG, dH) == G.order
+            return _is_graph(etG, etH, src, images, G.order)
         want = g_stats(src[depth])
         if depth == 0:
             cands = [r for r in first_reps if r and h_stats(r) == want]
@@ -215,10 +230,9 @@ def _backtrack_iso(G: PermGroup, H: PermGroup) -> bool:
                     break
             if not ok:
                 continue
-            if depth >= 1:
-                hperms = [etH.permutation(i) for i in images + [cand]]
-                if _diagonal_order(gperms[:depth + 1], hperms, dG, dH) != prefix_orders[depth]:
-                    continue
+            if depth >= 1 and not _is_graph(etG, etH, src[:depth + 1], images + [cand],
+                                            prefix_orders[depth]):
+                continue
             images.append(cand)
             if extend(depth + 1, images):
                 return True

@@ -7,6 +7,14 @@ steps, and conjugate results come from conjugate inputs, so the class list is
 complete whenever the whole group fits in its element table.  Targeted
 searches prune by Lagrange: intermediate subgroups of an order-m subgroup
 have order dividing m.
+
+Maximal classes are read off the same enumeration.  Each representative R
+is extended by one cyclic subgroup from every R-orbit of cyclic subgroups
+outside it.  That covers every element x outside R: <R, x> = <R, <x>>, and
+when <x> = C^r for the extended cyclic C and some r in R, then
+<R, x> = <R, C>^r.  So a proper class none of whose extensions is a proper
+subgroup has only G above it, which is maximality.  `maximal_subgroups`
+still certifies every such class directly before returning it.
 """
 
 from __future__ import annotations
@@ -24,20 +32,42 @@ NORMAL_CAP = 10_000
 
 @dataclass
 class SubgroupClass:
-    """A conjugacy class of subgroups, held by one representative."""
+    """A conjugacy class of subgroups, held by one representative's element
+    indices; the representative's stabilizer chain is built on first use."""
 
-    representative: Subgroup
+    table: ElementTable = field(repr=False)
+    indices: frozenset[int] = field(repr=False)
+    generator_indices: list[int] = field(repr=False)
     class_size: int
     verified_complete: bool
-    indices: frozenset[int] = field(repr=False, default=frozenset())
+    # Set by all_subgroups: no extension of the class gave a proper subgroup.
+    lattice_maximal: bool = field(default=False, repr=False)
+    certified_maximal: bool = field(default=False, repr=False)
+    _representative: Optional[Subgroup] = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     @property
     def order(self) -> int:
-        return self.representative.order
+        return len(self.indices)
+
+    @property
+    def representative(self) -> Subgroup:
+        rep = self._representative
+        if rep is None:
+            et = self.table
+            rep = Subgroup(et.group, [et.permutation(i) for i in self.generator_indices],
+                           check=False)
+            if rep.order != len(self.indices):
+                raise RuntimeError("representative's stabilizer chain disagrees with its class")
+            rep._cache["ambient_indices"] = self.indices
+            self._representative = rep
+        if self.certified_maximal:
+            rep._cache["certified_maximal"] = True
+        return rep
 
     def normalizer_order(self) -> int:
         """Orbit-stabilizer: |G| = class size * |normalizer|."""
-        return self.representative.ambient.order // self.class_size
+        return self.table.group.order // self.class_size
 
 
 class _Registry:
@@ -54,103 +84,107 @@ class _Registry:
         found = self.seen.get(subset)
         if found is not None:
             return found, False
-        et = self.et
-        orbit = [subset]
-        self.seen[subset] = -1
-        queue = deque([subset])
-        while queue:
-            s = queue.popleft()
-            for g in et.generator_indices:
-                t = et.conj_set(s, g)
-                if t not in self.seen:
-                    self.seen[t] = -1
-                    orbit.append(t)
-                    queue.append(t)
+        orbit = _conjugates(self.et, subset)
         cid = len(self.reps)
         canonical = min(orbit, key=sorted)
         for s in orbit:
             self.seen[s] = cid
         self.reps.append(canonical)
         self.sizes.append(len(orbit))
-        self.gens.append(et.extract_generators(canonical))
+        self.gens.append(self.et.extract_generators(canonical))
         return cid, True
 
 
-def _cyclic_subgroups(et: ElementTable, target: int) -> list[tuple[frozenset[int], int]]:
-    """Distinct cyclic subgroups with order dividing target, with a generator."""
-    seen: dict[frozenset[int], int] = {}
+def _cyclic_subgroups(et: ElementTable, target: int
+                      ) -> tuple[list[tuple[frozenset[int], int]], list[int]]:
+    """Distinct cyclic subgroups with order dividing target, each with its least
+    generator, and for every element x the position of <x> in that list (-1
+    for the identity and for orders not dividing target)."""
+    found: dict[frozenset[int], int] = {}
+    owner: list[Optional[frozenset[int]]] = [None] * et.n
     for i in range(1, et.n):
-        if target % et.element_order(i):
+        if owner[i] is not None or target % et.element_order(i):
             continue
         s = et.cyclic_subgroup(i)
-        if s not in seen:
-            seen[s] = i
-    return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        found[s] = i
+        for x in s:
+            if et.element_order(x) == len(s):
+                owner[x] = s
+    cyclics = sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    position = {s: k for k, (s, _gen) in enumerate(cyclics)}
+    return cyclics, [-1 if s is None else position[s] for s in owner]
 
 
 def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None,
-                       order_cap: int = DEFAULT_ORDER_CAP) -> tuple[list[int], _Registry]:
+                       order_cap: int = DEFAULT_ORDER_CAP
+                       ) -> tuple[list[int], _Registry, set[int]]:
+    """Class ids found, the registry holding them, and the ids of the classes
+    that some extension grew into a subgroup within the closure bound."""
     et = element_table(G, order_cap)
     n = et.n
     target = divisor_target if divisor_target is not None else n
     registry = _Registry(et)
-    cyclics = _cyclic_subgroups(et, target)
+    cyclics, cyclic_id = _cyclic_subgroups(et, target)
+    conj = et.conj
 
     queue: deque[int] = deque()
-    cid, _ = registry.register(frozenset([0]))
-    order_of_class = {cid: 1}
-    queue.append(cid)
-    for s, _gen in cyclics:
+    found: set[int] = set()
+    for s in [frozenset([0])] + [s for s, _gen in cyclics]:
         cid, new = registry.register(s)
         if new:
-            order_of_class[cid] = len(s)
+            found.add(cid)
             queue.append(cid)
+    if target == n:
+        # A partial closure above the largest proper divisor can only end at G.
+        bound = _largest_proper_divisor(n)
+        found.add(registry.register(frozenset(range(n)))[0])
+    else:
+        bound = target
 
-    found = set(order_of_class)
+    grew: set[int] = set()
     while queue:
         rid = queue.popleft()
         rep = registry.reps[rid]
-        rep_order = len(rep)
-        if rep_order == target:
+        if len(rep) == target:
             continue  # nothing above the target order can matter
         rep_gens = registry.gens[rid]
         # Candidates up to conjugacy under the representative itself:
         # <R, c^r> = <R, c>^r, so one cyclic per R-orbit suffices.
-        skip: set[frozenset[int]] = set()
-        for cset, cgen in cyclics:
-            if cset <= rep or cset in skip:
+        done = bytearray(len(cyclics))
+        for k, (_cset, cgen) in enumerate(cyclics):
+            if done[k] or cgen in rep:
                 continue
-            skip.add(cset)
-            oq = deque([cset])
-            while oq:
-                s = oq.popleft()
+            done[k] = 1
+            stack = [cgen]
+            while stack:
+                x = stack.pop()
                 for g in rep_gens:
-                    t = et.conj_set(s, g)
-                    if t not in skip:
-                        skip.add(t)
-                        oq.append(t)
-            grown = et.closure(rep, rep_gens, [cgen], abort_above=target)
-            if grown is None or target % len(grown):
+                    y = conj(x, g)
+                    j = cyclic_id[y]
+                    if not done[j]:
+                        done[j] = 1
+                        stack.append(y)
+            grown = et.closure(rep, rep_gens, [cgen], abort_above=bound)
+            if grown is None:
+                continue
+            grew.add(rid)
+            if target % len(grown):
                 continue
             cid, new = registry.register(grown)
             if new:
-                order_of_class[cid] = len(grown)
                 found.add(cid)
                 queue.append(cid)
-    return sorted(found), registry
+    return sorted(found), registry, grew
 
 
-def _class_from_registry(G: PermGroup, registry: _Registry, cid: int,
-                         verified_complete: bool) -> SubgroupClass:
+def _class_from_registry(registry: _Registry, cid: int,
+                         lattice_maximal: bool = False) -> SubgroupClass:
     et = registry.et
-    gens = [et.permutation(i) for i in registry.gens[cid]]
-    rep = Subgroup(G, gens, check=False)
-    if rep.order != len(registry.reps[cid]):
+    indices = registry.reps[cid]
+    gens = registry.gens[cid]
+    if et.closure(None, [], gens) != indices:
         raise RuntimeError("extracted generators do not span their subgroup")
-    rep._cache["ambient_indices"] = registry.reps[cid]
-    return SubgroupClass(representative=rep, class_size=registry.sizes[cid],
-                         verified_complete=verified_complete,
-                         indices=registry.reps[cid])
+    return SubgroupClass(et, indices, gens, registry.sizes[cid], True, lattice_maximal)
 
 
 def all_subgroups(G: PermGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[SubgroupClass]:
@@ -158,8 +192,10 @@ def all_subgroups(G: PermGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[S
     cached = G._cache.get("all_subgroups")
     if cached is not None:
         return cached
-    ids, registry = _enumerate_classes(G, order_cap=order_cap)
-    classes = [_class_from_registry(G, registry, cid, True) for cid in ids]
+    ids, registry, grew = _enumerate_classes(G, order_cap=order_cap)
+    # With the whole group as target, a class that grew has a proper overgroup.
+    classes = [_class_from_registry(registry, cid, len(registry.reps[cid]) < G.order
+                                    and cid not in grew) for cid in ids]
     classes.sort(key=lambda c: (c.order, sorted(c.indices)))
     G._cache["all_subgroups"] = classes
     return classes
@@ -177,8 +213,8 @@ def subgroups_of_index(G: PermGroup, k: int, *, order_cap: int = DEFAULT_ORDER_C
     if G.order % k:
         return []
     m = G.order // k
-    ids, registry = _enumerate_classes(G, divisor_target=m, order_cap=order_cap)
-    classes = [_class_from_registry(G, registry, cid, True)
+    ids, registry, _grew = _enumerate_classes(G, divisor_target=m, order_cap=order_cap)
+    classes = [_class_from_registry(registry, cid)
                for cid in ids if len(registry.reps[cid]) == m]
     classes.sort(key=lambda c: (c.order, sorted(c.indices)))
     return classes
@@ -218,36 +254,22 @@ def certify_maximal(G: PermGroup, subset: frozenset[int], gens: Sequence[int],
 def maximal_subgroups(G: PermGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[SubgroupClass]:
     """Maximal subgroup classes, sorted by descending order.
 
-    Candidates come from the complete lattice, then each is re-certified
-    directly rather than trusted from lattice position.
+    Candidates are the classes the lattice enumeration found no proper
+    overgroup for; each is then re-certified directly rather than trusted
+    from the enumeration.
     """
     cached = G._cache.get("maximal_subgroups")
     if cached is not None:
         return cached
     classes = all_subgroups(G, order_cap=order_cap)
     et = element_table(G)
-    full = G.order
-    proper = [c for c in classes if c.order < full]
-    # Lattice-position filter first: drop classes below some other proper class.
-    # A conjugate of c lies in a conjugate of other iff c's representative does.
-    orbits = {id(c): _conjugates(et, c.indices) for c in proper}
-    candidates = []
-    for c in proper:
-        dominated = False
-        for other in proper:
-            if other.order <= c.order or other.order % c.order:
-                continue
-            if any(c.indices <= s for s in orbits[id(other)]):
-                dominated = True
-                break
-        if not dominated:
-            candidates.append(c)
     out = []
-    for c in candidates:
-        gens = et.extract_generators(c.indices)
-        if not certify_maximal(G, c.indices, gens, et):
+    for c in classes:
+        if not c.lattice_maximal:
+            continue
+        if not certify_maximal(G, c.indices, c.generator_indices, et):
             raise RuntimeError("lattice-maximal candidate failed direct certification")
-        c.representative._cache["certified_maximal"] = True
+        c.certified_maximal = True
         out.append(c)
     out.sort(key=lambda c: (-c.order, sorted(c.indices)))
     G._cache["maximal_subgroups"] = out
@@ -255,6 +277,7 @@ def maximal_subgroups(G: PermGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> li
 
 
 def _conjugates(et: ElementTable, subset: frozenset[int]) -> list[frozenset[int]]:
+    """Every conjugate of a subgroup, as index sets, in no fixed order."""
     orbit = {subset}
     queue = deque([subset])
     while queue:
@@ -307,11 +330,7 @@ def random_maximal_subgroups(G: PermGroup, *, seed: int = 0, attempts: int = 8,
         gens = et.extract_generators(canon)
         if not certify_maximal(G, canon, gens, et):
             raise RuntimeError("climbed subgroup failed its maximality certificate")
-        sub = Subgroup(G, [et.permutation(i) for i in gens], check=False)
-        sub._cache["ambient_indices"] = canon
-        sub._cache["certified_maximal"] = True
-        out.append(SubgroupClass(representative=sub, class_size=len(conj),
-                                 verified_complete=False, indices=canon))
+        out.append(SubgroupClass(et, canon, gens, len(conj), False, certified_maximal=True))
     out.sort(key=lambda c: (-c.order, sorted(c.indices)))
     return out
 

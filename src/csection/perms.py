@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
+
+# Identity image tuples by degree, for is_identity.
+_IDENTITIES: dict[int, tuple[int, ...]] = {}
 
 
 class Permutation:
@@ -67,8 +71,11 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right product: apply self first, then other."""
-        b = other.images
-        return Permutation._unsafe(tuple(b[x] for x in self.images))
+        a = self.images
+        if len(a) < 2:  # itemgetter with one index returns a scalar, not a tuple
+            b = other.images
+            return Permutation._unsafe(tuple(b[x] for x in a))
+        return Permutation._unsafe(itemgetter(*a)(other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -96,7 +103,11 @@ class Permutation:
         return Permutation._unsafe(tuple(gi[p[ginv[x]]] for x in range(len(p))))
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        images = self.images
+        ident = _IDENTITIES.get(len(images))
+        if ident is None:
+            ident = _IDENTITIES[len(images)] = tuple(range(len(images)))
+        return images == ident
 
     def moved_points(self) -> list[int]:
         return [i for i, x in enumerate(self.images) if i != x]

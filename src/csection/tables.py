@@ -186,6 +186,8 @@ class ElementTable:
         for g in list(base_gens) + list(new_gens):
             if g and g not in gens:
                 gens.append(g)
+        if abort_above is not None and len(S) > abort_above:
+            return None
         queue = deque([0])
         while queue:
             t = queue.popleft()

@@ -5,6 +5,8 @@ capsys and stores live under tmp_path.
 """
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -238,6 +240,37 @@ def test_store_keeps_skipping_an_earlier_glued_line(tmp_path, capsys):
     lines = store.read_text().splitlines()
     assert lines[0] == '{"check": "order"}{"check": "hypothesis"}'
     assert len(lines) == 2 and json.loads(lines[1])["check"] == "order"
+
+
+def _append_in_batches(path, records, stamp, barrier):
+    key = cli._record_key
+
+    def slow_key(doc):  # a slow dedup widens the gap between reading and appending
+        time.sleep(0.002)
+        return key(doc)
+
+    cli._record_key = slow_key  # this process only
+    for start in range(0, len(records), 10):
+        barrier.wait()  # both writers take each batch at the same moment
+        cli._store_records(path, [dict(rec, timestamp=stamp) for rec in records[start:start + 10]])
+
+
+def test_store_concurrent_appends_keep_one_copy(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    store = tmp_path / "shared.jsonl"
+    records = [{"check": "order", "subject": f"G{i}", "status": "pass"} for i in range(40)]
+    barrier = ctx.Barrier(2)
+    writers = [ctx.Process(target=_append_in_batches, args=(str(store), records, stamp, barrier))
+               for stamp in ("first", "second")]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(60)
+    assert [w.exitcode for w in writers] == [0, 0]
+    text = store.read_text()
+    assert text.endswith("\n")
+    docs = [json.loads(ln) for ln in text.split("\n")[:-1]]  # a torn line fails to parse
+    assert sorted(d["subject"] for d in docs) == sorted(r["subject"] for r in records)
 
 
 def test_store_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):

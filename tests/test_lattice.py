@@ -2,6 +2,7 @@
 
 import pytest
 
+from csection.catalog import build_group, builtin_battery
 from csection.groups import CapExceededError, Subgroup, is_normal, normalizer
 from csection.lattice import (all_subgroups, certify_maximal, fuse_subgroup_classes,
                               klein_four_classes, maximal_subgroups,
@@ -128,6 +129,41 @@ def test_maximal_subgroup_classes(name, params, orders, sizes):
     for c in classes:
         gens = et.extract_generators(c.indices)
         assert certify_maximal(G, c.indices, gens, et)
+
+
+def _oracle_maximal_classes(G):
+    """(order, class size) of each class of inclusion-maximal proper subgroups."""
+    table = NaiveTable(elements_of(G))
+    proper = [s for s in all_subgroups_naive(table) if len(s) < table.n]
+    maximal = {s for s in proper if not any(s < t for t in proper)}
+    out = []
+    while maximal:
+        s = maximal.pop()
+        orbit = {frozenset(table.conj(x, g) for x in s) for g in range(table.n)}
+        maximal -= orbit
+        out.append((len(s), len(orbit)))
+    return sorted(out)
+
+
+SMALL_BATTERY = builtin_battery(48)
+
+
+@pytest.mark.parametrize("entry", SMALL_BATTERY, ids=[b.label for b in SMALL_BATTERY])
+def test_maximal_classes_match_oracle(entry):
+    G = build_group(entry.spec)
+    got = sorted((c.order, c.class_size) for c in maximal_subgroups(G))
+    assert got == _oracle_maximal_classes(G)
+
+
+def test_class_representatives_match_their_indices():
+    G = named("Sym", 4)
+    et = element_table(G)
+    for c in all_subgroups(G):
+        rep = c.representative
+        assert isinstance(rep, Subgroup)
+        assert rep.order == len(c.indices) == c.order
+        assert frozenset(et.index[g.images] for g in rep.elements()) == c.indices
+        assert c.representative is rep
 
 
 def test_certify_maximal_rejects_non_maximal():

@@ -23,12 +23,26 @@ def test_composition_is_left_to_right():
     assert (q * p).images == (1, 2, 0)
 
 
-def test_mul_matches_oracle():
+@pytest.mark.parametrize("degree", [1, 2, 7, 48])
+def test_mul_matches_oracle(degree):
     rng = random.Random(11)
     for _ in range(60):
-        a = _random_perm(rng, 7)
-        b = _random_perm(rng, 7)
-        assert (a * b).images == compose(a.images, b.images)
+        a = _random_perm(rng, degree)
+        b = _random_perm(rng, degree)
+        product = a * b
+        assert type(product.images) is tuple
+        assert product.images == compose(a.images, b.images)
+
+
+@pytest.mark.parametrize("images,expected", [
+    ((0,), True),
+    ((0, 1), True),
+    (tuple(range(48)), True),
+    ((1, 0), False),
+    (tuple(range(46)) + (47, 46), False),  # moves only its last two points
+])
+def test_is_identity(images, expected):
+    assert Permutation(images).is_identity() is expected
 
 
 def test_constructor_rejects_non_bijections():

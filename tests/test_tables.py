@@ -77,3 +77,9 @@ def test_closure_aborts_exactly_above_the_bound():
             assert et.closure(None, [], [x, y], abort_above=size - 1) is None
             grown = et.closure(None, [], [x, y], abort_above=size)
             assert grown is not None and len(grown) == size
+    # a bound below the starting subgroup aborts before the walk begins
+    assert et.closure(None, [], [0], abort_above=0) is None
+    assert et.closure(None, [], [0], abort_above=1) == frozenset([0])
+    four = next(i for i in range(et.n) if et.element_order(i) == 4)
+    c4 = et.cyclic_subgroup(four)
+    assert et.closure(c4, [four], [], abort_above=3) is None
