@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -81,6 +82,9 @@ def _store_path(args) -> Optional[str]:
 def _store_records(path: str, records: list[dict]) -> int:
     """Append records not already present (content-addressed, timestamp aside).
 
+    Lines that do not parse (say, two records glued by a crash) are skipped,
+    left in place and counted in one warning on stderr.
+
     An exclusive lock on the store is held across the read, the dedup and the
     append, so concurrent writers never store a record twice; the new lines go
     out in one write to an append-only descriptor, so no line is torn.
@@ -91,6 +95,7 @@ def _store_records(path: str, records: list[dict]) -> int:
         with open(fd, "rb", closefd=False) as fh:
             data = fh.read()
         seen = set()
+        skipped = 0
         for line in data.decode("utf-8").split("\n"):
             line = line.strip()
             if not line:
@@ -98,8 +103,11 @@ def _store_records(path: str, records: list[dict]) -> int:
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError:
+                skipped += 1
                 continue
             seen.add(_record_key(doc))
+        if skipped:
+            print(f"warning: store {path}: skipped {skipped} unreadable line(s)", file=sys.stderr)
         lines = []
         for rec in records:
             key = _record_key(rec)
@@ -157,7 +165,9 @@ def _finish(args, report: VerdictReport) -> int:
     return _EXIT[report.status]
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="csection",
                      description="maximal-subgroup section toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -215,8 +225,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_scan = subs.add_parser("scan", help="theorem check over the built-in battery")
     p_scan.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     _add_common(p_scan, max_order_default=500)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, CapExceededError, OSError) as e:

@@ -274,7 +274,7 @@ def trivial_group(degree: int) -> PermGroup:
 class Subgroup:
     """A subgroup of an ambient group, carrying its own stabilizer chain."""
 
-    __slots__ = ("ambient", "generators", "group", "_cache")
+    __slots__ = ("ambient", "generators", "order", "_group", "_cache")
 
     def __init__(self, ambient: PermGroup, generators: Iterable[Permutation], *,
                  check: bool = True):
@@ -289,14 +289,35 @@ class Subgroup:
                     raise NotASubgroupError(f"generator {g!r} lies outside the ambient group")
         self.ambient = ambient
         self.generators = gens
-        self.group = PermGroup(ambient.degree, gens)
-        if ambient.order % self.group.order:
+        self._group: Optional[PermGroup] = PermGroup(ambient.degree, gens)
+        self.order = self._group.order
+        if ambient.order % self.order:
             raise RuntimeError("subgroup order fails Lagrange against its ambient group")
         self._cache: dict = {}
 
+    @classmethod
+    def _of_known_order(cls, ambient: PermGroup, generators: Sequence[Permutation],
+                        order: int) -> "Subgroup":
+        """A subgroup whose order is already known (say, from its element
+        indices); its stabilizer chain is built, and checked against that
+        order, the first time `.group` is read."""
+        sub = cls.__new__(cls)
+        sub.ambient = ambient
+        sub.generators = tuple(g for g in generators if not g.is_identity())
+        sub._group = None
+        sub.order = order
+        sub._cache = {}
+        return sub
+
     @property
-    def order(self) -> int:
-        return self.group.order
+    def group(self) -> PermGroup:
+        group = self._group
+        if group is None:
+            group = PermGroup(self.ambient.degree, self.generators)
+            if group.order != self.order:
+                raise RuntimeError("subgroup's stabilizer chain disagrees with its known order")
+            self._group = group
+        return group
 
     @property
     def degree(self) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .groups import PermGroup, Subgroup
-from .tables import ElementTable, element_table
+from .tables import ElementTable, coset_gather, element_table
 
 DEFAULT_ORDER_CAP = 5_000
 NORMAL_CAP = 10_000
@@ -239,15 +239,17 @@ def certify_maximal(G: PermGroup, subset: frozenset[int], gens: Sequence[int],
     covered = [False] * n
     for x in subset:
         covered[x] = True
+    coset = coset_gather(sorted(subset))
+    rows = et.rows
     for x in range(n):
         if covered[x]:
             continue
         grown = et.closure(subset, list(gens), [x], abort_above=bound)
         if grown is not None:
             return False  # a proper subgroup strictly above
-        # mark the whole coset subset*x: closure(subset, x) = G for them all
-        for h in subset:
-            covered[et.mul(h, x)] = True
+        # mark the whole coset x*subset: <subset, x*h> = <subset, x> = G for them all
+        for y in coset(rows[x]):
+            covered[y] = True
     return True
 
 
@@ -378,7 +380,8 @@ def normal_subgroups(G: PermGroup, *, cap: int = NORMAL_CAP) -> list[Subgroup]:
                 queue.append(grown)
     subs = []
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
-        subs.append(Subgroup(G, [et.permutation(i) for i in found[s]], check=False))
+        # the chain is built only for the subgroups whose `.group` is read
+        subs.append(Subgroup._of_known_order(G, [et.permutation(i) for i in found[s]], len(s)))
         subs[-1]._cache["indices"] = s
     G._cache["normal_subgroups"] = subs
     return subs

@@ -4,13 +4,20 @@ Most desk-scale computations (subgroup lattices, conjugacy classes, normal
 subgroup enumeration) run in index space: elements become integers, subgroups
 become frozensets of integers, and multiplication is one lookup in a uint16
 Cayley table.  The table covers every group of order n <= 4096 and costs n*n
-two-byte cells, 32 MiB at that bound; larger groups compose image tuples.
+two-byte cells, 32 MiB at that bound.
+
+The hot loops read the table a row at a time: `rows[i]` is a 1-D view of row
+i, so a whole left coset u*H is one C-level gather, `itemgetter(*H)(rows[u])`,
+and a conjugate g^-1*x*g is two cell reads.  Above the bound there is no
+table; `rows` then composes image tuples on demand, so closures and
+conjugations take the same code path at up to 10,000 elements.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,9 +60,12 @@ class ElementTable:
             self.inverse[i] = self.index[tuple(inv)]
         self.generator_indices: list[int] = [self.index[g.images] for g in group.generators]
         self._mul_table: Optional[np.ndarray] = None
-        self._cells: Optional[memoryview] = None
+        # rows[i][j] is the index of element_i * element_j
+        self.rows: Sequence[Sequence[int]]
         if self.n <= _TABLE_MAX_ORDER:
             self._build_table()
+        else:
+            self.rows = _ComposedRows(self.tuples, self.index)
         self._orders: Optional[list[int]] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
@@ -101,24 +111,22 @@ class ElementTable:
             products = images[:, at_base[start:start + rows]]
             table[start:start + rows] = rank[keys(products)].T
         self._mul_table = table
-        self._cells = memoryview(table)
+        # Views into the table's buffer, one per row; no copy is made.
+        cells = memoryview(table.reshape(-1))
+        self.rows = [cells[i * n:(i + 1) * n] for i in range(n)]
 
     def mul(self, i: int, j: int) -> int:
-        cells = self._cells
-        if cells is not None:
-            return cells[i, j]
-        a = self.tuples[i]
-        b = self.tuples[j]
-        return self.index[tuple(b[x] for x in a)]
+        return self.rows[i][j]
 
     def conj(self, i: int, g: int) -> int:
         """Index of g^-1 * element_i * g."""
-        return self.mul(self.mul(self.inverse[g], i), g)
+        rows = self.rows
+        return rows[self.inverse[g]][rows[i][g]]
 
     def conj_set(self, subset: Iterable[int], g: int) -> frozenset[int]:
-        mul = self.mul
-        ginv = self.inverse[g]
-        return frozenset(mul(mul(ginv, x), g) for x in subset)
+        rows = self.rows
+        left = rows[self.inverse[g]]
+        return frozenset(left[rows[x][g]] for x in subset)
 
     def element_order(self, i: int) -> int:
         orders = self._orders
@@ -170,12 +178,16 @@ class ElementTable:
                 new_gens: Sequence[int], *, abort_above: Optional[int] = None) -> Optional[frozenset[int]]:
         """Subgroup generated by a known subgroup and extra elements.
 
-        `base_set` must be closed (a subgroup) and `base_gens` must generate it;
-        the closure walks right cosets of the base, so its cost is linear in the
-        result size, and it stops once the result is the whole group.  Returns
-        None when the result would exceed `abort_above`.
+        `base_set` must be closed (a subgroup H) and `base_gens` must generate
+        it.  The closure walks left cosets of H: for a coset representative t
+        and a generator g, a new u = g*t brings in the whole coset u*H, one
+        gather from row u (composed tuples above 4096 elements).  The result is
+        closed under left multiplication by a generating set, so it is the
+        subgroup; the cost is linear in its size, and the walk stops once it is
+        the whole group.  Returns None when the result would exceed
+        `abort_above`.
         """
-        mul = self.mul
+        rows = self.rows
         if base_set is None:
             block = [0]
             S = {0}
@@ -188,14 +200,15 @@ class ElementTable:
                 gens.append(g)
         if abort_above is not None and len(S) > abort_above:
             return None
+        coset = coset_gather(block)
+        left = [rows[g] for g in gens]
         queue = deque([0])
         while queue:
             t = queue.popleft()
-            for g in gens:
-                u = mul(t, g)
+            for row in left:
+                u = row[t]
                 if u not in S:
-                    fresh = [mul(h, u) for h in block]
-                    S.update(fresh)
+                    S.update(coset(rows[u]))
                     if abort_above is not None and len(S) > abort_above:
                         return None
                     if len(S) == self.n:
@@ -220,6 +233,41 @@ class ElementTable:
 
     def subset_to_perms(self, subset: Iterable[int]) -> list[Permutation]:
         return [Permutation._unsafe(self.tuples[i]) for i in sorted(subset)]
+
+
+def coset_gather(block: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Reads the left coset u*H off row u, for H the sorted index list `block`."""
+    if len(block) == 1:  # itemgetter of one index returns a scalar, not a tuple
+        only = block[0]
+        return lambda row: (row[only],)
+    return itemgetter(*block)
+
+
+class _ComposedRows:
+    """Rows of the Cayley table for groups too large to tabulate: `rows[i][j]`
+    composes the image tuples of elements i and j."""
+
+    __slots__ = ("tuples", "index")
+
+    def __init__(self, tuples: list[tuple[int, ...]], index: dict[tuple[int, ...], int]):
+        self.tuples = tuples
+        self.index = index
+
+    def __getitem__(self, i: int) -> "_ComposedRow":
+        return _ComposedRow(itemgetter(*self.tuples[i]), self.tuples, self.index)
+
+
+class _ComposedRow:
+    __slots__ = ("apply", "tuples", "index")
+
+    def __init__(self, apply: Callable, tuples: list[tuple[int, ...]],
+                 index: dict[tuple[int, ...], int]):
+        self.apply = apply  # reads a tuple at element i's images
+        self.tuples = tuples
+        self.index = index
+
+    def __getitem__(self, j: int) -> int:
+        return self.index[self.apply(self.tuples[j])]
 
 
 def element_table(group: PermGroup, cap: int = 10_000) -> ElementTable:

@@ -36,6 +36,23 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
+def test_one_parser_serves_successive_calls(capsys):
+    cli._parser.cache_clear()
+    code, doc, _err = run_json(["theorem", "--group", S4], capsys)
+    assert code == 0 and doc["check"] == "theorem"
+    assert main(["theorem", "--group", S4]) == 0  # no --json left over from the first call
+    out = capsys.readouterr().out
+    assert out.startswith(f"[PASS] theorem: {parse_group_spec(S4).canonical()}")
+    with pytest.raises(SystemExit) as exc:
+        main(["order"])
+    assert exc.value.code == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert cli._parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
 def test_no_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -236,7 +253,8 @@ def test_store_keeps_skipping_an_earlier_glued_line(tmp_path, capsys):
     store = tmp_path / "reports.jsonl"
     store.write_text('{"check": "order"}{"check": "hypothesis"}')
     assert main(["order", "--group", S4, "--store", str(store)]) == 0
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err == f"warning: store {store}: skipped 1 unreadable line(s)\n"
     lines = store.read_text().splitlines()
     assert lines[0] == '{"check": "order"}{"check": "hypothesis"}'
     assert len(lines) == 2 and json.loads(lines[1])["check"] == "order"

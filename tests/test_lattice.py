@@ -236,6 +236,22 @@ def test_normal_subgroups_match_oracle(make, count):
     assert all(is_normal(G, N) for N in normals)
 
 
+@pytest.mark.parametrize("make", [lambda: named("Sym", 4), lambda: named("PSL2", 7)],
+                         ids=["S4", "PSL2_7"])
+def test_normal_subgroup_chains_are_built_on_first_read(make):
+    G = make()
+    normals = normal_subgroups(G)
+    assert all(N._group is None for N in normals)  # no chain until .group is read
+    for N in normals:
+        s = N._cache["indices"]
+        assert N.order == len(s)
+        assert N.group.order == len(s)
+        assert N.index() == G.order // len(s)
+    wrong = Subgroup._of_known_order(G, normals[-1].generators, G.order // 2)
+    with pytest.raises(RuntimeError, match="known order"):
+        wrong.group
+
+
 def test_minimal_normal_subgroups():
     cases = [
         (named("Sym", 4), [4]),

@@ -6,10 +6,10 @@ import pytest
 
 from csection.catalog import build_group, parse_group_spec
 from csection.groups import PermGroup
-from csection.tables import ElementTable, element_table
+from csection.tables import ElementTable, _ComposedRows, element_table
 
 from gtools import elements_of, named, product
-from oracles import NaiveTable, compose
+from oracles import NaiveTable, all_subgroups_naive, compose, invert
 
 # S4 on the points 3, 5, 6, 8 of eight; its base avoids the first points.
 RELABELED_S4 = '{"kind":"perm","degree":8,"generators":[[[3,5,6,8]],[[3,5]]]}'
@@ -49,6 +49,15 @@ def test_mul_spot_check_against_tuple_composition(name, order, tabled):
     for _ in range(10_000):
         i, j = rng.randrange(et.n), rng.randrange(et.n)
         assert et.tuples[et.mul(i, j)] == compose(et.tuples[i], et.tuples[j])
+    pairs = [(rng.randrange(et.n), rng.randrange(et.n)) for _ in range(2_000)]
+    for x, g in pairs:
+        t = et.tuples[g]
+        assert et.tuples[et.conj(x, g)] == compose(compose(invert(t), et.tuples[x]), t)
+    xs = [x for x, _g in pairs]
+    for _x, g in pairs[:10]:
+        t = et.tuples[g]
+        want = {et.index[compose(compose(invert(t), et.tuples[x]), t)] for x in xs}
+        assert et.conj_set(xs, g) == want
 
 
 @pytest.mark.parametrize("make", [
@@ -83,3 +92,21 @@ def test_closure_aborts_exactly_above_the_bound():
     four = next(i for i in range(et.n) if et.element_order(i) == 4)
     c4 = et.cyclic_subgroup(four)
     assert et.closure(c4, [four], [], abort_above=3) is None
+
+
+@pytest.mark.parametrize("rows", ["table", "composed"])
+def test_closure_over_every_subgroup_matches_oracle(rows):
+    G = named("Sym", 4)
+    et = ElementTable(G)
+    if rows == "composed":  # the path of groups too large to tabulate
+        et.rows = _ComposedRows(et.tuples, et.index)
+    oracle = NaiveTable(elements_of(G))
+    to_et = [et.index[t] for t in oracle.elems]
+    for H in all_subgroups_naive(oracle):
+        base = frozenset(to_et[h] for h in H)
+        gens = et.extract_generators(base)
+        for x in range(oracle.n):
+            want = frozenset(to_et[y] for y in oracle.span(H | {x}))
+            assert et.closure(base, gens, [to_et[x]]) == want
+            assert et.closure(base, gens, [to_et[x]], abort_above=len(want)) == want
+            assert et.closure(base, gens, [to_et[x]], abort_above=len(want) - 1) is None
