@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .groups import CapExceededError, PermGroup, group_from_generators, trivial_group
+from .gf import _is_prime, field_of_order
+from .groups import CapExceededError, PermGroup, trivial_group
 from .perms import Permutation
 
 NAMED = ("Sym", "Alt", "Cyclic", "Dihedral", "ElemAbelian", "PSL2", "PGL2", "SL",
@@ -145,8 +146,7 @@ def _dihedral(m: int) -> PermGroup:
 
 
 def _elem_abelian(p: int, k: int) -> PermGroup:
-    from .iso import _prime_factors
-    if _prime_factors(p) != [p]:
+    if not _is_prime(p):
         raise ValueError("ElemAbelian needs a prime p")
     if k < 1:
         raise ValueError("ElemAbelian needs k >= 1")
@@ -156,36 +156,21 @@ def _elem_abelian(p: int, k: int) -> PermGroup:
     return PermGroup(degree, gens)
 
 
-def _field_for(q: int):
-    from .gf import field_make
-    from .iso import _prime_factors
-    fac = _prime_factors(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p = fac[0]
-    f = 0
-    m = q
-    while m > 1:
-        m //= p
-        f += 1
-    return field_make(p, f)
-
-
 def _psl2(q: int) -> PermGroup:
     from .matgroups import psl_group
-    return psl_group(2, _field_for(q))
+    return psl_group(2, field_of_order(q))
 
 
 def _pgl2(q: int) -> PermGroup:
     from .matgroups import pgl_group
-    return pgl_group(_field_for(q))
+    return pgl_group(field_of_order(q))
 
 
 def _sl(n: int, q: int) -> PermGroup:
     from .matgroups import sl_group
     if n < 2 or n > 3:
         raise ValueError("SL supports dimensions 2 and 3")
-    return sl_group(n, _field_for(q))
+    return sl_group(n, field_of_order(q))
 
 
 def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
@@ -221,7 +206,7 @@ def build_group(spec: GroupSpec, *, max_order: Optional[int] = None,
         gens = [Permutation.from_cycles(spec.degree,
                                         [tuple(x - 1 for x in c) for c in g])
                 for g in spec.generators]
-        G = group_from_generators(spec.degree, gens)
+        G = PermGroup(spec.degree, gens)
     else:
         if spec.name == "DirectProduct":
             (na, pa), (nb, pb) = spec.params
@@ -315,6 +300,6 @@ def builtin_battery(max_order: int = 500) -> list[BatteryEntry]:
 
 def _lemma4_normalizer_spec(n: int, q: int, side: str) -> GroupSpec:
     from .matgroups import triangular_instance
-    ti = triangular_instance(n, _field_for(q))
+    ti = triangular_instance(n, field_of_order(q))
     sub = ti.vec_normalizer if side == "vec" else ti.proj_normalizer
     return spec_from_group(sub.group)

@@ -318,6 +318,8 @@ def _dispatch(args) -> int:
 
 
 def _run_scan(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     battery = builtin_battery(args.max_order)
     payloads = [(b.label, b.spec.canonical(), args.max_order, args.degree_cap, args.seed)
                 for b in battery]

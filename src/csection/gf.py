@@ -21,15 +21,57 @@ _PINNED_MODULI = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+# -- integer arithmetic shared by the package ----------------------------------
+
+def _smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2 (n itself when prime); 1 for n = 1."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_prime_factor(n) == n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; empty for n < 2."""
+    out = []
+    while n > 1:
+        p = _smallest_prime_factor(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
+    return out
+
+
+def _prime_power(n: int) -> Optional[tuple[int, int]]:
+    """(p, k) with n = p**k and k >= 1, or None when n is not a prime power."""
+    if n < 2:
+        return None
+    p = _smallest_prime_factor(n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
+def _is_p_power(n: int, p: int) -> bool:
+    """Whether n = p**k for some k >= 0."""
+    if n < 1:
+        return False
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _largest_proper_divisor(n: int) -> int:
+    """n over its smallest prime factor, for n >= 1 (1 for n = 1)."""
+    return n // _smallest_prime_factor(n)
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -236,3 +278,11 @@ class FieldTable:
 def field_make(p: int, f: int = 1) -> FieldTable:
     """Public constructor matching the pinned-modulus policy."""
     return FieldTable(p, f)
+
+
+def field_of_order(q: int) -> FieldTable:
+    """GF(q), split as q = p**f; ValueError unless q is a prime power."""
+    pf = _prime_power(q)
+    if pf is None:
+        raise ValueError(f"{q} is not a prime power")
+    return field_make(*pf)

@@ -1,6 +1,6 @@
 """Permutation groups with deterministic stabilizer chains, subgroups, and the
-standard operations built on sifting: membership, closures, normalizers,
-centralizers, coset actions, and quotients."""
+standard operations built on sifting: membership, normal closures,
+normalizers, coset actions, and quotients."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from typing import Iterable, Optional, Sequence
 
 from .perms import Permutation
 
-DEFAULT_ELEMENT_CAP = 10_000
 DEFAULT_DEGREE_CAP = 5_000
+# Largest conjugation orbit `normalizer` walks.
+_NORMALIZER_ORBIT_CAP = 500_000
 
 
 class DegreeMismatchError(ValueError):
@@ -262,11 +263,6 @@ def _schreier_sims(degree: int, gens: Sequence[Permutation]) -> list[_Level]:
     return levels
 
 
-def group_from_generators(degree: int, generators: Iterable[Permutation]) -> PermGroup:
-    """Build a group with an exact order from a verified stabilizer chain."""
-    return PermGroup(degree, generators)
-
-
 def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [])
 
@@ -348,18 +344,6 @@ class Subgroup:
         return f"Subgroup(order={self.order}, index={self.index()})"
 
 
-def closure(H: Subgroup, g: Permutation) -> Subgroup:
-    """The subgroup generated by H and one further element of its ambient group."""
-    return Subgroup(H.ambient, H.generators + (g,))
-
-
-def conjugate_subgroup(H: Subgroup, g: Permutation) -> Subgroup:
-    """The conjugate H^g inside the same ambient group."""
-    if not H.ambient.contains(g):
-        raise NotASubgroupError("conjugating element lies outside the ambient group")
-    return Subgroup(H.ambient, [h.conjugated_by(g) for h in H.generators], check=False)
-
-
 def is_normal(G: PermGroup, H: Subgroup) -> bool:
     """True when H is normalized by every generator of G."""
     for g in G.generators:
@@ -398,85 +382,24 @@ def derived_subgroup(G: PermGroup) -> Subgroup:
     return normal_closure(G, comms)
 
 
-def _scan_elements(G: PermGroup, cap: int) -> list[Permutation]:
-    if G.order > cap:
-        raise CapExceededError(f"group order {G.order} exceeds scan cap {cap}")
-    return list(G.elements())
-
-
-def centralizer(G: PermGroup, H: Subgroup, *, scan_cap: int = DEFAULT_ELEMENT_CAP) -> Subgroup:
-    """Centralizer of H in G; full scan at small orders, orbit-stabilizer above."""
-    targets = [h for h in H.generators if not h.is_identity()]
-    if not targets:
-        return Subgroup(G, G.generators, check=False)
-    if G.order <= scan_cap:
-        elems = _scan_elements(G, scan_cap)
-        cent = [g for g in elems
-                if all((h * g).images == (g * h).images for h in targets)]
-        return Subgroup(G, _reduce_generating_set(G.degree, cent), check=False)
-    # Intersect element centralizers: C_G(h1), then centralize h2 within it, etc.
-    current_gens = list(G.generators)
-    for h in targets:
-        current_gens = _element_centralizer_gens(G.degree, current_gens, h)
-    return Subgroup(G, current_gens, check=False)
-
-
-def _element_centralizer_gens(degree: int, gens: list[Permutation], h: Permutation) -> list[Permutation]:
-    # Orbit of h under conjugation; Schreier generators of the stabilizer.
-    start = h.images
-    transversal: dict[tuple[int, ...], Permutation] = {start: Permutation.identity(degree)}
-    queue = deque([h])
-    stab: list[Permutation] = []
-    seen_stab: set[tuple[int, ...]] = set()
-    while queue:
-        x = queue.popleft()
-        u = transversal[x.images]
-        for g in gens:
-            y = x.conjugated_by(g)
-            rep = transversal.get(y.images)
-            if rep is None:
-                transversal[y.images] = u * g
-                queue.append(y)
-            else:
-                s = u * g * rep.inverse()
-                if not s.is_identity() and s.images not in seen_stab:
-                    seen_stab.add(s.images)
-                    stab.append(s)
-    return _reduce_generating_set(degree, stab)
-
-
-def normalizer(G: PermGroup, H: Subgroup, *, scan_cap: int = DEFAULT_ELEMENT_CAP,
-               orbit_cap: int = 500_000) -> Subgroup:
-    """Normalizer of H in G.
-
-    Small groups get a certified full element scan.  Larger groups use the
-    conjugation orbit of H with Schreier generators for the stabilizer, which
-    is exact whenever the orbit fits under `orbit_cap`.
-    """
-    if G.order <= scan_cap:
-        hset = H.element_set()
-        found = []
-        for g in _scan_elements(G, scan_cap):
-            if all(h.conjugated_by(g).images in hset for h in H.generators):
-                found.append(g)
-        return Subgroup(G, _reduce_generating_set(G.degree, found), check=False)
-
+def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
+    """Normalizer of H in G: the stabilizer of H in its conjugation orbit,
+    generated by Schreier generators and certified by orbit-stabilizer."""
     hset = H.element_set()
     ident = Permutation.identity(G.degree)
     transversal: dict[frozenset, Permutation] = {hset: ident}
     queue = deque([hset])
     stab: list[Permutation] = []
     seen_stab: set[tuple[int, ...]] = set()
+    actions = [(g, g.inverse().images, g.images) for g in G.generators]
     while queue:
         s = queue.popleft()
         u = transversal[s]
-        for g in G.generators:
-            ginv = g.inverse().images
-            gim = g.images
+        for g, ginv, gim in actions:
             t = frozenset(tuple(gim[x[ginv[i]]] for i in range(len(x))) for x in s)
             rep = transversal.get(t)
             if rep is None:
-                if len(transversal) >= orbit_cap:
+                if len(transversal) >= _NORMALIZER_ORBIT_CAP:
                     raise CapExceededError("conjugation orbit exceeded the normalizer cap")
                 transversal[t] = u * g
                 queue.append(t)
@@ -489,11 +412,6 @@ def normalizer(G: PermGroup, H: Subgroup, *, scan_cap: int = DEFAULT_ELEMENT_CAP
     if result.order * len(transversal) != G.order:
         raise RuntimeError("orbit-stabilizer bookkeeping failed in normalizer")
     return result
-
-
-def center(G: PermGroup, *, scan_cap: int = DEFAULT_ELEMENT_CAP) -> Subgroup:
-    """Center of G."""
-    return centralizer(G, Subgroup(G, G.generators, check=False), scan_cap=scan_cap)
 
 
 def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> list[Permutation]:
@@ -509,26 +427,8 @@ def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> list[Pe
     return gens
 
 
-class CosetAction:
-    """The permutation action of G on the right cosets of a subgroup."""
-
-    __slots__ = ("source", "subgroup", "image", "generator_images", "coset_reps")
-
-    def __init__(self, source: PermGroup, subgroup: Subgroup, image: PermGroup,
-                 generator_images: list[Permutation], coset_reps: list[Permutation]):
-        self.source = source
-        self.subgroup = subgroup
-        self.image = image
-        self.generator_images = generator_images
-        self.coset_reps = coset_reps
-
-    @property
-    def kernel_order(self) -> int:
-        return self.source.order // self.image.order
-
-
-def coset_action(G: PermGroup, H: Subgroup, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> CosetAction:
-    """Action of G on the right cosets of H; the image degree is the index."""
+def coset_action(G: PermGroup, H: Subgroup, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> PermGroup:
+    """Image of G acting on the right cosets of H; its degree is the index."""
     index = G.order // H.order
     if index > degree_cap:
         raise CapExceededError(f"coset degree {index} exceeds cap {degree_cap}")
@@ -559,21 +459,19 @@ def coset_action(G: PermGroup, H: Subgroup, *, degree_cap: int = DEFAULT_DEGREE_
         adjacency[i] = row
     if len(reps) != index:
         raise RuntimeError("coset enumeration found the wrong number of cosets")
-    gen_images = []
-    for k in range(len(G.generators)):
-        gen_images.append(Permutation(tuple(adjacency[i][k] for i in range(index))))
-    image = PermGroup(max(index, 1), gen_images)
-    return CosetAction(G, H, image, gen_images, reps)
+    gen_images = [Permutation(tuple(adjacency[i][k] for i in range(index)))
+                  for k in range(len(G.generators))]
+    return PermGroup(max(index, 1), gen_images)
 
 
 def quotient_group(G: PermGroup, N: Subgroup, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> PermGroup:
     """G/N as a permutation group on the cosets of N; N must be normal."""
     if not is_normal(G, N):
         raise NotNormalError("quotient requires a normal subgroup")
-    action = coset_action(G, N, degree_cap=degree_cap)
-    if action.image.order != G.order // N.order:
+    image = coset_action(G, N, degree_cap=degree_cap)
+    if image.order != G.order // N.order:
         raise RuntimeError("quotient image order disagrees with the index")
-    return action.image
+    return image
 
 
 def whole_subgroup(G: PermGroup) -> Subgroup:

@@ -15,28 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .catalog import _alt, _psl2, _sym
+from .gf import _is_p_power, _is_prime, _prime_factors
 from .groups import PermGroup, derived_subgroup
-from .perms import Permutation
 from .tables import ElementTable, element_table
 
 ISO_CAP = 20_000
 
 
 # -- fingerprints ------------------------------------------------------------
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
 
 def fingerprint(G: PermGroup) -> tuple:
     """Cheap iso-invariant: order statistics, class sizes, center, derived."""
@@ -109,12 +96,6 @@ def abelian_invariants(G: PermGroup) -> tuple[int, ...]:
     if total != G.order:
         raise RuntimeError("invariant factors do not multiply to the group order")
     return tuple(factors)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # -- the backtracking isomorphism test ---------------------------------------
@@ -275,42 +256,15 @@ class GroupId:
         return f"G({self.order})"
 
 
-_REFERENCES: dict[str, PermGroup] = {}
+_BUILDERS = {"alt": _alt, "sym": _sym, "psl2": _psl2}
+_REFERENCES: dict[tuple[str, int], PermGroup] = {}
 
 
-def _reference(name: str) -> PermGroup:
-    g = _REFERENCES.get(name)
-    if g is not None:
-        return g
-    kind, _, arg = name.partition(":")
-    if kind == "alt":
-        n = int(arg)
-        gens = [Permutation.from_cycles(n, [(0, 1, 2)])]
-        if n > 3:
-            if n % 2:
-                gens.append(Permutation.from_cycles(n, [tuple(range(n))]))
-            else:
-                gens.append(Permutation.from_cycles(n, [tuple(range(1, n))]))
-        g = PermGroup(n, gens)
-    elif kind == "sym":
-        n = int(arg)
-        g = PermGroup(n, [Permutation.from_cycles(n, [(0, 1)]),
-                          Permutation.from_cycles(n, [tuple(range(n))])])
-    elif kind == "psl2":
-        from .gf import field_make
-        from .matgroups import psl_group
-        q = int(arg)
-        fac = _prime_factors(q)
-        p = fac[0]
-        f = 0
-        m = q
-        while m > 1:
-            m //= p
-            f += 1
-        g = psl_group(2, field_make(p, f))
-    else:
-        raise ValueError(f"unknown reference {name!r}")
-    _REFERENCES[name] = g
+def _reference(kind: str, n: int) -> PermGroup:
+    """The catalog's A_n, S_n or L2(n), built once per process."""
+    g = _REFERENCES.get((kind, n))
+    if g is None:
+        g = _REFERENCES[(kind, n)] = _BUILDERS[kind](n)
     return g
 
 
@@ -355,20 +309,20 @@ def _identify(G: PermGroup) -> GroupId:
         invs = abelian_invariants(G)
         if len(invs) == 1:
             return GroupId("cyclic", (invs[0],), n)
-        if all(d == invs[0] for d in invs) and _prime_factors(invs[0]) == [invs[0]]:
+        if all(d == invs[0] for d in invs) and _is_prime(invs[0]):
             return GroupId("elementary_abelian", (invs[0], len(invs)), n)
         return GroupId("abelian", invs, n)
     m = _try_dihedral(G)
     if m is not None:
         return GroupId("dihedral", (m,), n)
     for k, want in _ALT_ORDERS.items():
-        if n == want and is_isomorphic(G, _reference(f"alt:{k}")):
+        if n == want and is_isomorphic(G, _reference("alt", k)):
             return GroupId("alternating", (k,), n)
     for k, want in _SYM_ORDERS.items():
-        if n == want and is_isomorphic(G, _reference(f"sym:{k}")):
+        if n == want and is_isomorphic(G, _reference("sym", k)):
             return GroupId("symmetric", (k,), n)
     for q in (7, 8, 11, 13):
-        if n == _PSL2_ORDERS[q] and is_isomorphic(G, _reference(f"psl2:{q}")):
+        if n == _PSL2_ORDERS[q] and is_isomorphic(G, _reference("psl2", q)):
             return GroupId("psl2", (q,), n)
     from .lattice import NORMAL_CAP
     from .series import is_simple
@@ -392,13 +346,3 @@ def l2_parameters(gid: GroupId) -> frozenset[int]:
     if gid.kind == "alternating" and gid.params == (4,):
         return frozenset({3})
     return frozenset()
-
-
-def same_class(G: PermGroup, H: PermGroup) -> bool:
-    """Isomorphism test routed through identification when conclusive."""
-    a, b = identify(G), identify(H)
-    informative = {"trivial", "cyclic", "elementary_abelian", "abelian", "dihedral",
-                   "alternating", "symmetric", "psl2"}
-    if a.kind in informative or b.kind in informative:
-        return a == b
-    return is_isomorphic(G, H)

@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .gf import _largest_proper_divisor
 from .groups import PermGroup, Subgroup
 from .tables import ElementTable, coset_gather, element_table
 
@@ -218,13 +219,6 @@ def subgroups_of_index(G: PermGroup, k: int, *, order_cap: int = DEFAULT_ORDER_C
                for cid in ids if len(registry.reps[cid]) == m]
     classes.sort(key=lambda c: (c.order, sorted(c.indices)))
     return classes
-
-
-def _largest_proper_divisor(n: int) -> int:
-    for d in range(2, n + 1):
-        if n % d == 0:
-            return n // d
-    return 1
 
 
 def certify_maximal(G: PermGroup, subset: frozenset[int], gens: Sequence[int],
@@ -443,30 +437,15 @@ def fuse_subgroup_classes(G: PermGroup, reps: Sequence[frozenset[tuple[int, ...]
     """Partition subgroup element-sets (image tuples) by conjugacy in G.
 
     Useful when the subgroups were found inside a smaller ambient group and
-    the question is how the classes fuse in the bigger one.
+    the question is how the classes fuse in the bigger one.  The sets are
+    read into G's element table and each block is one `_conjugates` orbit.
     """
-    remaining = list(range(len(reps)))
+    et = element_table(G, NORMAL_CAP)
+    sets = [frozenset(et.index[t] for t in s) for s in reps]
+    remaining = list(range(len(sets)))
     blocks: list[list[int]] = []
     while remaining:
-        first = remaining.pop(0)
-        block = [first]
-        orbit = {reps[first]}
-        queue = deque([reps[first]])
-        while queue:
-            s = queue.popleft()
-            for g in G.generators:
-                ginv = g.inverse().images
-                gim = g.images
-                t = frozenset(tuple(gim[x[ginv[i]]] for i in range(len(x))) for x in s)
-                if t not in orbit:
-                    orbit.add(t)
-                    queue.append(t)
-        still = []
-        for j in remaining:
-            if reps[j] in orbit:
-                block.append(j)
-            else:
-                still.append(j)
-        remaining = still
-        blocks.append(block)
+        orbit = set(_conjugates(et, sets[remaining[0]]))
+        blocks.append([j for j in remaining if sets[j] in orbit])
+        remaining = [j for j in remaining if sets[j] not in orbit]
     return blocks

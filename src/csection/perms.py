@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # Identity image tuples by degree, for is_identity.
 _IDENTITIES: dict[int, tuple[int, ...]] = {}
@@ -159,11 +159,3 @@ class Permutation:
 def parse_cycle_lists(degree: int, cycle_lists: Sequence[Sequence[Sequence[int]]]) -> list[Permutation]:
     """Parse a list of permutations, each given as a list of 1-indexed cycles."""
     return [Permutation.from_cycles(degree, cycles, base=1) for cycles in cycle_lists]
-
-
-def iter_products(perms: Sequence[Permutation]) -> Iterator[Permutation]:
-    """Left-to-right running products, mostly useful in tests."""
-    acc = None
-    for p in perms:
-        acc = p if acc is None else acc * p
-        yield acc

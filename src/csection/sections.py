@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .gf import _is_prime, field_make, field_of_order
 from .groups import PermGroup, Subgroup, is_normal, normalizer, quotient_group
-from .iso import GroupId, identify, is_isomorphic, _prime_factors, _reference
+from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
 from .lattice import (SubgroupClass, all_subgroups, certify_maximal, fuse_subgroup_classes,
-                      klein_four_classes, maximal_subgroups, minimal_normal_subgroups,
-                      normal_subgroups, random_maximal_subgroups, subgroups_of_index)
+                      klein_four_classes, maximal_subgroups, normal_subgroups,
+                      random_maximal_subgroups, subgroups_of_index)
 from .perms import Permutation
 from .series import composition_factors, is_supersolvable
 from .tables import element_table
@@ -228,10 +229,9 @@ _ALLOWED_L2_RESIDUES = {1, 7}
 def _conclusion_factor_ok(gid: GroupId) -> Optional[bool]:
     """None marks an unidentified simple factor (inconclusive)."""
     if gid.kind == "cyclic":
-        return _prime_factors(gid.params[0]) == [gid.params[0]]
-    from .iso import l2_parameters
+        return _is_prime(gid.params[0])
     qs = l2_parameters(gid)
-    if any(_prime_factors(q) == [q] and q % 8 in _ALLOWED_L2_RESIDUES for q in qs):
+    if any(_is_prime(q) and q % 8 in _ALLOWED_L2_RESIDUES for q in qs):
         return True
     if gid.kind == "unknown_simple":
         return None
@@ -280,16 +280,12 @@ def verify_theorem_instance(G: PermGroup, *, subject: Optional[str] = None,
     return make_report(sub, "theorem", None, False, evidence)
 
 
-def _alternating(n: int) -> PermGroup:
-    return _reference(f"alt:{n}")
-
-
 def verify_lemma2a(n: int, *, subject: Optional[str] = None) -> VerdictReport:
     """A_n has no subgroup of index strictly between 1 and n, except the
     documented index-3 subgroup of A_4."""
     if n not in (4, 5, 6):
         raise ValueError("supported degrees: 4, 5, 6")
-    A = _alternating(n)
+    A = _reference("alt", n)
     rows = []
     ok = True
     for k in range(2, n):
@@ -309,10 +305,10 @@ def verify_lemma3(n: int, *, subject: Optional[str] = None) -> VerdictReport:
     representatives are point stabilizers up to isomorphism."""
     if n not in (5, 6, 7):
         raise ValueError("supported degrees: 5, 6, 7")
-    A = _alternating(n)
+    A = _reference("alt", n)
     classes = subgroups_of_index(A, n)
     expected = 2 if n == 6 else 1
-    iso_ok = all(is_isomorphic(c.representative.group, _alternating(n - 1))
+    iso_ok = all(is_isomorphic(c.representative.group, _reference("alt", n - 1))
                  for c in classes)
     ok = len(classes) == expected and iso_ok
     return make_report(subject or f"A{n}", "lemma3", ok, True,
@@ -344,16 +340,11 @@ def verify_lemma4(n: int, q: int, *, trials: int = 100, seed: int = 0,
     subgroup is a minimal normal subgroup of both."""
     if (n, q) not in _LEMMA4_ORDERS:
         raise ValueError("supported (dimension, field size): (2,4), (2,8), (2,9), (3,4)")
-    from .gf import field_make
+    if trials < 1:
+        raise ValueError("lemma4 needs at least one randomized trial")
     from .matgroups import conjugation_check, triangular_instance
 
-    p = _prime_factors(q)[0]
-    f = 0
-    m = q
-    while m > 1:
-        m //= p
-        f += 1
-    fieldq = field_make(p, f)
+    fieldq = field_of_order(q)
     ti = triangular_instance(n, fieldq)
     conj = conjugation_check(n, fieldq, trials=trials, seed=seed)
 
@@ -386,10 +377,6 @@ def verify_lemma4(n: int, q: int, *, trials: int = 100, seed: int = 0,
 
 # -- the worked example family -------------------------------------------------
 
-def _is_prime(p: int) -> bool:
-    return p > 1 and _prime_factors(p) == [p]
-
-
 def verify_example(p: int = 7, *, allow_large: bool = False, seed: int = 0,
                    subject: Optional[str] = None) -> VerdictReport:
     """The projective family check: G the full projective group over the prime
@@ -407,7 +394,6 @@ def verify_example(p: int = 7, *, allow_large: bool = False, seed: int = 0,
     small = p == 7
     if not small and not allow_large:
         raise ValueError("p > 7 requires allow_large=True (seeded random maximal search)")
-    from .gf import field_make
     from .matgroups import pgl_group, psl_order
 
     fld = field_make(p)

@@ -13,30 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .catalog import _cyclic
+from .gf import _prime_power
 from .groups import (PermGroup, Subgroup, derived_subgroup, normal_closure,
                      quotient_group, whole_subgroup)
 from .lattice import NORMAL_CAP, normal_subgroups
 from .tables import element_table
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def _prime_power(n: int) -> Optional[tuple[int, int]]:
-    if n < 2:
-        return None
-    p = _smallest_prime_factor(n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
 
 
 @dataclass
@@ -155,7 +137,7 @@ def composition_factors(G: PermGroup, *, rng=None, cap: int = NORMAL_CAP) -> lis
             if pk is None:
                 raise RuntimeError("abelian chief factor is not a prime power")
             p, k = pk
-            cyc = _cyclic_perm_group(p)
+            cyc = _cyclic(p)
             out.extend([cyc] * k)
         else:
             mins = minimal_normal_subgroups(f.group, cap=cap)
@@ -177,12 +159,6 @@ def composition_factors(G: PermGroup, *, rng=None, cap: int = NORMAL_CAP) -> lis
     if total != G.order:
         raise RuntimeError("composition factor orders do not multiply to the group order")
     return out
-
-
-def _cyclic_perm_group(n: int) -> PermGroup:
-    from .perms import Permutation
-    images = tuple((i + 1) % n for i in range(n))
-    return PermGroup(n, [Permutation(images)])
 
 
 def is_simple(G: PermGroup, *, cap: int = NORMAL_CAP) -> bool:

@@ -29,6 +29,12 @@ def run_json(argv, capsys):
     return code, json.loads(out), err
 
 
+def test_every_export_resolves():
+    import csection
+    missing = [name for name in csection.__all__ if not hasattr(csection, name)]
+    assert missing == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -202,6 +208,14 @@ def test_verify_lemma4_cli(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_lemma4_needs_a_trial(trials, capsys):
+    assert main(["verify", "lemma4", "--n", "2", "--q", "4", "--trials", trials]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "at least one randomized trial" in err
+
+
 def test_verify_example_cli(capsys):
     code, doc, _ = run_json(["verify", "example", "--p", "7"], capsys)
     assert code == 0
@@ -312,6 +326,14 @@ def test_scan_small_battery(capsys):
         assert line == f"[PASS] {entry.label} order={entry.order}"
     assert lines[-1] == (f"scan: {len(battery)} groups, {len(battery)} pass, "
                          "0 fail, 0 inconclusive")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_scan_rejects_fewer_than_one_worker(workers, capsys):
+    assert main(["scan", "--max-order", "12", "--workers", workers]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--workers must be at least 1" in err
 
 
 def test_scan_parallel_matches_serial(capsys):

@@ -3,7 +3,10 @@ and an independent irreducibility check for the modulus search."""
 
 import pytest
 
-from csection.gf import MAX_FIELD_SIZE, FieldTable, field_make, smallest_irreducible
+from csection.gf import (MAX_FIELD_SIZE, FieldTable, _is_p_power, _is_prime,
+                         _largest_proper_divisor, _prime_factors, _prime_power,
+                         _smallest_prime_factor, field_make, field_of_order,
+                         smallest_irreducible)
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (5, 2)]
 
@@ -157,3 +160,38 @@ def test_smallest_irreducible_against_naive_filter(p, f):
 def test_smallest_irreducible_degree_one():
     assert smallest_irreducible(5, 1) == (0, 1)
     assert field_make(7).modulus == (0, 1)
+
+
+# the package's shared integer helpers, against brute force
+
+def _brute_divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _brute_prime(n):
+    return _brute_divisors(n) == [1, n] if n > 1 else False
+
+
+def test_prime_helpers_against_brute_force():
+    for n in range(0, 2001):
+        primes = [d for d in _brute_divisors(n) if _brute_prime(d)] if n else []
+        assert _is_prime(n) is _brute_prime(n), n
+        assert _prime_factors(n) == primes, n
+        want = next(((p, k) for p in primes for k in range(1, 12) if p ** k == n), None)
+        assert _prime_power(n) == want, n
+        for p in (2, 3, 5, 7):
+            assert _is_p_power(n, p) is (n > 0 and n in {p ** k for k in range(12)}), (n, p)
+        if n >= 1:
+            divisors = _brute_divisors(n)
+            assert _smallest_prime_factor(n) == (primes[0] if primes else 1), n
+            assert _largest_proper_divisor(n) == (divisors[-2] if n > 1 else 1), n
+
+
+def test_field_of_order():
+    for q, (p, f) in {2: (2, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2), 17: (17, 1)}.items():
+        F = field_of_order(q)
+        assert (F.p, F.f, F.q) == (p, f, q)
+        assert F.modulus == field_make(p, f).modulus
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError, match="not a prime power"):
+            field_of_order(q)

@@ -4,7 +4,7 @@ search on small orders and frozen labels on the scan battery."""
 import pytest
 
 from csection.iso import (GroupId, abelian_invariants, fingerprint, identify,
-                          is_isomorphic, l2_parameters, same_class)
+                          is_isomorphic, l2_parameters)
 
 from gtools import elements_of, named, product, quaternion
 from oracles import abelian_order_counts_match, brute_isomorphic
@@ -76,6 +76,7 @@ def test_relabeled_copy_is_isomorphic():
     shifted = from_cycles(7, [[[3, 4]], [[3, 4, 5, 6]]])  # S4 on points 3..6
     assert shifted.order == 24
     assert is_isomorphic(named("Sym", 4), shifted)
+    assert is_isomorphic(quaternion(), quaternion())  # two separate builds
 
 
 def test_abelian_invariants():
@@ -184,10 +185,3 @@ def test_fingerprint_invariance_and_separation():
     assert fingerprint(named("Dihedral", 4)) != fingerprint(quaternion())
     G = named("Sym", 4)
     assert fingerprint(G) is fingerprint(G)
-
-
-def test_same_class():
-    assert same_class(named("Alt", 5), named("PSL2", 4))
-    assert not same_class(quaternion(), named("Dihedral", 4))
-    assert same_class(quaternion(), quaternion())
-    assert not same_class(named("PGL2", 7), product("Cyclic", [2], "PSL2", [7]))

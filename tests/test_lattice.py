@@ -284,9 +284,10 @@ def test_klein_four_classes_psl2_7():
     assert all(c.class_size == 7 for c in classes)
 
 
-def test_klein_classes_fuse_in_pgl2_7():
-    K = named("PSL2", 7)
-    G = named("PGL2", 7)
+@pytest.mark.parametrize("p", [7, 17])  # PGL2(17) has 4896 elements, above the table bound
+def test_klein_classes_fuse_in_pgl2(p):
+    K = named("PSL2", p)
+    G = named("PGL2", p)
     # the projective constructions share their point ordering, so K < G literally
     assert all(G.contains(g) for g in K.generators)
     et = element_table(K)

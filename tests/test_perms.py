@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from csection.perms import Permutation, iter_products, parse_cycle_lists
+from csection.perms import Permutation, parse_cycle_lists
 from oracles import compose, element_order, invert
 
 
@@ -142,12 +142,3 @@ def test_ordering_and_hash():
 def test_parse_cycle_lists():
     gens = parse_cycle_lists(4, [[[1, 2]], [[1, 2, 3, 4]]])
     assert [g.cycle_string() for g in gens] == ["(1 2)", "(1 2 3 4)"]
-
-
-def test_iter_products():
-    a = Permutation.from_cycles(4, [(0, 1)])
-    b = Permutation.from_cycles(4, [(2, 3)])
-    prods = list(iter_products([a, b, a]))
-    assert prods[0] == a
-    assert prods[1] == a * b
-    assert prods[2] == a * b * a
