@@ -16,8 +16,8 @@ from .groups import CapExceededError, PermGroup, Subgroup, normalizer, quotient_
 from .iso import GroupId, abelian_invariants, fingerprint, identify, is_isomorphic, l2_parameters
 from .lattice import (KleinFourClass, SubgroupClass, all_subgroups, certify_maximal,
                       fuse_subgroup_classes, klein_four_classes, maximal_subgroups,
-                      minimal_normal_subgroups, normal_subgroups,
-                      random_maximal_subgroups, subgroup_count, subgroups_of_index)
+                      minimal_normal_subgroups, normal_subgroups, subgroup_count,
+                      subgroups_of_index)
 from .perms import Permutation, parse_cycle_lists
 from .sections import (ChiefPair, CSection, NoChiefPairError, NotMaximalError,
                        VerdictReport, check_conclusion, check_hypothesis,
@@ -42,8 +42,8 @@ __all__ = [
     "klein_four_classes", "l2_parameters", "make_report", "maximal_subgroups",
     "minimal_normal_subgroups", "named_spec", "normal_subgroups", "normalizer",
     "parse_cycle_lists", "parse_group_spec", "product_spec", "quotient_group",
-    "random_maximal_subgroups", "sec", "spec_from_group", "subgroup_count",
-    "subgroups_of_index", "unique_class_check", "verify_example", "verify_lemma1",
-    "verify_lemma2a", "verify_lemma3", "verify_lemma4", "verify_theorem_instance",
+    "sec", "spec_from_group", "subgroup_count", "subgroups_of_index",
+    "unique_class_check", "verify_example", "verify_lemma1", "verify_lemma2a",
+    "verify_lemma3", "verify_lemma4", "verify_theorem_instance",
     "__version__",
 ]

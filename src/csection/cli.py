@@ -135,8 +135,8 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _scan_worker(payload: tuple[str, str, int, int, int]) -> dict:
-    label, spec_json, max_order, degree_cap, seed = payload
+def _scan_worker(payload: tuple[str, str, int, int]) -> dict:
+    label, spec_json, max_order, degree_cap = payload
     spec = parse_group_spec(spec_json)
     G = build_group(spec, max_order=max_order, degree_cap=degree_cap)
     report = verify_theorem_instance(G, subject=label)
@@ -148,8 +148,6 @@ def _add_common(p: argparse.ArgumentParser, *, max_order_default: int = 5000) ->
                    help="largest group order accepted (default %(default)s)")
     p.add_argument("--degree-cap", type=int, default=5000,
                    help="largest permutation degree accepted (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized fallbacks (default %(default)s)")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--store", default=None,
                    help="append report to this JSONL store (or $CSECTION_STORE)")
@@ -216,10 +214,11 @@ def _parser() -> _Parser:
     v4.add_argument("--n", type=int, required=True)
     v4.add_argument("--q", type=int, required=True)
     v4.add_argument("--trials", type=int, default=100)
+    v4.add_argument("--seed", type=int, default=0,
+                    help="seed for the randomized trials (default %(default)s)")
     _add_common(v4)
     vex = vsubs.add_parser("example")
     vex.add_argument("--p", type=int, default=7)
-    vex.add_argument("--allow-large", action="store_true")
     _add_common(vex)
 
     p_scan = subs.add_parser("scan", help="theorem check over the built-in battery")
@@ -307,8 +306,7 @@ def _dispatch(args) -> int:
             return _finish(args, verify_lemma4(args.n, args.q, trials=args.trials,
                                                seed=args.seed))
         if st == "example":
-            return _finish(args, verify_example(args.p, allow_large=args.allow_large,
-                                                seed=args.seed))
+            return _finish(args, verify_example(args.p))
         raise ValueError(f"unknown statement {st!r}")
 
     if cmd == "scan":
@@ -321,7 +319,7 @@ def _run_scan(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     battery = builtin_battery(args.max_order)
-    payloads = [(b.label, b.spec.canonical(), args.max_order, args.degree_cap, args.seed)
+    payloads = [(b.label, b.spec.canonical(), args.max_order, args.degree_cap)
                 for b in battery]
     results: dict[str, dict] = {}
     if args.workers > 1:

@@ -116,12 +116,11 @@ def _cyclic_subgroups(et: ElementTable, target: int
     return cyclics, [-1 if s is None else position[s] for s in owner]
 
 
-def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None,
-                       order_cap: int = DEFAULT_ORDER_CAP
+def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None
                        ) -> tuple[list[int], _Registry, set[int]]:
     """Class ids found, the registry holding them, and the ids of the classes
     that some extension grew into a subgroup within the closure bound."""
-    et = element_table(G, order_cap)
+    et = element_table(G, DEFAULT_ORDER_CAP)
     n = et.n
     target = divisor_target if divisor_target is not None else n
     registry = _Registry(et)
@@ -188,12 +187,12 @@ def _class_from_registry(registry: _Registry, cid: int,
     return SubgroupClass(et, indices, gens, registry.sizes[cid], True, lattice_maximal)
 
 
-def all_subgroups(G: PermGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[SubgroupClass]:
+def all_subgroups(G: PermGroup) -> list[SubgroupClass]:
     """All conjugacy classes of subgroups, sorted by order then lexicographically."""
     cached = G._cache.get("all_subgroups")
     if cached is not None:
         return cached
-    ids, registry, grew = _enumerate_classes(G, order_cap=order_cap)
+    ids, registry, grew = _enumerate_classes(G)
     # With the whole group as target, a class that grew has a proper overgroup.
     classes = [_class_from_registry(registry, cid, len(registry.reps[cid]) < G.order
                                     and cid not in grew) for cid in ids]
@@ -202,19 +201,19 @@ def all_subgroups(G: PermGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[S
     return classes
 
 
-def subgroup_count(G: PermGroup, **kw) -> int:
+def subgroup_count(G: PermGroup) -> int:
     """Total number of subgroups (all conjugates counted)."""
-    return sum(c.class_size for c in all_subgroups(G, **kw))
+    return sum(c.class_size for c in all_subgroups(G))
 
 
-def subgroups_of_index(G: PermGroup, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[SubgroupClass]:
+def subgroups_of_index(G: PermGroup, k: int) -> list[SubgroupClass]:
     """Classes of subgroups of index k; complete by the divisor-pruned search."""
     if k < 1:
         raise ValueError("index must be positive")
     if G.order % k:
         return []
     m = G.order // k
-    ids, registry, _grew = _enumerate_classes(G, divisor_target=m, order_cap=order_cap)
+    ids, registry, _grew = _enumerate_classes(G, divisor_target=m)
     classes = [_class_from_registry(registry, cid)
                for cid in ids if len(registry.reps[cid]) == m]
     classes.sort(key=lambda c: (c.order, sorted(c.indices)))
@@ -247,7 +246,7 @@ def certify_maximal(G: PermGroup, subset: frozenset[int], gens: Sequence[int],
     return True
 
 
-def maximal_subgroups(G: PermGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[SubgroupClass]:
+def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     """Maximal subgroup classes, sorted by descending order.
 
     Candidates are the classes the lattice enumeration found no proper
@@ -257,7 +256,7 @@ def maximal_subgroups(G: PermGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> li
     cached = G._cache.get("maximal_subgroups")
     if cached is not None:
         return cached
-    classes = all_subgroups(G, order_cap=order_cap)
+    classes = all_subgroups(G)
     et = element_table(G)
     out = []
     for c in classes:
@@ -286,51 +285,6 @@ def _conjugates(et: ElementTable, subset: frozenset[int]) -> list[frozenset[int]
     return list(orbit)
 
 
-def random_maximal_subgroups(G: PermGroup, *, seed: int = 0, attempts: int = 8,
-                             element_cap: int = NORMAL_CAP) -> list[SubgroupClass]:
-    """Seeded random search for maximal subgroups; found classes are certified
-    maximal individually but the list is not certified complete."""
-    import random
-    rng = random.Random(seed)
-    et = element_table(G, element_cap)
-    n = et.n
-    bound = _largest_proper_divisor(n)
-    reps: list[frozenset[int]] = []
-    for _ in range(attempts):
-        a = rng.randrange(1, n)
-        b = rng.randrange(1, n)
-        current = et.closure(None, [], [a, b], abort_above=bound)
-        if current is None:
-            current = et.cyclic_subgroup(a)
-        gens = et.extract_generators(current)
-        # Climb: absorb any element whose closure stays proper.
-        while True:
-            extended = None
-            for x in range(1, n):
-                if x in current:
-                    continue
-                grown = et.closure(current, gens, [x], abort_above=bound)
-                if grown is not None:
-                    extended = grown
-                    break
-            if extended is None:
-                break
-            current = extended
-            gens = et.extract_generators(current)
-        if not any(current in _conjugates(et, r) for r in reps):
-            reps.append(current)
-    out = []
-    for r in reps:
-        conj = _conjugates(et, r)
-        canon = min(conj, key=sorted)
-        gens = et.extract_generators(canon)
-        if not certify_maximal(G, canon, gens, et):
-            raise RuntimeError("climbed subgroup failed its maximality certificate")
-        out.append(SubgroupClass(et, canon, gens, len(conj), False, certified_maximal=True))
-    out.sort(key=lambda c: (-c.order, sorted(c.indices)))
-    return out
-
-
 def _normal_join(et: ElementTable, s: frozenset[int], sgens: list[int], x: int) -> frozenset[int]:
     """Normal closure of a normal subgroup s and one element x.
 
@@ -352,12 +306,12 @@ def _normal_join(et: ElementTable, s: frozenset[int], sgens: list[int], x: int) 
     return current
 
 
-def normal_subgroups(G: PermGroup, *, cap: int = NORMAL_CAP) -> list[Subgroup]:
+def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     """All normal subgroups, as joins of element conjugacy classes."""
     cached = G._cache.get("normal_subgroups")
     if cached is not None:
         return cached
-    et = element_table(G, cap)
+    et = element_table(G, NORMAL_CAP)
     reps = [c[0] for c in et.conjugacy_classes()]
     trivial = frozenset([0])
     found: dict[frozenset[int], list[int]] = {trivial: []}
@@ -376,15 +330,15 @@ def normal_subgroups(G: PermGroup, *, cap: int = NORMAL_CAP) -> list[Subgroup]:
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
         # the chain is built only for the subgroups whose `.group` is read
         subs.append(Subgroup._of_known_order(G, [et.permutation(i) for i in found[s]], len(s)))
-        subs[-1]._cache["indices"] = s
+        subs[-1]._cache["ambient_indices"] = s
     G._cache["normal_subgroups"] = subs
     return subs
 
 
-def minimal_normal_subgroups(G: PermGroup, *, cap: int = NORMAL_CAP) -> list[Subgroup]:
+def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     """Atoms of the normal subgroup lattice (G itself counts when simple)."""
-    normals = normal_subgroups(G, cap=cap)
-    sets = [n._cache["indices"] for n in normals]
+    normals = normal_subgroups(G)
+    sets = [n._cache["ambient_indices"] for n in normals]
     out = []
     for i, n in enumerate(normals):
         s = sets[i]
@@ -406,9 +360,9 @@ class KleinFourClass:
     indices: frozenset[int] = field(repr=False, default=frozenset())
 
 
-def klein_four_classes(G: PermGroup, *, cap: int = NORMAL_CAP) -> list[KleinFourClass]:
+def klein_four_classes(G: PermGroup) -> list[KleinFourClass]:
     """Conjugacy classes of Klein four-subgroups (pairs of commuting involutions)."""
-    et = element_table(G, cap)
+    et = element_table(G, NORMAL_CAP)
     n = et.n
     involutions = [i for i in range(1, n) if et.element_order(i) == 2]
     seen: set[frozenset[int]] = set()

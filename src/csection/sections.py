@@ -20,7 +20,7 @@ from .groups import PermGroup, Subgroup, is_normal, normalizer, quotient_group
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
 from .lattice import (SubgroupClass, all_subgroups, certify_maximal, fuse_subgroup_classes,
                       klein_four_classes, maximal_subgroups, normal_subgroups,
-                      random_maximal_subgroups, subgroups_of_index)
+                      subgroups_of_index)
 from .perms import Permutation
 from .series import composition_factors, is_supersolvable
 from .tables import element_table
@@ -120,7 +120,7 @@ def chief_pairs_for_maximal(G: PermGroup, M: Subgroup) -> list[ChiefPair]:
     """All chief factors K/L of G with L <= M and K not inside M."""
     m_set = _ensure_maximal(G, M)
     normals = normal_subgroups(G)
-    sets = [n._cache["indices"] for n in normals]
+    sets = [n._cache["ambient_indices"] for n in normals]
     pairs = []
     for i, L in enumerate(normals):
         ls = sets[i]
@@ -327,7 +327,7 @@ def _certify_minimal_normal(N: PermGroup, corner_gens: Sequence[Permutation]) ->
     et = element_table(N)
     c_set = frozenset(et.index[g.images] for g in corner.elements())
     for nn in normal_subgroups(N):
-        s = nn._cache["indices"]
+        s = nn._cache["ambient_indices"]
         if 1 < len(s) < len(c_set) and s < c_set:
             return False
     return True
@@ -377,30 +377,26 @@ def verify_lemma4(n: int, q: int, *, trials: int = 100, seed: int = 0,
 
 # -- the worked example family -------------------------------------------------
 
-def verify_example(p: int = 7, *, allow_large: bool = False, seed: int = 0,
-                   subject: Optional[str] = None) -> VerdictReport:
+def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictReport:
     """The projective family check: G the full projective group over the prime
     field, K its simple index-2 subgroup.
 
     Five sub-checks: unique chief series G > K > 1; exactly two classes of
     Klein four subgroups in K with normalizer order 24; those classes fused
     into one inside G; all sections of maximal subgroups of G supersolvable;
-    every maximal class of K isomorphic to S4, A5, or supersolvable.  Only
-    p = 7 runs the complete lattice; larger p needs allow_large and uses the
-    seeded random maximal search, capping the verdict at inconclusive.
+    every maximal class of K isomorphic to S4, A5, or supersolvable.  G and K
+    both get the complete subgroup lattice, so p = 7 and p = 17 give complete
+    verdicts; from p = 23 on, G exceeds the element cap of the normal
+    subgroup search and CapExceededError is raised.
     """
     if not _is_prime(p) or p % 8 not in (1, 7):
         raise ValueError("p must be a prime congruent to +-1 mod 8")
-    small = p == 7
-    if not small and not allow_large:
-        raise ValueError("p > 7 requires allow_large=True (seeded random maximal search)")
     from .matgroups import pgl_group, psl_order
 
     fld = field_make(p)
     G = pgl_group(fld)
     subs: list[dict] = []
     ok = True
-    complete = True
 
     # 1: normal structure is exactly 1 < K < G
     normals = normal_subgroups(G)
@@ -434,11 +430,7 @@ def verify_example(p: int = 7, *, allow_large: bool = False, seed: int = 0,
     ok = ok and fused_ok
 
     # 4: all sections of maximal subgroups of G supersolvable
-    if small:
-        g_classes: Sequence[SubgroupClass] = maximal_subgroups(G)
-    else:
-        g_classes = random_maximal_subgroups(G, seed=seed)
-        complete = False
+    g_classes = maximal_subgroups(G)
     hyp = check_hypothesis(G, maximal_classes=g_classes)
     subs.append({"name": "sections_supersolvable", "status": hyp.status,
                  "maximal_orders": [c.order for c in g_classes],
@@ -446,24 +438,18 @@ def verify_example(p: int = 7, *, allow_large: bool = False, seed: int = 0,
     ok = ok and hyp.status != "fail"
 
     # 5: maximal subgroups of K are S4, A5, or supersolvable
-    if small:
-        k_classes: Sequence[SubgroupClass] = maximal_subgroups(Kg)
-    else:
-        k_classes = random_maximal_subgroups(Kg, seed=seed)
-        complete = False
     k_rows = []
     k_ok = True
-    for cls in k_classes:
+    for cls in maximal_subgroups(Kg):
         gid = identify(cls.representative.group)
         ss = is_supersolvable(cls.representative.group)
         fits = gid in (GroupId("symmetric", (4,), 24), GroupId("alternating", (5,), 60)) or ss
         k_rows.append({"order": cls.order, "id": str(gid), "supersolvable": ss, "fits": fits})
         k_ok = k_ok and fits
-    k_status = "fail" if not k_ok else ("pass" if small else "inconclusive")
-    subs.append({"name": "maximals_of_K", "status": k_status, "rows": k_rows})
+    subs.append({"name": "maximals_of_K", "status": "pass" if k_ok else "fail", "rows": k_rows})
     ok = ok and k_ok
 
-    return make_report(subject or f"PGL2({p})", "example", ok, complete,
+    return make_report(subject or f"PGL2({p})", "example", ok, True,
                        {"p": p, "sub_checks": subs})
 
 

@@ -17,8 +17,7 @@ from .catalog import _cyclic
 from .gf import _prime_power
 from .groups import (PermGroup, Subgroup, derived_subgroup, normal_closure,
                      quotient_group, whole_subgroup)
-from .lattice import NORMAL_CAP, normal_subgroups
-from .tables import element_table
+from .lattice import normal_subgroups
 
 
 @dataclass
@@ -54,15 +53,14 @@ def _factor_group(K: Subgroup, L: Subgroup) -> PermGroup:
     return quotient_group(K.group, inner)
 
 
-def chief_series(G: PermGroup, *, rng=None, cap: int = NORMAL_CAP) -> ChiefSeries:
+def chief_series(G: PermGroup, *, rng=None) -> ChiefSeries:
     """A chief series of G; deterministic unless an rng picks among the
     minimal normal steps."""
-    et = element_table(G, cap)
-    normals = normal_subgroups(G, cap=cap)
-    sets = {n._cache["indices"]: n for n in normals}
+    normals = normal_subgroups(G)
+    sets = {n._cache["ambient_indices"]: n for n in normals}
     b: frozenset[int] = frozenset([0])
     chain = [sets[b]]
-    while len(b) < et.n:
+    while len(b) < G.order:
         above = [s for s in sets if b < s]
         minimal = [s for s in above if not any(b < t < s for t in above)]
         minimal.sort(key=lambda s: (len(s), sorted(s)))
@@ -83,11 +81,11 @@ def chief_series(G: PermGroup, *, rng=None, cap: int = NORMAL_CAP) -> ChiefSerie
     return ChiefSeries(group=G, terms=terms, factors=factors)
 
 
-def is_supersolvable(G: PermGroup, *, cap: int = NORMAL_CAP) -> bool:
+def is_supersolvable(G: PermGroup) -> bool:
     """True when every chief factor has prime order."""
     cached = G._cache.get("is_supersolvable")
     if cached is None:
-        series = chief_series(G, cap=cap)
+        series = chief_series(G)
         cached = all(f.is_prime_order for f in series.factors)
         G._cache["is_supersolvable"] = cached
     return cached
@@ -122,7 +120,7 @@ def is_nilpotent(G: PermGroup) -> bool:
     return True
 
 
-def composition_factors(G: PermGroup, *, rng=None, cap: int = NORMAL_CAP) -> list[PermGroup]:
+def composition_factors(G: PermGroup, *, rng=None) -> list[PermGroup]:
     """Simple factors of any composition series, as groups, refined from a
     chief series.  Abelian chief factors of order p^k contribute k cyclic
     groups of order p; a nonabelian chief factor is a power of one simple
@@ -130,7 +128,7 @@ def composition_factors(G: PermGroup, *, rng=None, cap: int = NORMAL_CAP) -> lis
     from .lattice import minimal_normal_subgroups
 
     out: list[PermGroup] = []
-    series = chief_series(G, rng=rng, cap=cap)
+    series = chief_series(G, rng=rng)
     for f in series.factors:
         if f.abelian:
             pk = f.prime_power
@@ -140,7 +138,7 @@ def composition_factors(G: PermGroup, *, rng=None, cap: int = NORMAL_CAP) -> lis
             cyc = _cyclic(p)
             out.extend([cyc] * k)
         else:
-            mins = minimal_normal_subgroups(f.group, cap=cap)
+            mins = minimal_normal_subgroups(f.group)
             if mins[0].order == f.order:
                 out.append(f.group)  # the chief factor is itself simple
                 continue
@@ -161,7 +159,7 @@ def composition_factors(G: PermGroup, *, rng=None, cap: int = NORMAL_CAP) -> lis
     return out
 
 
-def is_simple(G: PermGroup, *, cap: int = NORMAL_CAP) -> bool:
+def is_simple(G: PermGroup) -> bool:
     if G.order == 1:
         return False
-    return len(normal_subgroups(G, cap=cap)) == 2
+    return len(normal_subgroups(G)) == 2

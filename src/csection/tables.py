@@ -38,10 +38,7 @@ class ElementTable:
     indices are stable across runs.
     """
 
-    def __init__(self, group: PermGroup, cap: int = 10_000):
-        if group.order > cap:
-            raise CapExceededError(
-                f"group order {group.order} exceeds element cap {cap}; use a targeted search")
+    def __init__(self, group: PermGroup):
         self.group = group
         tuples = sorted(g.images for g in group.elements())
         if len(tuples) != group.order:
@@ -271,10 +268,13 @@ class _ComposedRow:
 
 
 def element_table(group: PermGroup, cap: int = 10_000) -> ElementTable:
-    """Memoized element table for a group."""
+    """Memoized element table for a group.  The cap holds on a memo hit too, so
+    whether a caller's cap is enforced does not depend on earlier calls."""
+    if group.order > cap:
+        raise CapExceededError(f"group order {group.order} exceeds element cap {cap}")
     cached = group._cache.get("element_table")
     if cached is not None and cached.n == group.order:
         return cached
-    table = ElementTable(group, cap)
+    table = ElementTable(group)
     group._cache["element_table"] = table
     return table

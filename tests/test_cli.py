@@ -206,6 +206,14 @@ def test_verify_lemma4_cli(capsys):
     assert doc["evidence"]["failures"] == 0
     assert main(["verify", "lemma4", "--n", "2", "--q", "5"]) == 3
     capsys.readouterr()
+    code, doc, _ = run_json(
+        ["verify", "lemma4", "--n", "2", "--q", "4", "--trials", "5", "--seed", "3"], capsys)
+    assert code == 0 and doc["evidence"]["trials"] == 5
+    # --seed belongs to lemma4 alone, the one command with randomized trials
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "--group", S4, "--seed", "3"])
+    assert exc.value.code == 3
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -229,8 +237,12 @@ def test_verify_example_cli(capsys):
 def test_verify_example_rejects_bad_p(capsys):
     assert main(["verify", "example", "--p", "5"]) == 3
     assert "prime congruent" in capsys.readouterr().err
-    assert main(["verify", "example", "--p", "17"]) == 3
-    assert "allow_large" in capsys.readouterr().err
+    assert main(["verify", "example", "--p", "23"]) == 3
+    assert "exceeds element cap" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "example", "--p", "17", "--allow-large"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
 
 
 def test_report_round_trip():

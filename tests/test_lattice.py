@@ -4,11 +4,11 @@ import pytest
 
 from csection.catalog import build_group, builtin_battery
 from csection.groups import CapExceededError, Subgroup, is_normal, normalizer
+from csection.iso import identify
 from csection.lattice import (all_subgroups, certify_maximal, fuse_subgroup_classes,
                               klein_four_classes, maximal_subgroups,
                               minimal_normal_subgroups, normal_subgroups,
-                              random_maximal_subgroups, subgroup_count,
-                              subgroups_of_index)
+                              subgroup_count, subgroups_of_index)
 from csection.tables import element_table
 
 from gtools import elements_of, named, product, quaternion
@@ -108,22 +108,25 @@ def test_class_sizes_obey_orbit_stabilizer(make):
 
 
 MAXIMAL_CASES = [
-    ("Alt", (5,), [12, 10, 6], [5, 6, 10]),
-    ("Sym", (4,), [12, 8, 6], [1, 3, 4]),
-    ("Sym", (5,), [60, 24, 20, 12], [1, 5, 6, 10]),
-    ("Cyclic", (6,), [3, 2], [1, 1]),
-    ("PGL2", (7,), [168, 42, 16, 12], None),
+    ("Alt", (5,), [12, 10, 6], [5, 6, 10], ["A4", "D10", "D6"]),
+    ("Sym", (4,), [12, 8, 6], [1, 3, 4], ["A4", "D8", "D6"]),
+    ("Sym", (5,), [60, 24, 20, 12], [1, 5, 6, 10], ["A5", "S4", "G(20)", "D12"]),
+    ("Cyclic", (6,), [3, 2], [1, 1], ["C3", "C2"]),
+    ("PGL2", (7,), [168, 42, 16, 12], [1, 8, 21, 28], ["L2(7)", "G(42)", "D16", "D12"]),
+    # Dickson's list for PSL(2,17): 17:8, two classes of S4, D18 and D16
+    ("PSL2", (17,), [136, 24, 24, 18, 16], [18, 102, 102, 136, 153],
+     ["G(136)", "S4", "S4", "D18", "D16"]),
 ]
 
 
-@pytest.mark.parametrize("name,params,orders,sizes", MAXIMAL_CASES,
-                         ids=["A5", "S4", "S5", "C6", "PGL2_7"])
-def test_maximal_subgroup_classes(name, params, orders, sizes):
+@pytest.mark.parametrize("name,params,orders,sizes,group_ids", MAXIMAL_CASES,
+                         ids=["A5", "S4", "S5", "C6", "PGL2_7", "PSL2_17"])
+def test_maximal_subgroup_classes(name, params, orders, sizes, group_ids):
     G = named(name, *params)
     classes = maximal_subgroups(G)
     assert [c.order for c in classes] == orders
-    if sizes is not None:
-        assert [c.class_size for c in classes] == sizes
+    assert [c.class_size for c in classes] == sizes
+    assert [str(identify(c.representative.group)) for c in classes] == group_ids
     assert all(c.verified_complete for c in classes)
     et = element_table(G)
     for c in classes:
@@ -243,7 +246,7 @@ def test_normal_subgroup_chains_are_built_on_first_read(make):
     normals = normal_subgroups(G)
     assert all(N._group is None for N in normals)  # no chain until .group is read
     for N in normals:
-        s = N._cache["indices"]
+        s = N._cache["ambient_indices"]
         assert N.order == len(s)
         assert N.group.order == len(s)
         assert N.index() == G.order // len(s)
@@ -298,23 +301,12 @@ def test_klein_classes_fuse_in_pgl2(p):
     assert len(fuse_subgroup_classes(K, reps)) == 2
 
 
-def test_random_maximal_search_finds_true_classes():
-    G = named("Sym", 5)
-    found = random_maximal_subgroups(G, seed=1)
-    assert found, "seeded search should land on at least one maximal class"
-    assert all(not c.verified_complete for c in found)
-    et = element_table(G)
-    true_sets = set()
-    for c in maximal_subgroups(G):
-        true_sets |= _expand_class(et, c.indices)
-    for c in found:
-        assert frozenset(et.tuples[i] for i in c.indices) in true_sets
-    again = random_maximal_subgroups(G, seed=1)
-    assert [(c.order, c.indices) for c in again] == [(c.order, c.indices) for c in found]
-
-
 def test_lattice_caps():
-    with pytest.raises(CapExceededError):
-        all_subgroups(named("Alt", 5), order_cap=10)
-    with pytest.raises(CapExceededError):
-        normal_subgroups(named("Sym", 5), cap=100)
+    S7 = named("Sym", 7)  # 5040 elements, above DEFAULT_ORDER_CAP
+    for search in (all_subgroups, maximal_subgroups, lambda G: subgroups_of_index(G, 7)):
+        with pytest.raises(CapExceededError):
+            search(S7)
+    S8 = named("Sym", 8)  # 40320 elements, above NORMAL_CAP
+    for search in (normal_subgroups, minimal_normal_subgroups, klein_four_classes):
+        with pytest.raises(CapExceededError):
+            search(S8)

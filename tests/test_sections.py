@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from csection.groups import Subgroup
-from csection.lattice import maximal_subgroups, random_maximal_subgroups
+from csection.groups import CapExceededError, Subgroup
+from csection.lattice import SubgroupClass, maximal_subgroups
 from csection.perms import Permutation
 from csection.sections import (NoChiefPairError, NotMaximalError, VerdictReport,
                                check_conclusion, check_hypothesis,
@@ -128,9 +128,17 @@ def test_check_hypothesis_s5_fails_on_s4():
     assert report.evidence["witnesses"] == [{"maximal_order": 24, "section_id": "A4"}]
 
 
-def test_check_hypothesis_incomplete_from_random_search():
+def _partial_list(G, count):
+    """The first maximal classes of G, built by hand as a list not known to be
+    complete."""
+    return [SubgroupClass(c.table, c.indices, c.generator_indices, c.class_size,
+                          verified_complete=False)
+            for c in maximal_subgroups(G)[:count]]
+
+
+def test_check_hypothesis_incomplete_class_list():
     G = named("PGL2", 7)
-    found = random_maximal_subgroups(G, seed=0)
+    found = _partial_list(G, 2)
     report = check_hypothesis(G, maximal_classes=found)
     assert not report.completeness
     assert report.status == "inconclusive"  # all sampled sections pass, list partial
@@ -181,7 +189,7 @@ def test_theorem_s4_nonvacuous_pass():
 
 def test_theorem_passes_through_conclusion_when_hypothesis_partial():
     G = named("PGL2", 7)
-    found = random_maximal_subgroups(G, seed=0)
+    found = _partial_list(G, 2)
     report = verify_theorem_instance(G, maximal_classes=found)
     assert report.status == "pass"
     assert report.evidence["vacuous"] is False
@@ -304,18 +312,22 @@ def test_example_rejects_bad_parameters():
     for p in (2, 5, 9, 12):
         with pytest.raises(ValueError, match="prime congruent"):
             verify_example(p)
-    with pytest.raises(ValueError, match="allow_large"):
-        verify_example(17)
+    with pytest.raises(CapExceededError):
+        verify_example(23)  # PGL2(23) has 12144 elements, above the normal-subgroup cap
 
 
 @pytest.mark.skipif(not os.environ.get("CSECTION_RUN_LARGE"),
-                    reason="set CSECTION_RUN_LARGE=1 for the slow seeded search")
-def test_example_p17_random_search():
-    report = verify_example(17, allow_large=True)
-    assert report.status in ("inconclusive", "fail")
-    assert not report.completeness or report.status == "fail"
-    names = [s["name"] for s in report.evidence["sub_checks"]]
-    assert names[:3] == ["unique_chief_series", "klein_classes_in_K", "fusion_in_G"]
+                    reason="set CSECTION_RUN_LARGE=1 for the complete p = 17 run (about 25 s)")
+def test_example_p17_complete():
+    report = verify_example(17)
+    assert report.status == "pass" and report.completeness
+    subs = report.evidence["sub_checks"]
+    assert all(s["status"] == "pass" for s in subs)
+    assert subs[0]["normal_orders"] == [1, 2448, 4896]
+    # Dickson: PGL(2,17) has maximal PSL(2,17), 17:16, D36 and D32
+    assert subs[3]["maximal_orders"] == [2448, 272, 36, 32]
+    # and PSL(2,17) has 17:8, two classes of S4, D18 and D16
+    assert [r["order"] for r in subs[4]["rows"]] == [136, 24, 24, 18, 16]
 
 
 def test_unique_class_check():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from csection.catalog import build_group, parse_group_spec
-from csection.groups import PermGroup
+from csection.groups import CapExceededError, PermGroup
+from csection.lattice import all_subgroups
 from csection.tables import ElementTable, _ComposedRows, element_table
 
 from gtools import elements_of, named, product
@@ -110,3 +111,16 @@ def test_closure_over_every_subgroup_matches_oracle(rows):
             assert et.closure(base, gens, [to_et[x]]) == want
             assert et.closure(base, gens, [to_et[x]], abort_above=len(want)) == want
             assert et.closure(base, gens, [to_et[x]], abort_above=len(want) - 1) is None
+
+
+def test_element_cap_holds_on_a_memo_hit():
+    G = named("Sym", 7)  # 5040 elements
+    with pytest.raises(CapExceededError, match="exceeds element cap 5000"):
+        element_table(G, 5000)
+    et = element_table(G)
+    assert element_table(G) is et
+    # the memoized table must not let a smaller cap through
+    with pytest.raises(CapExceededError, match="exceeds element cap 5000"):
+        element_table(G, 5000)
+    with pytest.raises(CapExceededError):
+        all_subgroups(G)
