@@ -43,7 +43,8 @@ class SubgroupClass:
     verified_complete: bool
     # Set by all_subgroups: no extension of the class gave a proper subgroup.
     lattice_maximal: bool = field(default=False, repr=False)
-    certified_maximal: bool = field(default=False, repr=False)
+    # Set by maximal_subgroups once certify_maximal has confirmed the class.
+    certified_maximal: bool = field(default=False, init=False, repr=False)
     _representative: Optional[Subgroup] = field(default=None, init=False, repr=False,
                                                 compare=False)
 

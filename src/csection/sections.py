@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .gf import _is_prime, field_make, field_of_order
-from .groups import PermGroup, Subgroup, is_normal, normalizer, quotient_group
+from .groups import CapExceededError, PermGroup, Subgroup, is_normal, normalizer, quotient_group
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
-from .lattice import (SubgroupClass, all_subgroups, certify_maximal, fuse_subgroup_classes,
-                      klein_four_classes, maximal_subgroups, normal_subgroups,
-                      subgroups_of_index)
+from .lattice import (NORMAL_CAP, SubgroupClass, all_subgroups, certify_maximal,
+                      fuse_subgroup_classes, klein_four_classes, maximal_subgroups,
+                      normal_subgroups, subgroups_of_index)
 from .perms import Permutation
 from .series import composition_factors, is_supersolvable
 from .tables import element_table
@@ -386,11 +386,14 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     into one inside G; all sections of maximal subgroups of G supersolvable;
     every maximal class of K isomorphic to S4, A5, or supersolvable.  G and K
     both get the complete subgroup lattice, so p = 7 and p = 17 give complete
-    verdicts; from p = 23 on, G exceeds the element cap of the normal
-    subgroup search and CapExceededError is raised.
+    verdicts; from p = 23 on, |G| = p(p^2 - 1) exceeds the element cap of the
+    normal subgroup search and CapExceededError is raised before G is built.
     """
     if not _is_prime(p) or p % 8 not in (1, 7):
         raise ValueError("p must be a prime congruent to +-1 mod 8")
+    order = p * (p * p - 1)
+    if order > NORMAL_CAP:
+        raise CapExceededError(f"group order {order} exceeds element cap {NORMAL_CAP}")
     from .matgroups import pgl_group, psl_order
 
     fld = field_make(p)

@@ -237,8 +237,9 @@ def test_verify_example_cli(capsys):
 def test_verify_example_rejects_bad_p(capsys):
     assert main(["verify", "example", "--p", "5"]) == 3
     assert "prime congruent" in capsys.readouterr().err
-    assert main(["verify", "example", "--p", "23"]) == 3
-    assert "exceeds element cap" in capsys.readouterr().err
+    for p in ("23", "8191", "65521"):
+        assert main(["verify", "example", "--p", p]) == 3
+        assert "exceeds element cap 10000" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "example", "--p", "17", "--allow-large"])
     assert exc.value.code == 3

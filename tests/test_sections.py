@@ -316,6 +316,18 @@ def test_example_rejects_bad_parameters():
         verify_example(23)  # PGL2(23) has 12144 elements, above the normal-subgroup cap
 
 
+@pytest.mark.parametrize("p", [23, 8191, 65521])
+def test_example_refuses_large_p_before_building_the_group(monkeypatch, p):
+    # |PGL2(p)| = p(p^2 - 1) is above the normal-subgroup cap from p = 23 on;
+    # the field, and so G, must not be built for such p.
+    def no_field(q):
+        raise AssertionError(f"field of order {q} built for a refused p")
+
+    monkeypatch.setattr("csection.sections.field_make", no_field)
+    with pytest.raises(CapExceededError, match=f"group order {p * (p * p - 1)} exceeds"):
+        verify_example(p)
+
+
 @pytest.mark.skipif(not os.environ.get("CSECTION_RUN_LARGE"),
                     reason="set CSECTION_RUN_LARGE=1 for the complete p = 17 run (about 25 s)")
 def test_example_p17_complete():
