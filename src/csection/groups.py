@@ -66,8 +66,7 @@ class PermGroup:
     identity.
     """
 
-    __slots__ = ("degree", "generators", "base", "strong_generators", "transversals",
-                 "order", "_levels", "_cache")
+    __slots__ = ("degree", "generators", "base", "order", "_levels", "_cache")
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
         if degree < 1:
@@ -85,8 +84,6 @@ class PermGroup:
         levels = _schreier_sims(degree, gens)
         self._levels = levels
         self.base = tuple(lv.point for lv in levels)
-        self.strong_generators = tuple(itertools.chain.from_iterable(lv.gens for lv in levels))
-        self.transversals = tuple(dict(lv.transversal) for lv in levels)
         order = 1
         for lv in levels:
             order *= len(lv.transversal)

@@ -227,13 +227,14 @@ _ALLOWED_L2_RESIDUES = {1, 7}
 
 
 def _conclusion_factor_ok(gid: GroupId) -> Optional[bool]:
-    """None marks an unidentified simple factor (inconclusive)."""
+    """None marks a simple factor the program could not identify, below the
+    cap (`unknown_simple`) or above it (`opaque`): inconclusive, never fail."""
     if gid.kind == "cyclic":
         return _is_prime(gid.params[0])
     qs = l2_parameters(gid)
     if any(_is_prime(q) and q % 8 in _ALLOWED_L2_RESIDUES for q in qs):
         return True
-    if gid.kind == "unknown_simple":
+    if gid.kind in ("unknown_simple", "opaque"):
         return None
     return False
 

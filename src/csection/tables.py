@@ -26,8 +26,8 @@ from .perms import Permutation
 
 # Largest order that gets a Cayley table; uint16 cells hold every index.
 _TABLE_MAX_ORDER = 4_096
-# Products are keyed in row chunks of about this many, bounding the temporaries
-# (about 1.5 MB; chunks of 2**16 raised peak RSS by 6% on battery scans).
+# Rows are gathered in chunks of about this many cells, bounding the temporaries
+# to about 0.2 MB.
 _TABLE_CHUNK = 1 << 14
 
 
@@ -70,47 +70,49 @@ class ElementTable:
     def _build_table(self) -> None:
         """Cayley table: row i, column j holds the index of element_i * element_j.
 
-        An element is determined by its images of the base.  Sifting those
-        images down the stabilizer chain yields one position per basic orbit,
-        a mixed-radix key in [0, n) that `rank` maps to the element's index.
-        Products are keyed the same way, a chunk of rows at a time.
+        Only the generator rows are composed from image tuples.  Every other
+        row follows from (a*b)*j = a*(b*j): row a*b is row a gathered at row b.
+        Rows are filled breadth-first from the generators, a layer at a time;
+        each element b of a layer yields g*b for every generator g, and b*b,
+        so a cyclic group is crossed in O(log n) layers.
         """
-        group = self.group
         n = self.n
-        images = np.array(self.tuples, dtype=np.int32).reshape(n, group.degree)
-        levels = []
-        for transversal in group.transversals:
-            points = sorted(transversal)
-            position = np.full(group.degree, -1, dtype=np.int32)
-            position[points] = np.arange(len(points))
-            inverses = np.array([transversal[p].inverse().images for p in points], dtype=np.int32)
-            levels.append((position, inverses))
-
-        def keys(at_base: np.ndarray) -> np.ndarray:
-            key = np.zeros(at_base.shape[:-1], dtype=np.intp)
-            for position, inverses in levels:
-                pos = position[at_base[..., 0]]
-                if (pos < 0).any():
-                    raise RuntimeError("a product fell outside a basic orbit of the group")
-                key = key * len(inverses) + pos
-                at_base = inverses[pos[..., None], at_base[..., 1:]]
-            return key
-
-        at_base = images[:, list(group.base)]
-        rank = np.full(n, -1, dtype=np.intp)
-        rank[keys(at_base)] = np.arange(n)
-        if (rank < 0).any():
-            raise RuntimeError("base images do not tell the group's elements apart")
+        tuples, index = self.tuples, self.index
         table = np.empty((n, n), dtype=np.uint16)
+        table[0] = np.arange(n)
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        gens = np.array(sorted(set(self.generator_indices) - {0}), dtype=np.intp)
+        for g in gens:
+            image = itemgetter(*tuples[g])
+            try:
+                table[g] = [index[image(t)] for t in tuples]
+            except KeyError:
+                raise RuntimeError("a generator's product fell outside the group's elements") from None
+        seen[gens] = True
+        cells = table.reshape(-1)
         rows = max(1, _TABLE_CHUNK // n)
-        for start in range(0, n, rows):
-            # [j, r, k]: image of base point k under element_(start+r) * element_j
-            products = images[:, at_base[start:start + rows]]
-            table[start:start + rows] = rank[keys(products)].T
+        layer = gens
+        while layer.size:
+            # Row r of the products is gens[r] * layer, and the last row is layer * layer.
+            lefts = np.empty((gens.size + 1, layer.size), dtype=np.intp)
+            lefts[:-1] = gens[:, None]
+            lefts[-1] = layer
+            new, first = np.unique(table[lefts, layer], return_index=True)
+            fresh = ~seen[new]
+            new, first = new[fresh], first[fresh]
+            seen[new] = True
+            left, right = lefts.reshape(-1)[first], layer[first % layer.size]
+            for start in range(0, new.size, rows):
+                chunk = slice(start, start + rows)
+                table[new[chunk]] = cells.take(table[right[chunk]] + (left[chunk] * n)[:, None])
+            layer = new
+        if not seen.all():
+            raise RuntimeError("the generators do not reach every element of the group")
         self._mul_table = table
         # Views into the table's buffer, one per row; no copy is made.
-        cells = memoryview(table.reshape(-1))
-        self.rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+        buffer = memoryview(cells)
+        self.rows = [buffer[i * n:(i + 1) * n] for i in range(n)]
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from csection import sections
 from csection.groups import CapExceededError, Subgroup
+from csection.iso import GroupId
 from csection.lattice import SubgroupClass, maximal_subgroups
 from csection.perms import Permutation
 from csection.sections import (NoChiefPairError, NotMaximalError, VerdictReport,
@@ -165,6 +167,22 @@ def test_check_conclusion_unidentified_simple_is_inconclusive(psl2_16):
     assert r.status == "inconclusive"
     assert r.evidence["witnesses"] == []
     assert r.evidence["factor_ids"] == ["Simple(4080)"]
+
+
+def test_unidentified_factor_is_inconclusive_not_fail():
+    for kind in ("unknown_simple", "opaque"):
+        assert sections._conclusion_factor_ok(GroupId(kind, (20160,), 20160)) is None
+    assert sections._conclusion_factor_ok(GroupId("psl2", (7,), 168)) is True
+    assert sections._conclusion_factor_ok(GroupId("alternating", (6,), 360)) is False
+
+
+def test_check_conclusion_opaque_factor_is_inconclusive(monkeypatch):
+    # An opaque factor needs order above NORMAL_CAP; patch identify to reach the branch.
+    monkeypatch.setattr(sections, "identify", lambda f: GroupId("opaque", (f.order,), f.order))
+    r = check_conclusion(named("PSL2", 7))
+    assert r.status == "inconclusive"
+    assert r.evidence["witnesses"] == []
+    assert r.evidence["factor_ids"] == ["G(168)"]
 
 
 def test_theorem_s5_vacuous_pass():

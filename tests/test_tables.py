@@ -9,7 +9,7 @@ from csection.groups import CapExceededError, PermGroup
 from csection.lattice import all_subgroups
 from csection.tables import ElementTable, _ComposedRows, element_table
 
-from gtools import elements_of, named, product
+from gtools import elements_of, from_cycles, named, product
 from oracles import NaiveTable, all_subgroups_naive, compose, invert
 
 # S4 on the points 3, 5, 6, 8 of eight; its base avoids the first points.
@@ -39,6 +39,44 @@ def test_cayley_table_matches_oracle(make):
     got = [[to_oracle[et.mul(i, j)] for j in range(et.n)] for i in range(et.n)]
     want = [[oracle.mul[to_oracle[i]][to_oracle[j]] for j in range(et.n)] for i in range(et.n)]
     assert got == want
+
+
+def _redundant_generators():
+    """S5 from a 5-cycle a and a transposition b, listed as a, b, a, a*b."""
+    a, b = from_cycles(5, [[[1, 2, 3, 4, 5]], [[1, 2]]]).generators
+    return PermGroup(5, [a, b, a, a * b])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: named("Cyclic", 30),
+    lambda: named("Cyclic", 64),
+    _redundant_generators,
+    lambda: named("PSL2", 13),
+], ids=["C30", "C64", "S5_redundant_gens", "PSL2_13"])
+def test_whole_table_is_tuple_composition(make):
+    G = make()
+    et = ElementTable(G)
+    assert et.n == G.order
+    composed = _ComposedRows(et.tuples, et.index)
+    for i in range(et.n):
+        row = composed[i]
+        assert list(et.rows[i]) == [row[j] for j in range(et.n)]
+
+
+def test_generators_of_a_proper_subgroup_raise():
+    et = ElementTable(named("Sym", 4))
+    four_cycle = next(i for i in range(et.n) if et.element_order(i) == 4)
+    et.generator_indices = [four_cycle]  # generates C4, not S4
+    with pytest.raises(RuntimeError, match="do not reach"):
+        et._build_table()
+
+
+def test_generator_leaving_the_elements_raises():
+    et = ElementTable(from_cycles(4, [[[1, 2, 3, 4]]]))  # C4
+    g = et.generator_indices[0]
+    et.tuples[g] = (1, 0, 2, 3)  # a transposition: its products leave C4
+    with pytest.raises(RuntimeError, match="outside the group's elements"):
+        et._build_table()
 
 
 @pytest.mark.parametrize("name,order,tabled", [("PSL2", 2448, True), ("PGL2", 4896, False)])
