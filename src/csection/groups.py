@@ -119,9 +119,6 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])

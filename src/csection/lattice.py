@@ -336,19 +336,31 @@ def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     return subs
 
 
-def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
-    """Atoms of the normal subgroup lattice (G itself counts when simple)."""
+def _normal_covers(G: PermGroup) -> dict[frozenset[int], list[Subgroup]]:
+    """The covering relation of the normal subgroup lattice: each normal index
+    set maps to the normal subgroups directly above it, in `normal_subgroups`
+    order.  A pair L < K of the relation is a chief factor K/L of G."""
+    cached = G._cache.get("normal_covers")
+    if cached is not None:
+        return cached
     normals = normal_subgroups(G)
     sets = [n._cache["ambient_indices"] for n in normals]
-    out = []
-    for i, n in enumerate(normals):
-        s = sets[i]
-        if len(s) == 1:
-            continue
-        if any(1 < len(t) < len(s) and t < s for t in sets):
-            continue
-        out.append(n)
-    return out
+    covers: dict[frozenset[int], list[Subgroup]] = {}
+    for i, s in enumerate(sets):
+        # Normals come sorted by order, so any normal strictly between s and a
+        # later t was met before t, and then so was a cover of s below t.
+        above: list[int] = []
+        for j in range(i + 1, len(sets)):
+            if s < sets[j] and not any(sets[k] < sets[j] for k in above):
+                above.append(j)
+        covers[s] = [normals[j] for j in above]
+    G._cache["normal_covers"] = covers
+    return covers
+
+
+def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
+    """Atoms of the normal subgroup lattice (G itself counts when simple)."""
+    return list(_normal_covers(G)[frozenset([0])])
 
 
 @dataclass

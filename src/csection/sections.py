@@ -18,9 +18,10 @@ from typing import Optional, Sequence
 from .gf import _is_prime, field_make, field_of_order
 from .groups import CapExceededError, PermGroup, Subgroup, is_normal, normalizer, quotient_group
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
-from .lattice import (NORMAL_CAP, SubgroupClass, all_subgroups, certify_maximal,
-                      fuse_subgroup_classes, klein_four_classes, maximal_subgroups,
-                      normal_subgroups, subgroups_of_index)
+from .lattice import (NORMAL_CAP, SubgroupClass, _normal_covers, all_subgroups,
+                      certify_maximal, fuse_subgroup_classes, klein_four_classes,
+                      maximal_subgroups, minimal_normal_subgroups, normal_subgroups,
+                      subgroups_of_index)
 from .perms import Permutation
 from .series import composition_factors, is_supersolvable
 from .tables import element_table
@@ -119,22 +120,15 @@ def _ensure_maximal(G: PermGroup, M: Subgroup) -> frozenset[int]:
 def chief_pairs_for_maximal(G: PermGroup, M: Subgroup) -> list[ChiefPair]:
     """All chief factors K/L of G with L <= M and K not inside M."""
     m_set = _ensure_maximal(G, M)
-    normals = normal_subgroups(G)
-    sets = [n._cache["ambient_indices"] for n in normals]
+    covers = _normal_covers(G)
+    # normal_subgroups and each cover list are in (order, indices) order, so
+    # the pairs come out sorted by L, then K
     pairs = []
-    for i, L in enumerate(normals):
-        ls = sets[i]
-        if not ls <= m_set:
-            continue
-        for j, K in enumerate(normals):
-            ks = sets[j]
-            if not ls < ks or ks <= m_set:
-                continue
-            if any(ls < t < ks for t in sets):
-                continue  # not adjacent, so K/L is not a chief factor
-            pairs.append(ChiefPair(K=K, L=L, k_indices=ks, l_indices=ls))
-    pairs.sort(key=lambda p: (len(p.l_indices), sorted(p.l_indices),
-                              len(p.k_indices), sorted(p.k_indices)))
+    for L in normal_subgroups(G):
+        ls = L._cache["ambient_indices"]
+        if ls <= m_set:
+            pairs += [ChiefPair(K=K, L=L, k_indices=K._cache["ambient_indices"], l_indices=ls)
+                      for K in covers[ls] if not K._cache["ambient_indices"] <= m_set]
     if not pairs:
         raise NoChiefPairError(
             f"no chief factor separates the maximal subgroup of order {M.order}")
@@ -325,13 +319,8 @@ def _certify_minimal_normal(N: PermGroup, corner_gens: Sequence[Permutation]) ->
     corner = Subgroup(N, corner_gens)
     if not is_normal(N, corner):
         return False
-    et = element_table(N)
-    c_set = frozenset(et.index[g.images] for g in corner.elements())
-    for nn in normal_subgroups(N):
-        s = nn._cache["ambient_indices"]
-        if 1 < len(s) < len(c_set) and s < c_set:
-            return False
-    return True
+    c_set = _indices_of(N, corner)
+    return any(m._cache["ambient_indices"] == c_set for m in minimal_normal_subgroups(N))
 
 
 def verify_lemma4(n: int, q: int, *, trials: int = 100, seed: int = 0,

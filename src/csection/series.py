@@ -1,11 +1,11 @@
 """Normal series: chief series, derived and lower central series, and the
 solvability family of predicates.
 
-A chief series is built bottom-up from the complete list of normal subgroups,
-always stepping to a minimal normal subgroup of the quotient (equivalently a
-minimal member of the normals strictly above the current term).  The step
-choice is deterministic unless an rng is supplied; the factor order multiset
-is a group invariant either way, which the tests exercise by reshuffling.
+A chief series steps up the covering relation of the normal subgroup lattice,
+always to the first normal subgroup directly above the current term.  Every
+chief series has the same factor orders, which the tests check over all of
+them.  A factor is described by its order; it is built as a group only where
+`composition_factors` must identify a nonabelian factor.
 """
 
 from __future__ import annotations
@@ -17,17 +17,21 @@ from .catalog import _cyclic
 from .gf import _prime_power
 from .groups import (PermGroup, Subgroup, derived_subgroup, normal_closure,
                      quotient_group, whole_subgroup)
-from .lattice import normal_subgroups
+from .lattice import _normal_covers, minimal_normal_subgroups, normal_subgroups
+from .tables import element_table
 
 
 @dataclass
 class FactorDescriptor:
-    """One factor of a normal series, materialized as a permutation group."""
+    """One factor of a chief series, by its order."""
 
-    group: PermGroup
     order: int
-    abelian: bool
     prime_power: Optional[tuple[int, int]]
+
+    @property
+    def abelian(self) -> bool:
+        """A characteristically simple group is abelian iff its order is a prime power."""
+        return self.prime_power is not None
 
     @property
     def is_prime_order(self) -> bool:
@@ -53,31 +57,28 @@ def _factor_group(K: Subgroup, L: Subgroup) -> PermGroup:
     return quotient_group(K.group, inner)
 
 
-def chief_series(G: PermGroup, *, rng=None) -> ChiefSeries:
-    """A chief series of G; deterministic unless an rng picks among the
-    minimal normal steps."""
-    normals = normal_subgroups(G)
-    sets = {n._cache["ambient_indices"]: n for n in normals}
-    b: frozenset[int] = frozenset([0])
-    chain = [sets[b]]
-    while len(b) < G.order:
-        above = [s for s in sets if b < s]
-        minimal = [s for s in above if not any(b < t < s for t in above)]
-        minimal.sort(key=lambda s: (len(s), sorted(s)))
-        chosen = minimal[0] if rng is None else minimal[rng.randrange(len(minimal))]
-        b = chosen
-        chain.append(sets[b])
+def chief_series(G: PermGroup) -> ChiefSeries:
+    """The chief series that steps from 1 to its first cover each time.  A
+    factor of prime-power order must be abelian: two generators of K whose
+    commutator falls outside L would show the covering relation wrong."""
+    covers = _normal_covers(G)
+    chain = [normal_subgroups(G)[0]]
+    while chain[-1].order < G.order:
+        chain.append(covers[chain[-1]._cache["ambient_indices"]][0])
     terms = list(reversed(chain))
+    et = element_table(G)
+    inv, mul = et.inverse, et.mul
     factors = []
-    for i in range(len(terms) - 1):
-        K, L = terms[i], terms[i + 1]
-        g = _factor_group(K, L)
+    for K, L in zip(terms, terms[1:]):
         order = K.order // L.order
-        if g.order != order:
-            raise RuntimeError("chief factor order disagrees with the index")
-        factors.append(FactorDescriptor(group=g, order=order,
-                                        abelian=g.is_abelian(),
-                                        prime_power=_prime_power(order)))
+        pk = _prime_power(order)
+        if pk is not None:
+            l_set = L._cache["ambient_indices"]
+            gens = [et.index[g.images] for g in K.generators]
+            if any(mul(inv[x], mul(inv[y], mul(x, y))) not in l_set
+                   for i, x in enumerate(gens) for y in gens[i + 1:]):
+                raise RuntimeError("chief factor of prime-power order is not abelian")
+        factors.append(FactorDescriptor(order=order, prime_power=pk))
     return ChiefSeries(group=G, terms=terms, factors=factors)
 
 
@@ -120,37 +121,34 @@ def is_nilpotent(G: PermGroup) -> bool:
     return True
 
 
-def composition_factors(G: PermGroup, *, rng=None) -> list[PermGroup]:
+def composition_factors(G: PermGroup) -> list[PermGroup]:
     """Simple factors of any composition series, as groups, refined from a
     chief series.  Abelian chief factors of order p^k contribute k cyclic
     groups of order p; a nonabelian chief factor is a power of one simple
     group, read off a minimal normal subgroup."""
-    from .lattice import minimal_normal_subgroups
-
     out: list[PermGroup] = []
-    series = chief_series(G, rng=rng)
-    for f in series.factors:
+    series = chief_series(G)
+    for K, L, f in zip(series.terms, series.terms[1:], series.factors):
         if f.abelian:
-            pk = f.prime_power
-            if pk is None:
-                raise RuntimeError("abelian chief factor is not a prime power")
-            p, k = pk
-            cyc = _cyclic(p)
-            out.extend([cyc] * k)
-        else:
-            mins = minimal_normal_subgroups(f.group)
-            if mins[0].order == f.order:
-                out.append(f.group)  # the chief factor is itself simple
-                continue
-            simple = mins[0].group
-            t = 0
-            order = f.order
-            while order > 1 and order % simple.order == 0:
-                order //= simple.order
-                t += 1
-            if order != 1 or simple.order ** t != f.order:
-                raise RuntimeError("nonabelian chief factor is not a power of its socle factor")
-            out.extend([simple] * t)
+            p, k = f.prime_power
+            out.extend([_cyclic(p)] * k)
+            continue
+        g = _factor_group(K, L)
+        if g.order != f.order:
+            raise RuntimeError("chief factor order disagrees with the index")
+        mins = minimal_normal_subgroups(g)
+        if mins[0].order == f.order:
+            out.append(g)  # the chief factor is itself simple
+            continue
+        simple = mins[0].group
+        t = 0
+        order = f.order
+        while order > 1 and order % simple.order == 0:
+            order //= simple.order
+            t += 1
+        if order != 1 or simple.order ** t != f.order:
+            raise RuntimeError("nonabelian chief factor is not a power of its socle factor")
+        out.extend([simple] * t)
     total = 1
     for s in out:
         total *= s.order

@@ -49,20 +49,23 @@ class ElementTable:
         ident = tuple(range(group.degree))
         if self.index[ident] != 0:
             raise RuntimeError("identity did not sort first in the element table")
-        self.inverse: list[int] = [0] * self.n
-        for i, t in enumerate(tuples):
-            inv = [0] * len(t)
-            for a, b in enumerate(t):
-                inv[b] = a
-            self.inverse[i] = self.index[tuple(inv)]
         self.generator_indices: list[int] = [self.index[g.images] for g in group.generators]
         self._mul_table: Optional[np.ndarray] = None
         # rows[i][j] is the index of element_i * element_j
         self.rows: Sequence[Sequence[int]]
+        self.inverse: list[int]
         if self.n <= _TABLE_MAX_ORDER:
             self._build_table()
+            # The identity, index 0, sits once in every row, at the inverse's column.
+            self.inverse = self._mul_table.argmin(axis=1).tolist()
         else:
             self.rows = _ComposedRows(self.tuples, self.index)
+            self.inverse = [0] * self.n
+            for i, t in enumerate(tuples):
+                inv = [0] * len(t)
+                for a, b in enumerate(t):
+                    inv[b] = a
+                self.inverse[i] = self.index[tuple(inv)]
         self._orders: Optional[list[int]] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
@@ -229,9 +232,6 @@ class ElementTable:
 
     def permutation(self, i: int) -> Permutation:
         return Permutation._unsafe(self.tuples[i])
-
-    def subset_to_perms(self, subset: Iterable[int]) -> list[Permutation]:
-        return [Permutation._unsafe(self.tuples[i]) for i in sorted(subset)]
 
 
 def coset_gather(block: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:

@@ -6,10 +6,9 @@ Tolerances are pinned in the asserts, wall-clock budgets included.
 """
 
 import math
-import random
 import time
 
-from gtools import elements_of
+from gtools import elements_of, every_chief_series_orders
 from oracles import NaiveTable, is_supersolvable_naive
 
 from csection.catalog import build_group, named_spec
@@ -17,7 +16,17 @@ from csection.lattice import subgroup_count
 from csection.sections import (verify_example, verify_lemma1, verify_lemma2a,
                                verify_lemma3, verify_lemma4,
                                verify_theorem_instance)
-from csection.series import composition_factors, is_supersolvable
+from csection.series import chief_series, composition_factors, is_supersolvable
+
+
+def _prime_power_refined(m):
+    """[p] * k when m = p^k, else [m]."""
+    p = next(d for d in range(2, m + 1) if m % d == 0)
+    k, rest = 0, m
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    return [p] * k if rest == 1 else [m]
 
 
 def test_acceptance_1_worked_example():
@@ -137,9 +146,9 @@ def test_acceptance_6_library_cross_checks(battery200):
         assert is_supersolvable(G) == oracle, label
 
     for label, G in battery200:
-        base = sorted(f.order for f in composition_factors(G))
-        for s in range(5):
-            again = sorted(f.order
-                           for f in composition_factors(G, rng=random.Random(s)))
-            assert again == base, (label, s)
+        orders = every_chief_series_orders(G)
+        assert orders == sorted(chief_series(G).factor_orders()), label
+        # below order 60^2 every nonabelian chief factor is simple
+        refined = sorted(p for m in orders for p in _prime_power_refined(m))
+        assert sorted(f.order for f in composition_factors(G)) == refined, label
     print("ACCEPTANCE 6 library cross-checks: PASS")

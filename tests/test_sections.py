@@ -15,8 +15,10 @@ from csection.sections import (NoChiefPairError, NotMaximalError, VerdictReport,
                                unique_class_check, verify_example, verify_lemma1,
                                verify_lemma2a, verify_lemma3, verify_lemma4,
                                verify_theorem_instance)
+from csection.tables import element_table
 
-from gtools import named, product
+from gtools import elements_of, named, product
+from oracles import NaiveTable, normal_subgroups_naive
 
 
 def test_make_report_status_mapping():
@@ -112,6 +114,28 @@ def test_chief_pairs_exist_for_every_battery_maximal(battery200):
             pair = s.source_pair
             # |G| = |K||M| / |K meet M| and the section is (K meet M)/L
             assert s.order * pair.L.order * G.order == pair.K.order * M.order, label
+
+
+def test_chief_pairs_match_brute_force_covers(battery200):
+    """The pairs (K, L) are exactly the covering pairs of the normal subgroup
+    lattice with L inside M and K not, the lattice found by brute force."""
+    for label, G in battery200:
+        table = NaiveTable(elements_of(G))
+        normals = normal_subgroups_naive(table)
+        covers = [(K, L) for L in normals for K in normals
+                  if L < K and not any(L < T < K for T in normals)]
+        et = element_table(G)
+        def naive(indices):
+            return frozenset(table.index[et.tuples[i]] for i in indices)
+
+        for cls in maximal_subgroups(G):
+            m = naive(cls.indices)
+            want = {(K, L) for K, L in covers if L <= m and not K <= m}
+            pairs = chief_pairs_for_maximal(G, cls.representative)
+            got = [(naive(p.k_indices), naive(p.l_indices)) for p in pairs]
+            assert len(got) == len(set(got)) and set(got) == want, (label, cls.order)
+            assert all((p.K.order, p.L.order) == (len(p.k_indices), len(p.l_indices))
+                       for p in pairs), label
 
 
 def test_check_hypothesis_pgl2_7():

@@ -1,15 +1,15 @@
 """Chief series, composition factors, and the solvability predicate family."""
 
-import random
-
 import pytest
 
+from csection import groups, series as series_module
 from csection.groups import is_normal
 from csection.iso import identify
+from csection.lattice import normal_subgroups
 from csection.series import (chief_series, composition_factors, derived_series,
                              is_nilpotent, is_simple, is_solvable, is_supersolvable)
 
-from gtools import elements_of, named, product, quaternion
+from gtools import elements_of, every_chief_series_orders, named, product, quaternion
 from oracles import NaiveTable, is_supersolvable_naive
 
 
@@ -22,7 +22,6 @@ def test_chief_series_of_s4():
     assert [f.abelian for f in series.factors] == [True, True, True]
     assert [f.prime_power for f in series.factors] == [(2, 1), (3, 1), (2, 2)]
     assert [f.is_prime_order for f in series.factors] == [True, True, False]
-    assert all(f.group.order == f.order for f in series.factors)
 
 
 def test_chief_series_is_deterministic_without_rng():
@@ -57,13 +56,23 @@ def test_nonabelian_chief_factor_descriptor():
     lambda: product("Alt", [4], "Alt", [4]),
 ], ids=["S4", "SL2_3", "D12", "A4xA4"])
 def test_chief_factor_multiset_invariant_under_reshuffling(make):
+    """Every chief series, not only the one chief_series picks, has the same
+    factor orders (Jordan-Hoelder)."""
     G = make()
-    base = sorted(chief_series(G).factor_orders())
-    for seed in range(5):
-        shuffled = chief_series(G, rng=random.Random(seed))
-        assert sorted(shuffled.factor_orders()) == base
-        assert [t.order for t in shuffled.terms][0] == G.order
-        assert [t.order for t in shuffled.terms][-1] == 1
+    series = chief_series(G)
+    assert every_chief_series_orders(G) == sorted(series.factor_orders())
+    assert [t.order for t in series.terms][0] == G.order
+    assert [t.order for t in series.terms][-1] == 1
+
+
+def test_prime_power_factor_that_is_not_abelian_raises(monkeypatch):
+    G = named("Dihedral", 4)
+    whole = normal_subgroups(G)[-1]
+    # a wrong covering relation that puts D8, of order 8, directly above 1
+    monkeypatch.setattr(series_module, "_normal_covers",
+                        lambda G: {frozenset([0]): [whole]})
+    with pytest.raises(RuntimeError, match="not abelian"):
+        chief_series(G)
 
 
 def test_composition_factors():
@@ -83,12 +92,44 @@ def test_composition_factors():
         == [2, 2, 2, 2, 3, 3]
 
 
-def test_composition_factors_accept_rng():
-    G = named("Sym", 4)
-    base = sorted(g.order for g in composition_factors(G))
-    for seed in (0, 1, 2):
-        got = sorted(g.order for g in composition_factors(G, rng=random.Random(seed)))
-        assert got == base
+@pytest.mark.parametrize("make", [
+    lambda: named("Sym", 4),
+    lambda: named("SL", 2, 3),
+    lambda: product("Alt", [4], "Alt", [4]),
+], ids=["S4", "SL2_3", "A4xA4"])
+def test_is_supersolvable_builds_no_group_once_normals_are_known(make, monkeypatch):
+    G = make()
+    normal_subgroups(G)
+    built = []
+    init, coset_action = groups.PermGroup.__init__, groups.coset_action
+
+    def counting_init(self, *args, **kwargs):
+        built.append("PermGroup")
+        init(self, *args, **kwargs)
+
+    def counting_coset_action(*args, **kwargs):
+        built.append("coset_action")
+        return coset_action(*args, **kwargs)
+
+    monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
+    monkeypatch.setattr(groups, "coset_action", counting_coset_action)
+    assert is_supersolvable(G) is False
+    assert built == []
+
+
+def test_composition_factors_build_only_the_nonabelian_factor(monkeypatch):
+    G = product("Cyclic", [2], "Alt", [5])
+    factor_group = series_module._factor_group
+    built = []
+
+    def counting(K, L):
+        built.append(K.order // L.order)
+        return factor_group(K, L)
+
+    monkeypatch.setattr(series_module, "_factor_group", counting)
+    assert sorted(f.order for f in chief_series(G).factors) == [2, 60]
+    assert sorted(g.order for g in composition_factors(G)) == [2, 60]
+    assert built == [60]
 
 
 SUPERSOLVABLE_CASES = [

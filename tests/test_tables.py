@@ -47,12 +47,16 @@ def _redundant_generators():
     return PermGroup(5, [a, b, a, a * b])
 
 
-@pytest.mark.parametrize("make", [
+TABLED = [
     lambda: named("Cyclic", 30),
     lambda: named("Cyclic", 64),
     _redundant_generators,
     lambda: named("PSL2", 13),
-], ids=["C30", "C64", "S5_redundant_gens", "PSL2_13"])
+]
+TABLED_IDS = ["C30", "C64", "S5_redundant_gens", "PSL2_13"]
+
+
+@pytest.mark.parametrize("make", TABLED, ids=TABLED_IDS)
 def test_whole_table_is_tuple_composition(make):
     G = make()
     et = ElementTable(G)
@@ -61,6 +65,14 @@ def test_whole_table_is_tuple_composition(make):
     for i in range(et.n):
         row = composed[i]
         assert list(et.rows[i]) == [row[j] for j in range(et.n)]
+
+
+@pytest.mark.parametrize("make", TABLED + [lambda: named("PGL2", 17)],
+                         ids=TABLED_IDS + ["PGL2_17_composed"])
+def test_inverse_times_element_is_the_identity(make):
+    et = ElementTable(make())
+    assert (et._mul_table is not None) == (et.n <= 4096)
+    assert all(et.rows[i][et.inverse[i]] == 0 for i in range(et.n))
 
 
 def test_generators_of_a_proper_subgroup_raise():
