@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 MAX_FIELD_SIZE = 1 << 16
+# Largest field that gets addition, negation, multiplication and inverse tables.
+_TABLE_MAX_Q = 512
 
 # Pinned moduli, encoded little-endian base p (constant term first).
 _PINNED_MODULI = {
@@ -180,9 +184,12 @@ class FieldTable:
         if f > 1 and not _is_irreducible(list(modulus), p):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
+        self._add_table: Optional[list[list[int]]] = None
+        self._neg_table: Optional[list[int]] = None
         self._mul_table: Optional[list[list[int]]] = None
         self._inv_table: Optional[list[int]] = None
-        if self.q <= 512:
+        if self.q <= _TABLE_MAX_Q:
+            self._add_table, self._neg_table = self._additive_tables()
             self._mul_table = [[self._mul_raw(a, b) for b in range(self.q)] for a in range(self.q)]
             self._inv_table = [0] * self.q
             for a in range(1, self.q):
@@ -200,13 +207,30 @@ class FieldTable:
             total = total * self.p + (c % self.p)
         return total
 
+    def _additive_tables(self) -> tuple[list[list[int]], list[int]]:
+        """Sum and negation of every element, digit-wise mod p over the whole
+        field at once."""
+        p, q = self.p, self.q
+        # int32 holds every partial sum: each stays below max(q, 2p).
+        digits = [(np.arange(q, dtype=np.int32) // p ** k) % p for k in range(self.f)]
+        add = np.zeros((q, q), dtype=np.int32)
+        neg = np.zeros(q, dtype=np.int32)
+        for d in reversed(digits):  # Horner, most significant digit first
+            add = add * p + (d[:, None] + d[None, :]) % p
+            neg = neg * p + (-d) % p
+        return add.tolist(), neg.tolist()
+
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        if self._add_table is not None:
+            return self._add_table[a][b]
         da, db = self._decode(a), self._decode(b)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
 
     def neg(self, a: int) -> int:
+        if self._neg_table is not None:
+            return self._neg_table[a]
         return self._encode([(-x) % self.p for x in self._decode(a)])
 
     def sub(self, a: int, b: int) -> int:

@@ -8,9 +8,14 @@ import itertools
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .perms import Permutation
 
-DEFAULT_DEGREE_CAP = 5_000
+# Largest coset space `coset_action` builds, and largest subgroup
+# `Subgroup.element_set` lists.
+_COSET_DEGREE_CAP = 5_000
+_ELEMENT_SET_CAP = 1_000_000
 # Largest conjugation orbit `normalizer` walks.
 _NORMALIZER_ORBIT_CAP = 500_000
 
@@ -324,12 +329,13 @@ class Subgroup:
     def elements(self) -> Iterable[Permutation]:
         return self.group.elements()
 
-    def element_set(self, cap: int = 1_000_000) -> frozenset[tuple[int, ...]]:
+    def element_set(self) -> frozenset[tuple[int, ...]]:
         """All elements as image tuples; memoized."""
         cached = self._cache.get("element_set")
         if cached is None:
-            if self.order > cap:
-                raise CapExceededError(f"subgroup order {self.order} exceeds element cap {cap}")
+            if self.order > _ELEMENT_SET_CAP:
+                raise CapExceededError(
+                    f"subgroup order {self.order} exceeds element cap {_ELEMENT_SET_CAP}")
             cached = frozenset(g.images for g in self.group.elements())
             self._cache["element_set"] = cached
         return cached
@@ -378,27 +384,40 @@ def derived_subgroup(G: PermGroup) -> Subgroup:
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     """Normalizer of H in G: the stabilizer of H in its conjugation orbit,
-    generated by Schreier generators and certified by orbit-stabilizer."""
-    hset = H.element_set()
+    generated by Schreier generators and certified by orbit-stabilizer.
+
+    Each conjugate of H is held as one numpy block, the (|H| x degree) array
+    of its elements' images; conjugating by g is the gather
+    `gim[block[:, ginv]]`. Its orbit key is the block with its rows sorted
+    lexicographically by their images of G's base points, as bytes: those
+    images determine an element of G, so no two rows tie, and the sorted
+    block is a canonical form of the element set."""
+    dtype = np.uint16 if G.degree <= 1 << 16 else np.uint32
+    block = np.array(sorted(H.element_set()), dtype=dtype)
+    base = list(G.base) or [0]  # a trivial G has no base; its blocks have one row
     ident = Permutation.identity(G.degree)
-    transversal: dict[frozenset, Permutation] = {hset: ident}
-    queue = deque([hset])
+    # Orbit key -> (transversal element u, its inverse).
+    transversal: dict[bytes, tuple[Permutation, Permutation]] = {
+        _block_key(block, base): (ident, ident)}
+    queue = deque([(block, ident)])
     stab: list[Permutation] = []
     seen_stab: set[tuple[int, ...]] = set()
-    actions = [(g, g.inverse().images, g.images) for g in G.generators]
+    actions = [(g, np.array(g.inverse().images, dtype=np.intp), np.array(g.images, dtype=dtype))
+               for g in G.generators]
     while queue:
-        s = queue.popleft()
-        u = transversal[s]
+        s, u = queue.popleft()
         for g, ginv, gim in actions:
-            t = frozenset(tuple(gim[x[ginv[i]]] for i in range(len(x))) for x in s)
-            rep = transversal.get(t)
-            if rep is None:
+            t = gim[s[:, ginv]]
+            key = _block_key(t, base)
+            entry = transversal.get(key)
+            if entry is None:
                 if len(transversal) >= _NORMALIZER_ORBIT_CAP:
                     raise CapExceededError("conjugation orbit exceeded the normalizer cap")
-                transversal[t] = u * g
-                queue.append(t)
+                ug = u * g
+                transversal[key] = (ug, ug.inverse())
+                queue.append((t, ug))
             else:
-                sg = u * g * rep.inverse()
+                sg = u * g * entry[1]
                 if not sg.is_identity() and sg.images not in seen_stab:
                     seen_stab.add(sg.images)
                     stab.append(sg)
@@ -406,6 +425,11 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     if result.order * len(transversal) != G.order:
         raise RuntimeError("orbit-stabilizer bookkeeping failed in normalizer")
     return result
+
+
+def _block_key(block: np.ndarray, base: list[int]) -> bytes:
+    """The block's rows in lexicographic order of their base images, as bytes."""
+    return block[np.lexsort(block[:, base].T[::-1])].tobytes()
 
 
 def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> list[Permutation]:
@@ -421,11 +445,11 @@ def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> list[Pe
     return gens
 
 
-def coset_action(G: PermGroup, H: Subgroup, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> PermGroup:
+def coset_action(G: PermGroup, H: Subgroup) -> PermGroup:
     """Image of G acting on the right cosets of H; its degree is the index."""
     index = G.order // H.order
-    if index > degree_cap:
-        raise CapExceededError(f"coset degree {index} exceeds cap {degree_cap}")
+    if index > _COSET_DEGREE_CAP:
+        raise CapExceededError(f"coset degree {index} exceeds cap {_COSET_DEGREE_CAP}")
     helems = [Permutation._unsafe(t) for t in sorted(H.element_set())]
 
     def coset_key(rep: Permutation) -> tuple[int, ...]:
@@ -458,11 +482,11 @@ def coset_action(G: PermGroup, H: Subgroup, *, degree_cap: int = DEFAULT_DEGREE_
     return PermGroup(max(index, 1), gen_images)
 
 
-def quotient_group(G: PermGroup, N: Subgroup, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> PermGroup:
+def quotient_group(G: PermGroup, N: Subgroup) -> PermGroup:
     """G/N as a permutation group on the cosets of N; N must be normal."""
     if not is_normal(G, N):
         raise NotNormalError("quotient requires a normal subgroup")
-    image = coset_action(G, N, degree_cap=degree_cap)
+    image = coset_action(G, N)
     if image.order != G.order // N.order:
         raise RuntimeError("quotient image order disagrees with the index")
     return image

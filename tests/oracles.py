@@ -281,3 +281,36 @@ def det_cofactor(F, rows):
         term = F.mul(rows[0][j], det_cofactor(F, minor))
         total = F.add(total, term) if j % 2 == 0 else F.sub(total, term)
     return total
+
+
+# Generators of the Sylow 2-normalizer of SL(3, 4), in the vector action (on
+# the 63 nonzero vectors, `triangular_instance(3, GF(4)).vec_group`) and in the
+# projective action (21 points), as image tuples. They were recorded from
+# `groups.normalizer` when its orbit was walked on frozensets of image tuples,
+# so they pin the block walk to the same Schreier generators and the same
+# reduction.
+SL34_SYLOW_NORMALIZER_GENERATORS = {
+    "vec": [
+        (0, 1, 2, 39, 40, 41, 42, 59, 60, 61, 62, 19, 20, 21, 22, 47, 48, 49, 50, 23,
+         24, 25, 26, 11, 12, 13, 14, 35, 36, 37, 38, 15, 16, 17, 18, 55, 56, 57, 58, 43,
+         44, 45, 46, 3, 4, 5, 6, 31, 32, 33, 34, 7, 8, 9, 10, 27, 28, 29, 30, 51, 52,
+         53, 54),
+        (4, 9, 14, 19, 16, 29, 26, 39, 44, 33, 38, 59, 56, 53, 50, 15, 20, 25, 30, 3, 0,
+         13, 10, 55, 60, 49, 54, 43, 40, 37, 34, 31, 36, 41, 46, 51, 48, 61, 58, 7, 12,
+         1, 6, 27, 24, 21, 18, 47, 52, 57, 62, 35, 32, 45, 42, 23, 28, 17, 22, 11, 8, 5,
+         2),
+        (4, 9, 14, 23, 28, 17, 22, 43, 40, 37, 34, 51, 48, 61, 58, 47, 52, 57, 62, 39,
+         44, 33, 38, 27, 24, 21, 18, 3, 0, 13, 10, 15, 20, 25, 30, 7, 12, 1, 6, 59, 56,
+         53, 50, 35, 32, 45, 42, 31, 36, 41, 46, 55, 60, 49, 54, 11, 8, 5, 2, 19, 16,
+         29, 26),
+        (5, 10, 12, 19, 17, 30, 24, 39, 45, 34, 36, 59, 57, 54, 48, 47, 53, 58, 60, 35,
+         33, 46, 40, 23, 29, 18, 20, 11, 9, 6, 0, 15, 21, 26, 28, 3, 1, 14, 8, 55, 61,
+         50, 52, 43, 41, 38, 32, 31, 37, 42, 44, 51, 49, 62, 56, 7, 13, 2, 4, 27, 25,
+         22, 16),
+    ],
+    "proj": [
+        (0, 9, 12, 10, 11, 5, 7, 8, 6, 13, 14, 15, 16, 1, 3, 4, 2, 17, 20, 18, 19),
+        (2, 9, 6, 19, 16, 5, 10, 15, 20, 1, 0, 4, 3, 17, 11, 8, 14, 13, 12, 18, 7),
+        (2, 13, 18, 7, 12, 5, 15, 20, 10, 9, 16, 6, 19, 17, 14, 11, 8, 1, 0, 4, 3),
+    ],
+}

@@ -1,8 +1,12 @@
-"""Finite field tables: exhaustive axioms at small sizes, pinned moduli,
-and an independent irreducibility check for the modulus search."""
+"""Finite field tables: exhaustive axioms at small sizes, digit-wise addition
+and negation, pinned moduli, lemma 4's evidence on top of the tables, and an
+independent irreducibility check for the modulus search."""
+
+import json
 
 import pytest
 
+from csection.cli import main
 from csection.gf import (MAX_FIELD_SIZE, FieldTable, _is_p_power, _is_prime,
                          _largest_proper_divisor, _prime_factors, _prime_power,
                          _smallest_prime_factor, field_make, field_of_order,
@@ -32,6 +36,52 @@ def test_field_axioms_exhaustive(p, f):
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
                 assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+
+
+def _coeffs(n, p, f):
+    return [(n // p ** k) % p for k in range(f)]
+
+
+def _number(coeffs, p):
+    return sum(c * p ** k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (13, 1), (23, 2)],
+                         ids=["GF4", "GF8", "GF9", "GF25", "GF27", "GF13", "GF529"])
+def test_additive_arithmetic_is_digitwise(p, f):
+    F = field_make(p, f)
+    q = p ** f
+    # GF(529) is above the table bound, so it checks the digit path
+    assert (F._add_table is None) is (q > 512)
+    coeffs = [_coeffs(n, p, f) for n in range(q)]
+    neg = [_number([-c % p for c in ca], p) for ca in coeffs]
+    assert [F.neg(a) for a in range(q)] == neg
+    for a, ca in enumerate(coeffs):
+        add = [_number([(x + y) % p for x, y in zip(ca, cb)], p) for cb in coeffs]
+        assert [F.add(a, b) for b in range(q)] == add, a
+        assert [F.sub(add[b], b) for b in range(q)] == [a] * q, a
+
+
+# lemma 4's matrix work runs on these tables; its evidence at seed 1
+LEMMA4_EVIDENCE = {
+    (2, 4): ({"vec": 12, "proj": 12}, 3, 4),
+    (2, 8): ({"vec": 56, "proj": 56}, 7, 8),
+    (2, 9): ({"vec": 72, "proj": 36}, 4, 9),
+    (3, 4): ({"vec": 576, "proj": 192}, 3, 4),
+}
+
+
+@pytest.mark.parametrize("n,q", list(LEMMA4_EVIDENCE), ids=[f"SL{n}_{q}" for n, q in LEMMA4_EVIDENCE])
+def test_lemma4_json_evidence_is_pinned(n, q, capsys):
+    orders, census, corner = LEMMA4_EVIDENCE[(n, q)]
+    code = main(["verify", "lemma4", "--n", str(n), "--q", str(q), "--seed", "1", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["status"] == "pass" and doc["completeness"] is True
+    side = {"corner_order": corner, "minimal_normal": True, "non_supersolvable": True,
+            "normalizer_crosscheck": True}
+    assert doc["evidence"] == {"expected_orders": orders, "failures": 0,
+                               "multiplier_census": census, "orders": orders,
+                               "sides": {"proj": side, "vec": side}, "trials": 100}
 
 
 def test_pinned_moduli():

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from csection import groups
+from csection.gf import field_of_order
 from csection.groups import (CapExceededError, DegreeMismatchError, NotASubgroupError,
                              NotNormalError, PermGroup, Subgroup, coset_action,
                              derived_subgroup, is_normal, normal_closure, normalizer,
                              quotient_group, trivial_group, whole_subgroup)
+from csection.matgroups import triangular_instance
 from csection.perms import Permutation
 from gtools import elements_of, named, product, quaternion
 from oracles import (NaiveTable, centralizer_naive, compose, generated, invert,
@@ -105,13 +108,14 @@ def test_subgroup_checks():
         Subgroup(S4, [perm(5, (0, 1))])
 
 
-def test_element_set_and_cap():
+def test_element_set_and_cap(monkeypatch):
     S4 = named("Sym", 4)
     V = Subgroup(S4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])
     assert len(V.element_set()) == 4
     A5 = whole_subgroup(named("Alt", 5))
+    monkeypatch.setattr(groups, "_ELEMENT_SET_CAP", 10)
     with pytest.raises(CapExceededError):
-        A5.element_set(cap=10)
+        A5.element_set()
 
 
 def test_is_normal():
@@ -179,6 +183,45 @@ def test_normalizer_against_oracle():
     assert normalizer(A5, V).order == 12
 
 
+def _klein_in_a5():
+    A5 = named("Alt", 5)
+    return A5, [perm(5, (0, 1), (2, 3)), perm(5, (0, 2), (1, 3))]
+
+
+def _sylow_of_sl2(q, side):
+    ti = triangular_instance(2, field_of_order(q))
+    if side == "vec":
+        return ti.vec_group, list(ti.vec_sylow.generators)
+    return ti.proj_group, list(ti.proj_sylow.generators)
+
+
+NORMALIZER_CASES = {
+    "trivial_in_S4": lambda: (named("Sym", 4), []),
+    "S4_in_S4": lambda: (named("Sym", 4), list(named("Sym", 4).generators)),
+    "klein_in_A5": _klein_in_a5,
+    "point_stabilizer_in_S4": lambda: (named("Sym", 4), [perm(4, (0, 1)), perm(4, (0, 1, 2))]),
+    "sylow_SL2_4_vec": lambda: _sylow_of_sl2(4, "vec"),
+    "sylow_SL2_4_proj": lambda: _sylow_of_sl2(4, "proj"),
+    "sylow_SL2_8_vec": lambda: _sylow_of_sl2(8, "vec"),
+    "sylow_SL2_8_proj": lambda: _sylow_of_sl2(8, "proj"),
+}
+
+
+@pytest.mark.parametrize("case", list(NORMALIZER_CASES))
+def test_normalizer_matches_the_scan(case):
+    _compare_with_scan(*NORMALIZER_CASES[case]())
+
+
+def test_normalizer_orbit_cap(monkeypatch):
+    A5, gens = _klein_in_a5()
+    V = Subgroup(A5, gens)  # five conjugates
+    monkeypatch.setattr(groups, "_NORMALIZER_ORBIT_CAP", 4)
+    with pytest.raises(CapExceededError):
+        normalizer(A5, V)
+    monkeypatch.setattr(groups, "_NORMALIZER_ORBIT_CAP", 5)
+    assert normalizer(A5, V).order == 12
+
+
 def test_coset_action_faithful():
     S4 = named("Sym", 4)
     S3 = Subgroup(S4, [perm(4, (0, 1)), perm(4, (0, 1, 2))])
@@ -197,10 +240,11 @@ def test_coset_action_sign_map():
     assert S4.order // image.order == 12  # the kernel is A4
 
 
-def test_coset_action_degree_cap():
+def test_coset_action_degree_cap(monkeypatch):
     A5 = named("Alt", 5)
+    monkeypatch.setattr(groups, "_COSET_DEGREE_CAP", 10)
     with pytest.raises(CapExceededError):
-        coset_action(A5, Subgroup(A5, []), degree_cap=10)
+        coset_action(A5, Subgroup(A5, []))
 
 
 def _center(G):

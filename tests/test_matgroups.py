@@ -5,6 +5,7 @@ import random
 import pytest
 
 from csection.gf import field_make
+from csection.groups import normalizer
 from csection.matgroups import (Matrix, conjugation_check, corner_subgroup_generators,
                                 gl_generators, lemma_conjugation_trial,
                                 lower_triangular_sl_generators,
@@ -13,7 +14,7 @@ from csection.matgroups import (Matrix, conjugation_check, corner_subgroup_gener
                                 psl_order, sl_generators, sl_group, sl_order,
                                 triangular_count, triangular_instance, vec_mat_mul,
                                 vector_perm_group)
-from oracles import det_cofactor
+from oracles import SL34_SYLOW_NORMALIZER_GENERATORS, det_cofactor
 
 
 def _random_matrix(F, n, rng):
@@ -182,3 +183,13 @@ def test_single_conjugation_trials_hold():
         ok, mult = lemma_conjugation_trial(2, F, rng)
         assert ok
         assert 1 <= mult < F.q
+
+
+@pytest.mark.parametrize("side", ["vec", "proj"])
+def test_sl34_sylow_normalizer(side):
+    ti = triangular_instance(3, field_make(2, 2))
+    G, sylow, want = ((ti.vec_group, ti.vec_sylow, ti.vec_normalizer) if side == "vec"
+                      else (ti.proj_group, ti.proj_sylow, ti.proj_normalizer))
+    got = normalizer(G, sylow)
+    assert got.element_set() == want.element_set()
+    assert [g.images for g in got.generators] == SL34_SYLOW_NORMALIZER_GENERATORS[side]
