@@ -12,7 +12,7 @@ divisible by 16.
 
 from .catalog import (BatteryEntry, GroupSpec, build_group, builtin_battery,
                       named_spec, parse_group_spec, product_spec, spec_from_group)
-from .groups import CapExceededError, PermGroup, Subgroup, normalizer, quotient_group
+from .groups import CapExceededError, PermGroup, Subgroup, normalizer
 from .iso import GroupId, abelian_invariants, fingerprint, identify, is_isomorphic, l2_parameters
 from .lattice import (KleinFourClass, SubgroupClass, all_subgroups, certify_maximal,
                       fuse_subgroup_classes, klein_four_classes, maximal_subgroups,
@@ -41,8 +41,8 @@ __all__ = [
     "is_isomorphic", "is_nilpotent", "is_simple", "is_solvable", "is_supersolvable",
     "klein_four_classes", "l2_parameters", "make_report", "maximal_subgroups",
     "minimal_normal_subgroups", "named_spec", "normal_subgroups", "normalizer",
-    "parse_cycle_lists", "parse_group_spec", "product_spec", "quotient_group",
-    "sec", "spec_from_group", "subgroup_count", "subgroups_of_index",
+    "parse_cycle_lists", "parse_group_spec", "product_spec", "sec", "spec_from_group",
+    "subgroup_count", "subgroups_of_index",
     "unique_class_check", "verify_example", "verify_lemma1", "verify_lemma2a",
     "verify_lemma3", "verify_lemma4", "verify_theorem_instance",
     "__version__",

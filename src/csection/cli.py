@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import fcntl
 import functools
-import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -127,6 +125,8 @@ def _store_records(path: str, records: list[dict]) -> int:
 
 
 def _record_key(doc: dict) -> str:
+    import hashlib  # it loads OpenSSL, about 3.6 MB of RSS that only store writes need
+
     core = {k: v for k, v in doc.items() if k != "timestamp"}
     return hashlib.sha256(json.dumps(core, sort_keys=True).encode()).hexdigest()
 
@@ -323,6 +323,8 @@ def _run_scan(args) -> int:
                 for b in battery]
     results: dict[str, dict] = {}
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 1.2 MB of RSS; parallel scans only
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for doc in pool.map(_scan_worker, payloads):
                 results[doc["subject"]] = doc

@@ -188,13 +188,10 @@ class FieldTable:
         self._neg_table: Optional[list[int]] = None
         self._mul_table: Optional[list[list[int]]] = None
         self._inv_table: Optional[list[int]] = None
+        self._primitive: Optional[int] = None
         if self.q <= _TABLE_MAX_Q:
             self._add_table, self._neg_table = self._additive_tables()
-            self._mul_table = [[self._mul_raw(a, b) for b in range(self.q)] for a in range(self.q)]
-            self._inv_table = [0] * self.q
-            for a in range(1, self.q):
-                self._inv_table[a] = self._inv_raw(a)
-        self._primitive: Optional[int] = None
+            self._mul_table, self._inv_table = self._multiplicative_tables()
 
     # -- encoding -----------------------------------------------------------
 
@@ -219,6 +216,22 @@ class FieldTable:
             add = add * p + (d[:, None] + d[None, :]) % p
             neg = neg * p + (-d) % p
         return add.tolist(), neg.tolist()
+
+    def _multiplicative_tables(self) -> tuple[list[list[int]], list[int]]:
+        """Product and inverse of every element from one walk of the powers
+        of the primitive element g, q-1 `_mul_raw` calls: a*b is
+        g^((log a + log b) mod (q-1)), and the zero row and column are 0."""
+        q, g = self.q, self.primitive_element()
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(self._mul_raw(powers[-1], g))
+        if self._mul_raw(powers[-1], g) != 1 or len(set(powers)) != q - 1:
+            raise RuntimeError("the powers of the primitive element miss the unit group")
+        exp, log = np.array(powers), np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        return mul.tolist(), [0] + exp[-log[1:] % (q - 1)].tolist()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -247,17 +260,12 @@ class FieldTable:
             return self._mul_table[a][b]
         return self._mul_raw(a, b)
 
-    def _inv_raw(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("field inverse of zero")
-        return self.pow(a, self.q - 2)
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
         if self._inv_table is not None:
             return self._inv_table[a]
-        return self._inv_raw(a)
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -282,10 +290,12 @@ class FieldTable:
         return k
 
     def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group."""
+        """Smallest generator of the multiplicative group: a unit whose
+        (q-1)/r-th power is not 1 for any prime r dividing q-1."""
         if self._primitive is None:
+            n = self.q - 1
             for a in range(1, self.q):
-                if self.multiplicative_order(a) == self.q - 1:
+                if all(self.pow(a, n // r) != 1 for r in _prime_factors(n)):
                     self._primitive = a
                     break
             else:

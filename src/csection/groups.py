@@ -1,6 +1,6 @@
 """Permutation groups with deterministic stabilizer chains, subgroups, and the
-standard operations built on sifting: membership, normal closures,
-normalizers, coset actions, and quotients."""
+standard operations built on sifting: membership, normal closures and
+normalizers; and quotients D/L, read off an element table by coset action."""
 
 from __future__ import annotations
 
@@ -445,49 +445,37 @@ def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> list[Pe
     return gens
 
 
-def coset_action(G: PermGroup, H: Subgroup) -> PermGroup:
-    """Image of G acting on the right cosets of H; its degree is the index."""
-    index = G.order // H.order
-    if index > _COSET_DEGREE_CAP:
-        raise CapExceededError(f"coset degree {index} exceeds cap {_COSET_DEGREE_CAP}")
-    helems = [Permutation._unsafe(t) for t in sorted(H.element_set())]
+def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]) -> PermGroup:
+    """D/L as a permutation group.  D is generated by the indices `d_gens` of
+    the element table `et`; `l_set` holds the indices of L, a normal subgroup
+    of D.  D acts by right multiplication on the cosets Ly = yL, each one
+    gather from row y; cosets are numbered breadth-first from L, in generator
+    order."""
+    from .tables import coset_gather  # tables imports this module
 
-    def coset_key(rep: Permutation) -> tuple[int, ...]:
-        return min((h * rep).images for h in helems)
-
-    ident = G.identity()
-    first = coset_key(ident)
-    keys = {first: 0}
-    reps = [ident]
-    queue = deque([0])
-    adjacency: dict[int, list[int]] = {}
-    while queue:
-        i = queue.popleft()
-        row = []
-        for g in G.generators:
-            rep = reps[i] * g
-            key = coset_key(rep)
-            j = keys.get(key)
+    if any(et.conj(x, d) not in l_set for d in d_gens for x in l_set):
+        raise NotNormalError("quotient requires a normal subgroup")
+    rows = et.rows
+    coset = coset_gather(sorted(l_set))
+    label = dict.fromkeys(l_set, 0)
+    reps = [0]
+    adjacency = []
+    for rep in reps:  # reps grows as cosets are found, so this is the BFS queue
+        row = rows[rep]
+        images = []
+        for d in d_gens:
+            y = row[d]
+            j = label.get(y)
             if j is None:
                 j = len(reps)
-                keys[key] = j
-                reps.append(rep)
-                queue.append(j)
-            row.append(j)
-        adjacency[i] = row
-    if len(reps) != index:
-        raise RuntimeError("coset enumeration found the wrong number of cosets")
-    gen_images = [Permutation(tuple(adjacency[i][k] for i in range(index)))
-                  for k in range(len(G.generators))]
-    return PermGroup(max(index, 1), gen_images)
-
-
-def quotient_group(G: PermGroup, N: Subgroup) -> PermGroup:
-    """G/N as a permutation group on the cosets of N; N must be normal."""
-    if not is_normal(G, N):
-        raise NotNormalError("quotient requires a normal subgroup")
-    image = coset_action(G, N)
-    if image.order != G.order // N.order:
+                if j >= _COSET_DEGREE_CAP:
+                    raise CapExceededError(f"coset degree exceeds cap {_COSET_DEGREE_CAP}")
+                label.update(dict.fromkeys(coset(rows[y]), j))
+                reps.append(y)
+            images.append(j)
+        adjacency.append(images)
+    image = PermGroup(len(reps), [Permutation(col) for col in zip(*adjacency)])
+    if image.order != len(reps):
         raise RuntimeError("quotient image order disagrees with the index")
     return image
 

@@ -57,10 +57,9 @@ class SubgroupClass:
         rep = self._representative
         if rep is None:
             et = self.table
-            rep = Subgroup(et.group, [et.permutation(i) for i in self.generator_indices],
-                           check=False)
-            if rep.order != len(self.indices):
-                raise RuntimeError("representative's stabilizer chain disagrees with its class")
+            # the chain is built, and checked against the class, when `.group` is read
+            rep = Subgroup._of_known_order(
+                et.group, [et.permutation(i) for i in self.generator_indices], len(self.indices))
             rep._cache["ambient_indices"] = self.indices
             self._representative = rep
         if self.certified_maximal:

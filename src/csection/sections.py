@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .gf import _is_prime, field_make, field_of_order
-from .groups import CapExceededError, PermGroup, Subgroup, is_normal, normalizer, quotient_group
+from .groups import (CapExceededError, PermGroup, Subgroup, coset_action, is_normal,
+                     normalizer)
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
 from .lattice import (NORMAL_CAP, SubgroupClass, _normal_covers, all_subgroups,
                       certify_maximal, fuse_subgroup_classes, klein_four_classes,
@@ -136,18 +137,19 @@ def chief_pairs_for_maximal(G: PermGroup, M: Subgroup) -> list[ChiefPair]:
 
 
 def _section_group(G: PermGroup, m_set: frozenset[int], pair: ChiefPair) -> PermGroup:
+    """(M cap K)/L as a permutation group.  A trivial L leaves M cap K on G's
+    points: its regular representation, of degree |M cap K|, would cost far
+    more to chain."""
     et = element_table(G)
     d_set = m_set & pair.k_indices
-    gens = [et.permutation(i) for i in et.extract_generators(d_set)]
-    D = PermGroup(G.degree, gens)
-    if D.order != len(d_set):
-        raise RuntimeError("intersection generators do not span the intersection")
-    if D.order % pair.L.order:
-        raise RuntimeError("chief pair's lower term does not divide the intersection")
+    d_gens = et.extract_generators(d_set)
     if pair.L.order == 1:
-        return D
-    inner = Subgroup(D, pair.L.generators, check=False)
-    return quotient_group(D, inner)
+        grp = PermGroup(G.degree, [et.permutation(i) for i in d_gens])
+    else:
+        grp = coset_action(et, d_gens, pair.l_indices)
+    if grp.order * pair.L.order != len(d_set):
+        raise RuntimeError("section order disagrees with |M meet K| / |L|")
+    return grp
 
 
 def sec(G: PermGroup, M: Subgroup, *, pair: Optional[ChiefPair] = None,
@@ -161,9 +163,6 @@ def sec(G: PermGroup, M: Subgroup, *, pair: Optional[ChiefPair] = None,
     chosen = pair if pair is not None else pairs[0]
     m_set = _indices_of(G, M)
     grp = _section_group(G, m_set, chosen)
-    expected = len(m_set & chosen.k_indices) // chosen.L.order
-    if grp.order != expected:
-        raise RuntimeError("section order disagrees with |M meet K| / |L|")
     if verify:
         for other in pairs:
             if other is chosen:

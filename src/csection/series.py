@@ -15,8 +15,8 @@ from typing import Optional
 
 from .catalog import _cyclic
 from .gf import _prime_power
-from .groups import (PermGroup, Subgroup, derived_subgroup, normal_closure,
-                     quotient_group, whole_subgroup)
+from .groups import (PermGroup, Subgroup, coset_action, derived_subgroup, normal_closure,
+                     whole_subgroup)
 from .lattice import _normal_covers, minimal_normal_subgroups, normal_subgroups
 from .tables import element_table
 
@@ -46,15 +46,6 @@ class ChiefSeries:
 
     def factor_orders(self) -> list[int]:
         return [f.order for f in self.factors]
-
-
-def _factor_group(K: Subgroup, L: Subgroup) -> PermGroup:
-    if L.order == 1:
-        if K.order == K.ambient.order:
-            return K.ambient  # the factor G/1 is G itself; keep its caches warm
-        return K.group
-    inner = Subgroup(K.group, L.generators, check=False)
-    return quotient_group(K.group, inner)
 
 
 def chief_series(G: PermGroup) -> ChiefSeries:
@@ -133,7 +124,12 @@ def composition_factors(G: PermGroup) -> list[PermGroup]:
             p, k = f.prime_power
             out.extend([_cyclic(p)] * k)
             continue
-        g = _factor_group(K, L)
+        if L.order == 1:
+            g = G if K.order == G.order else K.group  # G/1 is G: keep its caches warm
+        else:
+            et = element_table(G)
+            g = coset_action(et, [et.index[x.images] for x in K.generators],
+                             L._cache["ambient_indices"])
         if g.order != f.order:
             raise RuntimeError("chief factor order disagrees with the index")
         mins = minimal_normal_subgroups(g)

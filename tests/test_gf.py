@@ -3,6 +3,7 @@ and negation, pinned moduli, lemma 4's evidence on top of the tables, and an
 independent irreducibility check for the modulus search."""
 
 import json
+import random
 
 import pytest
 
@@ -60,6 +61,22 @@ def test_additive_arithmetic_is_digitwise(p, f):
         add = [_number([(x + y) % p for x, y in zip(ca, cb)], p) for cb in coeffs]
         assert [F.add(a, b) for b in range(q)] == add, a
         assert [F.sub(add[b], b) for b in range(q)] == [a] * q, a
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if _prime_power(q)] + [509, 512])
+def test_multiplicative_tables_match_polynomial_products(q):
+    """The log/exp tables against `_mul_raw`, a polynomial product and
+    reduction: every cell up to q = 64, and a seeded sample of 20,000 cells
+    for GF(509) and GF(512)."""
+    F = field_of_order(q)
+    assert F._mul_table is not None
+    if q <= 64:
+        cells = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        cells = [(rng.randrange(q), rng.randrange(q)) for _ in range(20_000)]
+    assert [F.mul(a, b) for a, b in cells] == [F._mul_raw(a, b) for a, b in cells]
+    assert all(F._mul_raw(a, F.inv(a)) == 1 for a in range(1, q))
 
 
 # lemma 4's matrix work runs on these tables; its evidence at seed 1

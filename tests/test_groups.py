@@ -10,9 +10,10 @@ from csection.gf import field_of_order
 from csection.groups import (CapExceededError, DegreeMismatchError, NotASubgroupError,
                              NotNormalError, PermGroup, Subgroup, coset_action,
                              derived_subgroup, is_normal, normal_closure, normalizer,
-                             quotient_group, trivial_group, whole_subgroup)
+                             trivial_group, whole_subgroup)
 from csection.matgroups import triangular_instance
 from csection.perms import Permutation
+from csection.tables import element_table
 from gtools import elements_of, named, product, quaternion
 from oracles import (NaiveTable, centralizer_naive, compose, generated, invert,
                      normalizer_naive)
@@ -222,19 +223,25 @@ def test_normalizer_orbit_cap(monkeypatch):
     assert normalizer(A5, V).order == 12
 
 
+def _quotient(G, N):
+    """G/N through `coset_action` on G's element table; N is a Subgroup."""
+    et = element_table(G)
+    return coset_action(et, et.generator_indices,
+                        frozenset(et.index[t] for t in N.element_set()))
+
+
 def test_coset_action_faithful():
+    # modulo the trivial subgroup, the action is the regular representation
     S4 = named("Sym", 4)
-    S3 = Subgroup(S4, [perm(4, (0, 1)), perm(4, (0, 1, 2))])
-    image = coset_action(S4, S3)
-    assert image.degree == 4
-    assert image.order == 24
-    assert S4.order // image.order == 1  # the kernel is trivial
+    image = _quotient(S4, Subgroup(S4, []))
+    assert image.degree == 24
+    assert image.order == 24  # the kernel is trivial
 
 
 def test_coset_action_sign_map():
     S4 = named("Sym", 4)
     A4 = Subgroup(S4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])
-    image = coset_action(S4, A4)
+    image = _quotient(S4, A4)
     assert image.degree == 2
     assert image.order == 2
     assert S4.order // image.order == 12  # the kernel is A4
@@ -242,9 +249,11 @@ def test_coset_action_sign_map():
 
 def test_coset_action_degree_cap(monkeypatch):
     A5 = named("Alt", 5)
-    monkeypatch.setattr(groups, "_COSET_DEGREE_CAP", 10)
+    monkeypatch.setattr(groups, "_COSET_DEGREE_CAP", 59)
     with pytest.raises(CapExceededError):
-        coset_action(A5, Subgroup(A5, []))
+        _quotient(A5, Subgroup(A5, []))
+    monkeypatch.setattr(groups, "_COSET_DEGREE_CAP", 60)
+    assert _quotient(A5, Subgroup(A5, [])).degree == 60
 
 
 def _center(G):
@@ -257,12 +266,42 @@ def _center(G):
 def test_quotients():
     S4 = named("Sym", 4)
     V = Subgroup(S4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])
-    Q = quotient_group(S4, V)
+    Q = _quotient(S4, V)
     assert Q.order == 6 and not Q.is_abelian()
     SL23 = named("SL", 2, 3)
-    assert quotient_group(SL23, _center(SL23)).order == 12
+    assert _quotient(SL23, _center(SL23)).order == 12
     Q8 = quaternion()
-    over_center = quotient_group(Q8, _center(Q8))
+    over_center = _quotient(Q8, _center(Q8))
     assert over_center.order == 4 and over_center.is_abelian()
     with pytest.raises(NotNormalError):
-        quotient_group(S4, Subgroup(S4, [perm(4, (0, 1))]))
+        _quotient(S4, Subgroup(S4, [perm(4, (0, 1))]))
+
+
+def _right_coset_images(G, N):
+    """Reference for `coset_action`: G's generators on the right cosets Nx,
+    numbered breadth-first from N in generator order, by permutation
+    products; generators acting trivially are dropped, as `PermGroup` does."""
+    elems = [Permutation(t) for t in N.element_set()]
+    keys = {frozenset(N.element_set()): 0}
+    reps, rows = [G.identity()], []
+    for x in reps:
+        row = []
+        for g in G.generators:
+            key = frozenset((h * x * g).images for h in elems)
+            if key not in keys:
+                keys[key] = len(reps)
+                reps.append(x * g)
+            row.append(keys[key])
+        rows.append(row)
+    return [col for col in zip(*rows) if col != tuple(range(len(reps)))]
+
+
+def test_coset_action_numbers_cosets_breadth_first():
+    S4, SL23, SL25, Q8 = named("Sym", 4), named("SL", 2, 3), named("SL", 2, 5), quaternion()
+    cases = [(S4, Subgroup(S4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])),
+             (S4, Subgroup(S4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])),
+             (SL23, _center(SL23)), (SL25, _center(SL25)), (Q8, _center(Q8))]
+    for G, N in cases:
+        image = _quotient(G, N)
+        assert [g.images for g in image.generators] == _right_coset_images(G, N)
+

@@ -3,9 +3,11 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from csection import sections
-from csection.groups import CapExceededError, Subgroup
+from csection import groups, sections
+from csection.groups import CapExceededError, PermGroup, Subgroup
 from csection.iso import GroupId
 from csection.lattice import SubgroupClass, maximal_subgroups
 from csection.perms import Permutation
@@ -18,7 +20,7 @@ from csection.sections import (NoChiefPairError, NotMaximalError, VerdictReport,
 from csection.tables import element_table
 
 from gtools import elements_of, named, product
-from oracles import NaiveTable, normal_subgroups_naive
+from oracles import NaiveTable, brute_isomorphic, normal_subgroups_naive
 
 
 def test_make_report_status_mapping():
@@ -136,6 +138,95 @@ def test_chief_pairs_match_brute_force_covers(battery200):
             assert len(got) == len(set(got)) and set(got) == want, (label, cls.order)
             assert all((p.K.order, p.L.order) == (len(p.k_indices), len(p.l_indices))
                        for p in pairs), label
+
+
+def _naive_quotient(table, d, l):
+    """D/L from the oracle's table: D acting by right multiplication on the
+    cosets Ly of L, each element as its image tuple on the cosets."""
+    cosets = sorted({frozenset(table.mul[x][y] for x in l) for y in d}, key=min)
+    where = {x: i for i, c in enumerate(cosets) for x in c}
+    return {tuple(where[table.mul[min(c)][y]] for c in cosets) for y in d}
+
+
+def test_sections_match_the_naive_quotient(battery200):
+    """Every section (M meet K)/L with L != 1 of the battery groups of order
+    <= 120 has order |M meet K|/|L| and is isomorphic to the quotient read
+    off the oracle's cosets."""
+    orders = []
+    for label, G in battery200:
+        if G.order > 120:
+            continue
+        table = NaiveTable(elements_of(G))
+        et = element_table(G)
+
+        def naive(indices):
+            return frozenset(table.index[et.tuples[i]] for i in indices)
+
+        for cls in maximal_subgroups(G):
+            M = cls.representative
+            for pair in chief_pairs_for_maximal(G, M):
+                if pair.L.order == 1:
+                    continue
+                d, l = naive(cls.indices) & naive(pair.k_indices), naive(pair.l_indices)
+                section = sec(G, M, pair=pair).group
+                assert section.order == len(d) // len(l), (label, cls.order)
+                want = _naive_quotient(table, d, l)
+                assert brute_isomorphic(elements_of(section), want), (label, cls.order)
+                orders.append(section.order)
+    assert sorted(set(orders)) == [1, 6, 10, 12]
+
+
+def test_a_section_over_a_nontrivial_L_builds_one_group(monkeypatch):
+    # SL(2,5) over its center: the maximal SL(2,3) has section A4 = SL(2,3)/Z
+    G = named("SL", 2, 5)
+    M = next(c for c in maximal_subgroups(G) if c.order == 24).representative
+    pair, = (p for p in chief_pairs_for_maximal(G, M) if p.L.order == 2)
+    init = groups.PermGroup.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
+    section = sections._section_group(G, M._cache["ambient_indices"], pair)
+    assert built == [section] and section.order == 12
+
+
+def _block_permutation(draw, blocks):
+    """A random permutation of {0..n-1} mapping each block to itself."""
+    images = list(range(sum(len(b) for b in blocks)))
+    for block in blocks:
+        for src, dst in zip(block, draw(st.permutations(block))):
+            images[src] = dst
+    return Permutation(images)
+
+
+@st.composite
+def _small_groups(draw):
+    """A group on at most 8 points, generated by 1 to 3 random permutations
+    that preserve a random partition into blocks of at most 6 points, so the
+    order stays at most |S6 x S2| = 1440."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 8))
+    points = draw(st.permutations(range(sum(sizes))))
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(points[start:start + size])
+        start += size
+    count = draw(st.integers(1, 3))
+    return PermGroup(len(points), [_block_permutation(draw, blocks) for _ in range(count)])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_groups())
+def test_section_identity_is_invariant_under_conjugating_M(G):
+    for cls in maximal_subgroups(G):
+        M = cls.representative
+        want = sec(G, M).identified
+        for g in G.generators:
+            conjugate = Subgroup(G, [h.conjugated_by(g) for h in M.generators], check=False)
+            assert sec(G, conjugate).identified == want
 
 
 def test_check_hypothesis_pgl2_7():

@@ -101,7 +101,7 @@ def test_is_supersolvable_builds_no_group_once_normals_are_known(make, monkeypat
     G = make()
     normal_subgroups(G)
     built = []
-    init, coset_action = groups.PermGroup.__init__, groups.coset_action
+    init, coset_action = groups.PermGroup.__init__, series_module.coset_action
 
     def counting_init(self, *args, **kwargs):
         built.append("PermGroup")
@@ -112,21 +112,23 @@ def test_is_supersolvable_builds_no_group_once_normals_are_known(make, monkeypat
         return coset_action(*args, **kwargs)
 
     monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
-    monkeypatch.setattr(groups, "coset_action", counting_coset_action)
+    monkeypatch.setattr(series_module, "coset_action", counting_coset_action)
     assert is_supersolvable(G) is False
     assert built == []
 
 
 def test_composition_factors_build_only_the_nonabelian_factor(monkeypatch):
+    # the chief series is 1 < C2 < G, so the factor A5 is G/C2, a coset action
     G = product("Cyclic", [2], "Alt", [5])
-    factor_group = series_module._factor_group
+    coset_action = series_module.coset_action
     built = []
 
-    def counting(K, L):
-        built.append(K.order // L.order)
-        return factor_group(K, L)
+    def counting(*args):
+        image = coset_action(*args)
+        built.append(image.order)
+        return image
 
-    monkeypatch.setattr(series_module, "_factor_group", counting)
+    monkeypatch.setattr(series_module, "coset_action", counting)
     assert sorted(f.order for f in chief_series(G).factors) == [2, 60]
     assert sorted(g.order for g in composition_factors(G)) == [2, 60]
     assert built == [60]
