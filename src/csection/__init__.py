@@ -19,8 +19,8 @@ from .lattice import (KleinFourClass, SubgroupClass, all_subgroups, certify_maxi
                       minimal_normal_subgroups, normal_subgroups, subgroup_count,
                       subgroups_of_index)
 from .perms import Permutation, parse_cycle_lists
-from .sections import (ChiefPair, CSection, NoChiefPairError, NotMaximalError,
-                       VerdictReport, check_conclusion, check_hypothesis,
+from .sections import (ChiefPair, CSection, NoChiefPairError, NotAChiefPairError,
+                       NotMaximalError, VerdictReport, check_conclusion, check_hypothesis,
                        chief_pairs_for_maximal, make_report, sec, unique_class_check,
                        verify_example, verify_lemma1, verify_lemma2a, verify_lemma3,
                        verify_lemma4, verify_theorem_instance)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BatteryEntry", "CSection", "CapExceededError", "ChiefPair", "ChiefSeries",
     "FactorDescriptor", "GroupId", "GroupSpec", "KleinFourClass", "NoChiefPairError",
-    "NotMaximalError", "PermGroup", "Permutation", "Subgroup", "SubgroupClass",
+    "NotAChiefPairError", "NotMaximalError", "PermGroup", "Permutation", "Subgroup", "SubgroupClass",
     "VerdictReport", "abelian_invariants", "all_subgroups", "build_group",
     "builtin_battery", "certify_maximal", "check_conclusion", "check_hypothesis",
     "chief_pairs_for_maximal", "chief_series", "composition_factors",

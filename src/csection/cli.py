@@ -85,14 +85,84 @@ def _store_records(path: str, records: list[dict]) -> int:
 
     An exclusive lock on the store is held across the read, the dedup and the
     append, so concurrent writers never store a record twice; the new lines go
-    out in one write to an append-only descriptor, so no line is torn.
+    out in one write to an append-only descriptor, so no line is torn.  The
+    record keys live in an index beside the store (`_StoreIndex`), kept under
+    the same lock, so an append reads the index, not every stored line.
     """
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
+        index = _StoreIndex.load(path, os.fstat(fd))
+        if index is None:
+            index = _StoreIndex.rebuild(path, fd)
+        if index.skipped:
+            print(f"warning: store {path}: skipped {index.skipped} unreadable line(s)",
+                  file=sys.stderr)
+        lines, keys = [], []
+        for rec in records:
+            key = _record_key(rec)
+            if key in index.keys:
+                continue
+            lines.append(json.dumps(rec, sort_keys=True) + "\n")
+            keys.append(key)
+            index.keys.add(key)
+        if lines:
+            # a torn last line (a crash before its newline) must not join the next
+            size = os.fstat(fd).st_size
+            torn = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
+            payload = (("\n" if torn else "") + "".join(lines)).encode("utf-8")
+            if os.write(fd, payload) != len(payload):
+                raise OSError(f"short write to the store {path}")
+        index.save(os.fstat(fd), keys)
+    finally:
+        os.close(fd)  # releases the lock
+    return len(lines)
+
+
+class _StoreIndex:
+    """The record keys of a store, kept in `<store>.keys` under the store's lock.
+
+    The file holds one key a line; each write ends with a stamp line
+    `@<size> <mtime_ns> <skipped>` giving the store's size and modification
+    time after that write and its count of unreadable lines.  The index is used
+    only when its last stamp matches the store as it is now; otherwise (no
+    index, a crash between the two writes, a store edited or appended by other
+    means) it is rebuilt from the store's lines and written whole.
+    """
+
+    SUFFIX = ".keys"
+
+    def __init__(self, path: str, keys: set[str], skipped: int,
+                 stamp: Optional[tuple[int, int]]):
+        self.path = path + self.SUFFIX
+        self.keys = keys
+        self.skipped = skipped
+        self.stamp = stamp  # None when rebuilt: the file is missing or stale
+
+    @classmethod
+    def load(cls, path: str, st: os.stat_result) -> Optional["_StoreIndex"]:
+        try:
+            with open(path + cls.SUFFIX, "r", encoding="ascii") as fh:
+                lines = fh.read().split("\n")
+        except (OSError, UnicodeDecodeError):
+            return None
+        if len(lines) < 2 or lines[-1] or not lines[-2].startswith("@"):
+            return None  # a torn or foreign file
+        try:
+            size, mtime, skipped = map(int, lines[-2][1:].split())
+        except ValueError:
+            return None
+        if (size, mtime) != (st.st_size, st.st_mtime_ns):
+            return None
+        return cls(path, {ln for ln in lines[:-2] if not ln.startswith("@")}, skipped,
+                   (size, mtime))
+
+    @classmethod
+    def rebuild(cls, path: str, fd: int) -> "_StoreIndex":
         with open(fd, "rb", closefd=False) as fh:
+            fh.seek(0)
             data = fh.read()
-        seen = set()
+        keys = set()
         skipped = 0
         for line in data.decode("utf-8").split("\n"):
             line = line.strip()
@@ -103,25 +173,27 @@ def _store_records(path: str, records: list[dict]) -> int:
             except json.JSONDecodeError:
                 skipped += 1
                 continue
-            seen.add(_record_key(doc))
-        if skipped:
-            print(f"warning: store {path}: skipped {skipped} unreadable line(s)", file=sys.stderr)
-        lines = []
-        for rec in records:
-            key = _record_key(rec)
-            if key in seen:
-                continue
-            lines.append(json.dumps(rec, sort_keys=True) + "\n")
-            seen.add(key)
-        if lines:
-            # a torn last line (a crash before its newline) must not join the next
-            torn = bool(data) and not data.endswith(b"\n")
-            payload = (("\n" if torn else "") + "".join(lines)).encode("utf-8")
-            if os.write(fd, payload) != len(payload):
-                raise OSError(f"short write to the store {path}")
-    finally:
-        os.close(fd)  # releases the lock
-    return len(lines)
+            keys.add(_record_key(doc))
+        return cls(path, keys, skipped, None)
+
+    def save(self, st: os.stat_result, new_keys: list[str]) -> None:
+        """Record the keys added to a store that now has stat `st`.  A torn
+        write leaves no stamp last, so the next append rebuilds the index."""
+        stamp = (st.st_size, st.st_mtime_ns)
+        if stamp == self.stamp:
+            return  # nothing was appended
+        tail = f"@{stamp[0]} {stamp[1]} {self.skipped}\n"
+        if self.stamp is None:
+            tmp = f"{self.path}.{os.getpid()}.tmp"
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write("".join(k + "\n" for k in self.keys) + tail)
+            os.replace(tmp, self.path)
+        else:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            try:
+                os.write(fd, ("".join(k + "\n" for k in new_keys) + tail).encode("ascii"))
+            finally:
+                os.close(fd)
 
 
 def _record_key(doc: dict) -> str:

@@ -1,31 +1,49 @@
 """Subgroup lattice enumeration up to conjugacy, with certified completeness.
 
-The enumerator works bottom-up in index space: cyclic subgroups first, then
-closures of known class representatives with cyclic subgroups until no new
-class appears.  Every chain of subgroups realizes its target through such
-steps, and conjugate results come from conjugate inputs, so the class list is
-complete whenever the whole group fits in its element table.  Targeted
-searches prune by Lagrange: intermediate subgroups of an order-m subgroup
-have order dividing m.
+The enumerator is Neubuser's cyclic extension method, run in index space
+(Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, on
+subgroup lattices).  Every cyclic subgroup is registered as a seed; then each
+class representative R is extended to <R, C> by cyclic subgroups C until no
+new class appears.  Three prunings keep the extensions few, and each keeps
+both the class list and the maximality flags exact.
 
-Maximal classes are read off the same enumeration.  Each representative R
-is extended by one cyclic subgroup from every R-orbit of cyclic subgroups
-outside it.  That covers every element x outside R: <R, x> = <R, <x>>, and
-when <x> = C^r for the extended cyclic C and some r in R, then
-<R, x> = <R, C>^r.  So a proper class none of whose extensions is a proper
-subgroup has only G above it, which is maximality.  `maximal_subgroups`
-still certifies every such class directly before returning it.
+Prime-power candidates.  C runs only over cyclic subgroups of prime-power
+order.  A subgroup H > 1 has a maximal subgroup R, and H is generated by its
+elements of prime-power order, so one of them, x, lies outside R; then
+H = <R, <x>>.  By induction on |H| some conjugate R^g is a representative,
+and <R^g, <x>^g> = H^g reaches H's class.  For the flags: a proper class R
+is not maximal exactly when some H with R < H < G has R maximal in it (take
+H minimal), and the same x then gives a proper extension <R, <x>> = H.
+
+Normalizer orbits.  <R, C^n> = <R, C>^n for n in N_G(R), so one C from each
+N_G(R)-orbit stands for the whole orbit: the class reached, and whether the
+extension is proper, are the same across it.  N_G(R) is generated by R's own
+generators and the Schreier generators of the conjugation-orbit walk that
+registered R's class, moved to the canonical representative; they are added
+until the subgroup they span has |G| / (class size) elements, the
+normalizer's order by orbit-stabilizer.
+
+Prime-index marking.  When |<R, C> : R| is prime, R is maximal in
+H = <R, C>, so every cyclic C' inside H but outside R gives <R, C'> = H
+again, and its N_G(R)-orbit gives conjugates of H: none of them needs a
+closure.  In the full-lattice search an extension past the largest proper
+divisor of |G| is G itself, so when |G : R| is prime the first such
+extension ends R's candidates.
+
+Targeted searches prune by Lagrange: intermediate subgroups of an order-m
+subgroup have order dividing m.  `maximal_subgroups` reads the classes that
+no extension grew and still certifies each one directly before returning it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .gf import _largest_proper_divisor
+from .gf import _is_prime, _largest_proper_divisor, _prime_power
 from .groups import PermGroup, Subgroup
-from .tables import ElementTable, coset_gather, element_table
+from .tables import ClosureBase, ElementTable, element_table
 
 DEFAULT_ORDER_CAP = 5_000
 NORMAL_CAP = 10_000
@@ -72,28 +90,59 @@ class SubgroupClass:
 
 
 class _Registry:
-    """Dedup store: every conjugate of every registered subgroup is indexed."""
+    """Dedup store: every conjugate of every registered subgroup is indexed.
+    A class below `target` also keeps generators of its representative's
+    normalizer, for the extension walk."""
 
-    def __init__(self, et: ElementTable):
+    def __init__(self, et: ElementTable, target: int):
         self.et = et
+        self.target = target
         self.seen: dict[frozenset[int], int] = {}
         self.reps: list[frozenset[int]] = []
         self.sizes: list[int] = []
         self.gens: list[list[int]] = []
+        self.normalizer_gens: list[list[int]] = []
 
     def register(self, subset: frozenset[int]) -> tuple[int, bool]:
         found = self.seen.get(subset)
         if found is not None:
             return found, False
-        orbit = _conjugates(self.et, subset)
+        et = self.et
+        orbit, schreier = _conjugates(et, subset)
         cid = len(self.reps)
         canonical = min(orbit, key=sorted)
         for s in orbit:
             self.seen[s] = cid
+        gens = et.extract_generators(canonical)
         self.reps.append(canonical)
         self.sizes.append(len(orbit))
-        self.gens.append(self.et.extract_generators(canonical))
+        self.gens.append(gens)
+        self.normalizer_gens.append(
+            _normalizer_generators(et, canonical, gens, et.n // len(orbit),
+                                   (et.conj(x, orbit[canonical]) for x in schreier))
+            if len(canonical) < self.target else [])
         return cid, True
+
+
+def _normalizer_generators(et: ElementTable, rep: frozenset[int], rep_gens: list[int],
+                           order: int, candidates: Iterable[int]) -> list[int]:
+    """Generators of N_G(rep), a subgroup of the given order: rep's own
+    generators, then those candidates (elements that normalize rep and
+    together with rep generate N_G(rep)) that enlarge the span, until it
+    reaches the order."""
+    if order == et.n:
+        return [g for g in et.generator_indices if g]
+    gens = list(rep_gens)
+    span = rep
+    for x in candidates:
+        if len(span) == order:
+            break
+        if x not in span:
+            span = et.closure(span, gens, [x])
+            gens.append(x)
+    if len(span) != order:
+        raise RuntimeError("Schreier generators do not span the normalizer's order")
+    return gens
 
 
 def _cyclic_subgroups(et: ElementTable, target: int
@@ -123,9 +172,13 @@ def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None
     et = element_table(G, DEFAULT_ORDER_CAP)
     n = et.n
     target = divisor_target if divisor_target is not None else n
-    registry = _Registry(et)
+    registry = _Registry(et, target)
     cyclics, cyclic_id = _cyclic_subgroups(et, target)
-    conj = et.conj
+    rows, inverse = et.rows, et.inverse
+    # Only cyclic subgroups of prime-power order are candidates; the rest
+    # start every representative's walk as done.
+    not_candidate = bytes(_prime_power(len(s)) is None for s, _gen in cyclics)
+    candidates = [(k, gen) for k, (_s, gen) in enumerate(cyclics) if not not_candidate[k]]
 
     queue: deque[int] = deque()
     found: set[int] = set()
@@ -147,27 +200,42 @@ def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None
         rep = registry.reps[rid]
         if len(rep) == target:
             continue  # nothing above the target order can matter
-        rep_gens = registry.gens[rid]
-        # Candidates up to conjugacy under the representative itself:
-        # <R, c^r> = <R, c>^r, so one cyclic per R-orbit suffices.
-        done = bytearray(len(cyclics))
-        for k, (_cset, cgen) in enumerate(cyclics):
-            if done[k] or cgen in rep:
-                continue
-            done[k] = 1
-            stack = [cgen]
+        base = ClosureBase(et, rep, registry.gens[rid])
+        maximal_if_whole = target == n and _is_prime(n // len(rep))
+        # conjugation y -> g^-1 * y * g by N_G(R)'s generators, as two row reads
+        conjugators = [(rows[inverse[g]], g) for g in registry.normalizer_gens[rid]]
+        done = bytearray(not_candidate)
+
+        def walk_orbit(x: int) -> None:
+            """Mark the N_G(R)-orbit of the cyclic subgroup generated by x."""
+            done[cyclic_id[x]] = 1
+            stack = [x]
             while stack:
-                x = stack.pop()
-                for g in rep_gens:
-                    y = conj(x, g)
-                    j = cyclic_id[y]
+                y = stack.pop()
+                row = rows[y]
+                for left, g in conjugators:
+                    z = left[row[g]]
+                    j = cyclic_id[z]
                     if not done[j]:
                         done[j] = 1
-                        stack.append(y)
-            grown = et.closure(rep, rep_gens, [cgen], abort_above=bound)
+                        stack.append(z)
+
+        for k, cgen in candidates:
+            if done[k] or cgen in rep:
+                continue
+            walk_orbit(cgen)
+            grown = et.closure(base, (), [cgen], abort_above=bound)
             if grown is None:
+                if maximal_if_whole:
+                    break  # R has prime index in G = <R, C>, so it is maximal
                 continue
             grew.add(rid)
+            if _is_prime(len(grown) // len(rep)):
+                # R is maximal in grown: every cyclic inside it gives grown again
+                for x in grown:
+                    j = cyclic_id[x]
+                    if j >= 0 and not done[j]:
+                        walk_orbit(x)
             if target % len(grown):
                 continue
             cid, new = registry.register(grown)
@@ -232,16 +300,16 @@ def certify_maximal(G: PermGroup, subset: frozenset[int], gens: Sequence[int],
     covered = [False] * n
     for x in subset:
         covered[x] = True
-    coset = coset_gather(sorted(subset))
+    base = ClosureBase(et, subset, gens)
     rows = et.rows
     for x in range(n):
         if covered[x]:
             continue
-        grown = et.closure(subset, list(gens), [x], abort_above=bound)
+        grown = et.closure(base, (), [x], abort_above=bound)
         if grown is not None:
             return False  # a proper subgroup strictly above
         # mark the whole coset x*subset: <subset, x*h> = <subset, x> = G for them all
-        for y in coset(rows[x]):
+        for y in base.coset(rows[x]):
             covered[y] = True
     return True
 
@@ -271,18 +339,31 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     return out
 
 
-def _conjugates(et: ElementTable, subset: frozenset[int]) -> list[frozenset[int]]:
-    """Every conjugate of a subgroup, as index sets, in no fixed order."""
-    orbit = {subset}
+def _conjugates(et: ElementTable, subset: frozenset[int]
+                ) -> tuple[dict[frozenset[int], int], list[int]]:
+    """The conjugation orbit of a subgroup H, walked breadth-first from H by
+    G's generators.  Each conjugate s maps to a transversal element t with
+    t^-1 * H * t = s.  Also returns the walk's distinct nontrivial Schreier
+    generators t_s * g * t_(s^g)^-1; by Schreier's lemma they generate N_G(H).
+    """
+    rows, inverse = et.rows, et.inverse
+    orbit = {subset: 0}
+    schreier: dict[int, None] = {}
     queue = deque([subset])
     while queue:
         s = queue.popleft()
+        t = rows[orbit[s]]
         for g in et.generator_indices:
-            t = et.conj_set(s, g)
-            if t not in orbit:
-                orbit.add(t)
-                queue.append(t)
-    return list(orbit)
+            u = et.conj_set(s, g)
+            back = orbit.get(u)
+            if back is None:
+                orbit[u] = t[g]
+                queue.append(u)
+            else:
+                x = rows[t[g]][inverse[back]]
+                if x:
+                    schreier[x] = None
+    return orbit, list(schreier)
 
 
 def _normal_join(et: ElementTable, s: frozenset[int], sgens: list[int], x: int) -> frozenset[int]:
@@ -387,7 +468,7 @@ def klein_four_classes(G: PermGroup) -> list[KleinFourClass]:
             s = frozenset([0, a, b, ab])
             if len(s) != 4 or s in seen:
                 continue
-            orbit = _conjugates(et, s)
+            orbit, _schreier = _conjugates(et, s)
             seen.update(orbit)
             canonical = min(orbit, key=sorted)
             norm_order = n // len(orbit)
@@ -411,7 +492,7 @@ def fuse_subgroup_classes(G: PermGroup, reps: Sequence[frozenset[tuple[int, ...]
     remaining = list(range(len(sets)))
     blocks: list[list[int]] = []
     while remaining:
-        orbit = set(_conjugates(et, sets[remaining[0]]))
+        orbit = _conjugates(et, sets[remaining[0]])[0]
         blocks.append([j for j in remaining if sets[j] in orbit])
         remaining = [j for j in remaining if sets[j] not in orbit]
     return blocks

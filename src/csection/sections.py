@@ -36,6 +36,10 @@ class NotMaximalError(ValueError):
     pass
 
 
+class NotAChiefPairError(ValueError):
+    """A pair given to `sec` is not one of the maximal subgroup's chief pairs."""
+
+
 @dataclass
 class ChiefPair:
     """Adjacent normal pair (K, L) of G with L <= M and K not inside M."""
@@ -152,6 +156,21 @@ def _section_group(G: PermGroup, m_set: frozenset[int], pair: ChiefPair) -> Perm
     return grp
 
 
+def _match_pair(G: PermGroup, pairs: list[ChiefPair], pair: ChiefPair) -> ChiefPair:
+    """The pair of `chief_pairs_for_maximal` with the given K and L, whose
+    index sets are read off K and L, not off the given pair's fields."""
+    try:
+        wanted = (_indices_of(G, pair.K), _indices_of(G, pair.L))
+    except KeyError:
+        raise NotAChiefPairError("the pair's K or L has elements outside the group") from None
+    for p in pairs:
+        if (p.k_indices, p.l_indices) == wanted:
+            return p
+    raise NotAChiefPairError(
+        f"(K, L) of orders ({pair.K.order}, {pair.L.order}) is not a chief pair "
+        "separating the maximal subgroup")
+
+
 def sec(G: PermGroup, M: Subgroup, *, pair: Optional[ChiefPair] = None,
         verify: bool = False) -> CSection:
     """The section of M, from the first chief pair in canonical order.
@@ -160,7 +179,7 @@ def sec(G: PermGroup, M: Subgroup, *, pair: Optional[ChiefPair] = None,
     pairwise isomorphism before returning.
     """
     pairs = chief_pairs_for_maximal(G, M)
-    chosen = pair if pair is not None else pairs[0]
+    chosen = pairs[0] if pair is None else _match_pair(G, pairs, pair)
     m_set = _indices_of(G, M)
     grp = _section_group(G, m_set, chosen)
     if verify:

@@ -133,9 +133,26 @@ class ElementTable:
     def element_order(self, i: int) -> int:
         orders = self._orders
         if orders is None:
-            orders = [Permutation._unsafe(t).order() for t in self.tuples]
-            self._orders = orders
+            orders = self._orders = self._element_orders()
         return orders[i]
+
+    def _element_orders(self) -> list[int]:
+        """Every element's order.  With a Cayley table, x^(k+1) = x^k * x is one
+        gather over the elements whose powers have not yet reached the identity."""
+        table = self._mul_table
+        if table is None:
+            return [Permutation._unsafe(t).order() for t in self.tuples]
+        orders = np.ones(self.n, dtype=np.int64)
+        live = np.arange(1, self.n)
+        power = live.copy()
+        k = 1
+        while live.size:
+            k += 1
+            power = table[power, live]
+            back = power == 0
+            orders[live[back]] = k
+            live, power = live[~back], power[~back]
+        return orders.tolist()
 
     def cyclic_subgroup(self, i: int) -> frozenset[int]:
         out = [0]
@@ -176,34 +193,33 @@ class ElementTable:
         assert self._class_of is not None
         return self._class_of[i]
 
-    def closure(self, base_set: Optional[Iterable[int]], base_gens: Sequence[int],
+    def closure(self, base_set: Iterable[int] | ClosureBase | None, base_gens: Sequence[int],
                 new_gens: Sequence[int], *, abort_above: Optional[int] = None) -> Optional[frozenset[int]]:
         """Subgroup generated by a known subgroup and extra elements.
 
         `base_set` must be closed (a subgroup H) and `base_gens` must generate
-        it.  The closure walks left cosets of H: for a coset representative t
-        and a generator g, a new u = g*t brings in the whole coset u*H, one
-        gather from row u (composed tuples above 4096 elements).  The result is
-        closed under left multiplication by a generating set, so it is the
-        subgroup; the cost is linear in its size, and the walk stops once it is
-        the whole group.  Returns None when the result would exceed
-        `abort_above`.
+        it; a caller that extends one H many times passes a `ClosureBase`
+        instead, and its generators stand for `base_gens`.  The closure walks
+        left cosets of H: for a coset representative t and a generator g, a new
+        u = g*t brings in the whole coset u*H, one gather from row u (composed
+        tuples above 4096 elements).  The result is closed under left
+        multiplication by a generating set, so it is the subgroup; the cost is
+        linear in its size, and the walk stops once it is the whole group.
+        Returns None when the result would exceed `abort_above`.
         """
         rows = self.rows
-        if base_set is None:
-            block = [0]
-            S = {0}
-        else:
-            S = set(base_set)
-            block = sorted(S)
-        gens: list[int] = []
-        for g in list(base_gens) + list(new_gens):
+        base = base_set if isinstance(base_set, ClosureBase) else ClosureBase(
+            self, (0,) if base_set is None else base_set, base_gens)
+        S = set(base.elements)
+        gens = list(base.gens)
+        left = list(base.rows)
+        for g in new_gens:
             if g and g not in gens:
                 gens.append(g)
+                left.append(rows[g])
         if abort_above is not None and len(S) > abort_above:
             return None
-        coset = coset_gather(block)
-        left = [rows[g] for g in gens]
+        coset = base.coset
         queue = deque([0])
         while queue:
             t = queue.popleft()
@@ -232,6 +248,22 @@ class ElementTable:
 
     def permutation(self, i: int) -> Permutation:
         return Permutation._unsafe(self.tuples[i])
+
+
+class ClosureBase:
+    """A subgroup H made ready for many closures <H, X>: its elements, the
+    gather of its left cosets and its generators' rows, built once."""
+
+    __slots__ = ("elements", "gens", "rows", "coset")
+
+    def __init__(self, et: ElementTable, elements: Iterable[int], gens: Sequence[int]):
+        self.elements = frozenset(elements)  # no copy when given a frozenset
+        self.gens: list[int] = []
+        for g in gens:
+            if g and g not in self.gens:
+                self.gens.append(g)
+        self.rows = [et.rows[g] for g in self.gens]
+        self.coset = coset_gather(sorted(self.elements))
 
 
 def coset_gather(block: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:

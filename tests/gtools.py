@@ -1,9 +1,11 @@
 """Small shared helpers for building test groups."""
 
+from hypothesis import strategies as st
+
 from csection.catalog import build_group, named_spec, product_spec
 from csection.groups import PermGroup
 from csection.lattice import _normal_covers, normal_subgroups
-from csection.perms import parse_cycle_lists
+from csection.perms import Permutation, parse_cycle_lists
 
 
 def named(name, *params):
@@ -50,3 +52,28 @@ def every_chief_series_orders(G):
             f"chief series up from a normal subgroup of order {N.order}: {sorted(ways)}"
         up[s] = ways.pop() if ways else ()
     return list(up[frozenset([0])])
+
+
+def block_permutation(draw, blocks):
+    """A random permutation of {0..n-1} mapping each block to itself."""
+    images = list(range(sum(len(b) for b in blocks)))
+    for block in blocks:
+        for src, dst in zip(block, draw(st.permutations(block))):
+            images[src] = dst
+    return Permutation(images)
+
+
+@st.composite
+def small_groups(draw):
+    """A group on at most 8 points, generated by 1 to 3 random permutations
+    that preserve a random partition into blocks of at most 6 points, so the
+    order stays at most |S6 x S2| = 1440."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 8))
+    points = draw(st.permutations(range(sum(sizes))))
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(points[start:start + size])
+        start += size
+    count = draw(st.integers(1, 3))
+    return PermGroup(len(points), [block_permutation(draw, blocks) for _ in range(count)])

@@ -7,6 +7,7 @@ capsys and stores live under tmp_path.
 import json
 import multiprocessing
 import time
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +286,45 @@ def test_store_keeps_skipping_an_earlier_glued_line(tmp_path, capsys):
     lines = store.read_text().splitlines()
     assert lines[0] == '{"check": "order"}{"check": "hypothesis"}'
     assert len(lines) == 2 and json.loads(lines[1])["check"] == "order"
+
+
+def test_store_warns_on_every_append_from_its_index(tmp_path, capsys):
+    store = tmp_path / "reports.jsonl"
+    store.write_text('{"check": "order"}{"check": "hypothesis"}\n')
+    for group in (S4, S4, V4):
+        assert main(["order", "--group", group, "--store", str(store)]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: store {store}: skipped 1 unreadable line(s)\n"
+    assert len(store.read_text().splitlines()) == 3
+
+
+def test_store_append_reads_the_index_not_the_records(tmp_path, monkeypatch):
+    store = str(tmp_path / "big.jsonl")
+    records = [{"check": "order", "subject": f"G{i}", "status": "pass"} for i in range(5000)]
+    assert cli._store_records(store, records) == 5000
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    assert cli._store_records(store, [dict(records[7], timestamp="later")]) == 0
+    assert cli._store_records(store, [{"check": "order", "subject": "new", "status": "pass"}]) == 1
+    assert parsed == []
+    monkeypatch.undo()
+    assert len(Path(store).read_text().splitlines()) == 5001
+
+
+def test_store_rebuilds_a_stale_index(tmp_path):
+    store = tmp_path / "reports.jsonl"
+    a, b, c = ({"check": "order", "subject": s, "status": "pass"} for s in "abc")
+    assert cli._store_records(str(store), [a]) == 1
+    with open(store, "a", encoding="utf-8") as fh:  # a writer that skips the index
+        fh.write(json.dumps(b, sort_keys=True) + "\n")
+    assert cli._store_records(str(store), [b, c]) == 1
+    assert [json.loads(ln)["subject"] for ln in store.read_text().splitlines()] == ["a", "b", "c"]
+    store.write_text(json.dumps(c, sort_keys=True) + "\n")  # the index still lists a and b
+    assert cli._store_records(str(store), [a, c]) == 1
+    assert [json.loads(ln)["subject"] for ln in store.read_text().splitlines()] == ["c", "a"]
+    Path(f"{store}.keys").write_text("garbage")  # a torn index
+    assert cli._store_records(str(store), [a, b]) == 1
 
 
 def _append_in_batches(path, records, stamp, barrier):

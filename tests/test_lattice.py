@@ -1,7 +1,11 @@
 """Subgroup lattice enumeration against independent extension oracles."""
 
-import pytest
+from collections import deque
 
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+
+from csection import lattice
 from csection.catalog import build_group, builtin_battery
 from csection.groups import CapExceededError, Subgroup, is_normal, normalizer
 from csection.iso import identify
@@ -9,9 +13,9 @@ from csection.lattice import (all_subgroups, certify_maximal, fuse_subgroup_clas
                               klein_four_classes, maximal_subgroups,
                               minimal_normal_subgroups, normal_subgroups,
                               subgroup_count, subgroups_of_index)
-from csection.tables import element_table
+from csection.tables import ElementTable, element_table
 
-from gtools import elements_of, named, product, quaternion
+from gtools import elements_of, named, product, quaternion, small_groups
 from oracles import (NaiveTable, all_subgroups_naive, all_subgroups_powerset,
                      normal_subgroups_naive)
 
@@ -310,3 +314,105 @@ def test_lattice_caps():
     for search in (normal_subgroups, minimal_normal_subgroups, klein_four_classes):
         with pytest.raises(CapExceededError):
             search(S8)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_groups())
+def test_pruned_walk_matches_oracles_on_random_groups(G):
+    """Class census, maximal classes and every subgroups_of_index against the
+    naive extension oracle and a direct maximality check on its subgroups."""
+    assume(G.order <= 200)
+    et = element_table(G)
+    table = NaiveTable(elements_of(G))
+    naive = {frozenset(table.elems[i] for i in s) for s in all_subgroups_naive(table)}
+    whole = frozenset(table.elems)
+
+    def expand(classes):
+        out = set()
+        for c in classes:
+            conjugates = _expand_class(et, c.indices)
+            assert len(conjugates) == c.class_size and not conjugates & out
+            out |= conjugates
+        return out
+
+    assert expand(all_subgroups(G)) == naive
+    maximal = {M for M in naive if M != whole and not any(M < H < whole for H in naive)}
+    assert expand(maximal_subgroups(G)) == maximal
+    for k in range(1, G.order + 1):
+        if G.order % k == 0:
+            assert expand(subgroups_of_index(G, k)) == \
+                {H for H in naive if len(H) * k == G.order}, k
+
+
+def _unpruned_walk(G):
+    """The cyclic extension walk with no pruning beyond the representative's
+    own orbits: every representative R is closed with one cyclic subgroup of
+    each R-orbit, of any order.  Maps each canonical representative to its
+    class size, generators and whether no extension grew it (for R < G)."""
+    et = element_table(G)
+    n = et.n
+    cyclics = sorted({et.cyclic_subgroup(i) for i in range(1, n)}, key=lambda s: (len(s), sorted(s)))
+    reps, seen, queue = {}, {}, deque()
+
+    def register(s):
+        if s in seen:
+            return
+        orbit = _expand_class(et, s)
+        orbit = {frozenset(et.index[t] for t in conj) for conj in orbit}
+        canonical = min(orbit, key=sorted)
+        seen.update((t, canonical) for t in orbit)
+        reps[canonical] = len(orbit)
+        queue.append(canonical)
+
+    for s in [frozenset([0])] + cyclics:
+        register(s)
+    register(frozenset(range(n)))
+    grew = set()
+    while queue:
+        R = queue.popleft()
+        if len(R) == n:
+            continue
+        gens = et.extract_generators(R)
+        done = set()
+        for C in cyclics:
+            if C in done or C <= R:
+                continue
+            orbit, stack = {C}, [C]
+            while stack:
+                D = stack.pop()
+                for g in gens:
+                    E = et.conj_set(D, g)
+                    if E not in orbit:
+                        orbit.add(E)
+                        stack.append(E)
+            done |= orbit
+            H = et.closure(R, gens, [next(x for x in C if et.element_order(x) == len(C))])
+            if len(H) < n:
+                grew.add(R)
+                register(H)
+    return {R: (size, et.extract_generators(R), len(R) < n and R not in grew)
+            for R, size in reps.items()}
+
+
+def test_pruned_walk_matches_the_unpruned_walk(battery500):
+    """Prime-power candidates, normalizer orbits and prime-index marking leave
+    the representatives, class sizes, generators and maximality flags as the
+    unpruned walk finds them."""
+    for label, G in battery500:
+        got = {c.indices: (c.class_size, c.generator_indices, c.lattice_maximal)
+               for c in all_subgroups(G)}
+        assert got == _unpruned_walk(G), label
+
+
+def test_enumeration_closure_count_pgl2_7(monkeypatch):
+    """The pruned walk takes at most 450 closures on PGL2(7) (order 336); the
+    walk over every cyclic subgroup up to R-conjugacy took 925."""
+    classes = len(all_subgroups(named("PGL2", 7)))
+    G = named("PGL2", 7)
+    calls = []
+    closure = ElementTable.closure
+    monkeypatch.setattr(ElementTable, "closure",
+                        lambda self, *a, **k: calls.append(1) or closure(self, *a, **k))
+    ids, _registry, _grew = lattice._enumerate_classes(G)
+    assert len(ids) == classes
+    assert len(calls) <= 450

@@ -4,14 +4,14 @@ import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from csection import groups, sections
 from csection.groups import CapExceededError, PermGroup, Subgroup
 from csection.iso import GroupId
 from csection.lattice import SubgroupClass, maximal_subgroups
 from csection.perms import Permutation
-from csection.sections import (NoChiefPairError, NotMaximalError, VerdictReport,
+from csection.sections import (ChiefPair, NoChiefPairError, NotAChiefPairError,
+                               NotMaximalError, VerdictReport,
                                check_conclusion, check_hypothesis,
                                chief_pairs_for_maximal, make_report, sec,
                                unique_class_check, verify_example, verify_lemma1,
@@ -19,7 +19,7 @@ from csection.sections import (NoChiefPairError, NotMaximalError, VerdictReport,
                                verify_theorem_instance)
 from csection.tables import element_table
 
-from gtools import elements_of, named, product
+from gtools import elements_of, named, product, small_groups
 from oracles import NaiveTable, brute_isomorphic, normal_subgroups_naive
 
 
@@ -102,6 +102,29 @@ def test_sec_rejects_non_maximal():
         sec(A5, c2)
     with pytest.raises(NotMaximalError):
         sec(A5, Subgroup(A5, A5.generators))
+
+
+def test_sec_reads_a_given_pairs_index_sets_off_K_and_L():
+    """A pair built from K and L alone, with no index sets, gives the same
+    section as the canonical pair; SL(2,5) over its centre is A4 in SL(2,3)."""
+    G = named("SL", 2, 5)
+    M = next(c for c in maximal_subgroups(G) if c.order == 24).representative
+    z = next(g for g in G.elements() if g.order() == 2)  # -I, the only involution
+    s = sec(G, M, pair=ChiefPair(K=Subgroup(G, G.generators), L=Subgroup(G, [z])))
+    assert (s.order, str(s.identified)) == (12, "A4")
+    assert s.source_pair in chief_pairs_for_maximal(G, M)
+
+
+def test_sec_rejects_a_pair_that_does_not_separate_M():
+    G = named("SL", 2, 5)
+    M = next(c for c in maximal_subgroups(G) if c.order == 24).representative
+    z = next(g for g in G.elements() if g.order() == 2)
+    centre = Subgroup(G, [z])
+    assert issubclass(NotAChiefPairError, ValueError)  # exit 3 in the CLI
+    with pytest.raises(NotAChiefPairError, match="orders \\(2, 2\\)"):
+        sec(G, M, pair=ChiefPair(K=centre, L=centre))
+    with pytest.raises(NotAChiefPairError):  # K/1 is not a chief factor
+        sec(G, M, pair=ChiefPair(K=Subgroup(G, G.generators), L=Subgroup(G, [])))
 
 
 def test_chief_pairs_exist_for_every_battery_maximal(battery200):
@@ -193,33 +216,8 @@ def test_a_section_over_a_nontrivial_L_builds_one_group(monkeypatch):
     assert built == [section] and section.order == 12
 
 
-def _block_permutation(draw, blocks):
-    """A random permutation of {0..n-1} mapping each block to itself."""
-    images = list(range(sum(len(b) for b in blocks)))
-    for block in blocks:
-        for src, dst in zip(block, draw(st.permutations(block))):
-            images[src] = dst
-    return Permutation(images)
-
-
-@st.composite
-def _small_groups(draw):
-    """A group on at most 8 points, generated by 1 to 3 random permutations
-    that preserve a random partition into blocks of at most 6 points, so the
-    order stays at most |S6 x S2| = 1440."""
-    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)
-                 .filter(lambda sizes: sum(sizes) <= 8))
-    points = draw(st.permutations(range(sum(sizes))))
-    blocks, start = [], 0
-    for size in sizes:
-        blocks.append(points[start:start + size])
-        start += size
-    count = draw(st.integers(1, 3))
-    return PermGroup(len(points), [_block_permutation(draw, blocks) for _ in range(count)])
-
-
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_small_groups())
+@given(small_groups())
 def test_section_identity_is_invariant_under_conjugating_M(G):
     for cls in maximal_subgroups(G):
         M = cls.representative
@@ -462,7 +460,7 @@ def test_example_refuses_large_p_before_building_the_group(monkeypatch, p):
 
 
 @pytest.mark.skipif(not os.environ.get("CSECTION_RUN_LARGE"),
-                    reason="set CSECTION_RUN_LARGE=1 for the complete p = 17 run (about 25 s)")
+                    reason="set CSECTION_RUN_LARGE=1 for the complete p = 17 run (about 11 s)")
 def test_example_p17_complete():
     report = verify_example(17)
     assert report.status == "pass" and report.completeness

@@ -10,7 +10,7 @@ from csection.lattice import all_subgroups
 from csection.tables import ElementTable, _ComposedRows, element_table
 
 from gtools import elements_of, from_cycles, named, product
-from oracles import NaiveTable, all_subgroups_naive, compose, invert
+from oracles import NaiveTable, all_subgroups_naive, compose, element_order, invert
 
 # S4 on the points 3, 5, 6, 8 of eight; its base avoids the first points.
 RELABELED_S4 = '{"kind":"perm","degree":8,"generators":[[[3,5,6,8]],[[3,5]]]}'
@@ -174,3 +174,19 @@ def test_element_cap_holds_on_a_memo_hit():
         element_table(G, 5000)
     with pytest.raises(CapExceededError):
         all_subgroups(G)
+
+
+def test_element_orders_match_oracle(battery500):
+    """Orders read off the Cayley table, x^(k+1) = x^k * x a gather at a time."""
+    for label, G in battery500:
+        et = element_table(G)
+        assert et._mul_table is not None, label
+        assert [et.element_order(i) for i in range(et.n)] == \
+            [element_order(t) for t in et.tuples], label
+
+
+def test_element_orders_without_a_table():
+    et = element_table(named("PGL2", 17))  # 4896 elements, above the table bound
+    assert et._mul_table is None
+    for i in random.Random(5).sample(range(et.n), 200):
+        assert et.element_order(i) == element_order(et.tuples[i])
