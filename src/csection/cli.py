@@ -25,6 +25,7 @@ from .groups import CapExceededError
 from .sections import (VerdictReport, check_conclusion, check_hypothesis, sec,
                        verify_example, verify_lemma1, verify_lemma2a, verify_lemma3,
                        verify_lemma4, verify_theorem_instance)
+from .tables import MAX_ORDER
 
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 2}
 USAGE_ERROR = 3
@@ -215,7 +216,7 @@ def _scan_worker(payload: tuple[str, str, int, int]) -> dict:
     return report_to_dict(report)
 
 
-def _add_common(p: argparse.ArgumentParser, *, max_order_default: int = 5000) -> None:
+def _add_common(p: argparse.ArgumentParser, *, max_order_default: int = MAX_ORDER) -> None:
     p.add_argument("--max-order", type=int, default=max_order_default,
                    help="largest group order accepted (default %(default)s)")
     p.add_argument("--degree-cap", type=int, default=5000,

@@ -12,9 +12,7 @@ import numpy as np
 
 from .perms import Permutation
 
-# Largest coset space `coset_action` builds, and largest subgroup
-# `Subgroup.element_set` lists.
-_COSET_DEGREE_CAP = 5_000
+# Largest subgroup `Subgroup.element_set` lists.
 _ELEMENT_SET_CAP = 1_000_000
 # Largest conjugation orbit `normalizer` walks.
 _NORMALIZER_ORBIT_CAP = 500_000
@@ -468,8 +466,6 @@ def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]) -> PermGroup:
             j = label.get(y)
             if j is None:
                 j = len(reps)
-                if j >= _COSET_DEGREE_CAP:
-                    raise CapExceededError(f"coset degree exceeds cap {_COSET_DEGREE_CAP}")
                 label.update(dict.fromkeys(coset(rows[y]), j))
                 reps.append(y)
             images.append(j)

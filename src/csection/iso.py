@@ -18,9 +18,7 @@ from typing import Optional, Sequence
 from .catalog import _alt, _psl2, _sym
 from .gf import _is_p_power, _is_prime, _prime_factors
 from .groups import PermGroup, derived_subgroup
-from .tables import ElementTable, element_table
-
-ISO_CAP = 20_000
+from .tables import MAX_ORDER, ElementTable, element_table
 
 
 # -- fingerprints ------------------------------------------------------------
@@ -30,7 +28,7 @@ def fingerprint(G: PermGroup) -> tuple:
     cached = G._cache.get("fingerprint")
     if cached is not None:
         return cached
-    et = element_table(G, ISO_CAP)
+    et = element_table(G)
     order_counts: dict[int, int] = {}
     for i in range(et.n):
         o = et.element_order(i)
@@ -51,7 +49,7 @@ def abelian_invariants(G: PermGroup) -> tuple[int, ...]:
         raise ValueError("abelian_invariants needs an abelian group")
     if G.order == 1:
         return ()
-    et = element_table(G, ISO_CAP)
+    et = element_table(G)
     orders = [et.element_order(i) for i in range(et.n)]
     primary: dict[int, list[int]] = {}
     for p in _prime_factors(G.order):
@@ -163,8 +161,8 @@ def is_isomorphic(G: PermGroup, H: PermGroup) -> bool:
 
 
 def _backtrack_iso(G: PermGroup, H: PermGroup) -> bool:
-    etG = element_table(G, ISO_CAP)
-    etH = element_table(H, ISO_CAP)
+    etG = element_table(G)
+    etH = element_table(H)
     src = _generating_sequence(etG)
     k = len(src)
 
@@ -278,7 +276,7 @@ def _try_dihedral(G: PermGroup) -> Optional[int]:
     if G.order % 2 or G.order < 6 or G.is_abelian():
         return None
     m = G.order // 2
-    et = element_table(G, ISO_CAP)
+    et = element_table(G)
     r = next((i for i in range(1, et.n) if et.element_order(i) == m), None)
     if r is None:
         return None
@@ -324,9 +322,8 @@ def _identify(G: PermGroup) -> GroupId:
     for q in (7, 8, 11, 13):
         if n == _PSL2_ORDERS[q] and is_isomorphic(G, _reference("psl2", q)):
             return GroupId("psl2", (q,), n)
-    from .lattice import NORMAL_CAP
     from .series import is_simple
-    if n <= NORMAL_CAP and is_simple(G):
+    if n <= MAX_ORDER and is_simple(G):
         return GroupId("unknown_simple", (n,), n)
     return GroupId("opaque", (n,), n)
 

@@ -45,9 +45,6 @@ from .gf import _is_prime, _largest_proper_divisor, _prime_power
 from .groups import PermGroup, Subgroup
 from .tables import ClosureBase, ElementTable, element_table
 
-DEFAULT_ORDER_CAP = 5_000
-NORMAL_CAP = 10_000
-
 
 @dataclass
 class SubgroupClass:
@@ -86,7 +83,7 @@ class SubgroupClass:
 
     def normalizer_order(self) -> int:
         """Orbit-stabilizer: |G| = class size * |normalizer|."""
-        return self.table.group.order // self.class_size
+        return self.table.n // self.class_size
 
 
 class _Registry:
@@ -169,7 +166,7 @@ def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None
                        ) -> tuple[list[int], _Registry, set[int]]:
     """Class ids found, the registry holding them, and the ids of the classes
     that some extension grew into a subgroup within the closure bound."""
-    et = element_table(G, DEFAULT_ORDER_CAP)
+    et = element_table(G)
     n = et.n
     target = divisor_target if divisor_target is not None else n
     registry = _Registry(et, target)
@@ -292,7 +289,7 @@ def certify_maximal(G: PermGroup, subset: frozenset[int], gens: Sequence[int],
                     et: Optional[ElementTable] = None) -> bool:
     """Direct maximality certificate: closure with anything outside is all of G."""
     if et is None:
-        et = element_table(G, NORMAL_CAP)
+        et = element_table(G)
     n = et.n
     if len(subset) == n:
         return False
@@ -392,7 +389,7 @@ def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     cached = G._cache.get("normal_subgroups")
     if cached is not None:
         return cached
-    et = element_table(G, NORMAL_CAP)
+    et = element_table(G)
     reps = [c[0] for c in et.conjugacy_classes()]
     trivial = frozenset([0])
     found: dict[frozenset[int], list[int]] = {trivial: []}
@@ -455,7 +452,7 @@ class KleinFourClass:
 
 def klein_four_classes(G: PermGroup) -> list[KleinFourClass]:
     """Conjugacy classes of Klein four-subgroups (pairs of commuting involutions)."""
-    et = element_table(G, NORMAL_CAP)
+    et = element_table(G)
     n = et.n
     involutions = [i for i in range(1, n) if et.element_order(i) == 2]
     seen: set[frozenset[int]] = set()
@@ -487,7 +484,7 @@ def fuse_subgroup_classes(G: PermGroup, reps: Sequence[frozenset[tuple[int, ...]
     the question is how the classes fuse in the bigger one.  The sets are
     read into G's element table and each block is one `_conjugates` orbit.
     """
-    et = element_table(G, NORMAL_CAP)
+    et = element_table(G)
     sets = [frozenset(et.index[t] for t in s) for s in reps]
     remaining = list(range(len(sets)))
     blocks: list[list[int]] = []

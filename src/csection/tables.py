@@ -3,14 +3,17 @@
 Most desk-scale computations (subgroup lattices, conjugacy classes, normal
 subgroup enumeration) run in index space: elements become integers, subgroups
 become frozensets of integers, and multiplication is one lookup in a uint16
-Cayley table.  The table covers every group of order n <= 4096 and costs n*n
-two-byte cells, 32 MiB at that bound.
+Cayley table.
+
+One bound, `MAX_ORDER`, says which groups are small enough, and
+`ElementTable` checks it before it enumerates a single element.  The table
+has n*n two-byte cells: 48 MB at 4,896 elements, 200 MB at 10,000.  10,000
+is the largest order that any pipeline entry accepts; uint16 cells would
+index up to 65,536 elements.
 
 The hot loops read the table a row at a time: `rows[i]` is a 1-D view of row
 i, so a whole left coset u*H is one C-level gather, `itemgetter(*H)(rows[u])`,
-and a conjugate g^-1*x*g is two cell reads.  Above the bound there is no
-table; `rows` then composes image tuples on demand, so closures and
-conjugations take the same code path at up to 10,000 elements.
+and a conjugate g^-1*x*g is two cell reads.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 from .groups import CapExceededError, PermGroup
 from .perms import Permutation
 
-# Largest order that gets a Cayley table; uint16 cells hold every index.
-_TABLE_MAX_ORDER = 4_096
+# Largest group order that gets an element table, the bound of every search.
+MAX_ORDER = 10_000
 # Rows are gathered in chunks of about this many cells, bounding the temporaries
 # to about 0.2 MB.
 _TABLE_CHUNK = 1 << 14
@@ -39,6 +42,8 @@ class ElementTable:
     """
 
     def __init__(self, group: PermGroup):
+        if group.order > MAX_ORDER:
+            raise CapExceededError(f"group order {group.order} exceeds element cap {MAX_ORDER}")
         self.group = group
         tuples = sorted(g.images for g in group.elements())
         if len(tuples) != group.order:
@@ -50,22 +55,12 @@ class ElementTable:
         if self.index[ident] != 0:
             raise RuntimeError("identity did not sort first in the element table")
         self.generator_indices: list[int] = [self.index[g.images] for g in group.generators]
-        self._mul_table: Optional[np.ndarray] = None
+        self._mul_table: np.ndarray
         # rows[i][j] is the index of element_i * element_j
-        self.rows: Sequence[Sequence[int]]
-        self.inverse: list[int]
-        if self.n <= _TABLE_MAX_ORDER:
-            self._build_table()
-            # The identity, index 0, sits once in every row, at the inverse's column.
-            self.inverse = self._mul_table.argmin(axis=1).tolist()
-        else:
-            self.rows = _ComposedRows(self.tuples, self.index)
-            self.inverse = [0] * self.n
-            for i, t in enumerate(tuples):
-                inv = [0] * len(t)
-                for a, b in enumerate(t):
-                    inv[b] = a
-                self.inverse[i] = self.index[tuple(inv)]
+        self.rows: list[memoryview]
+        self._build_table()
+        # The identity, index 0, sits once in every row, at the inverse's column.
+        self.inverse: list[int] = self._mul_table.argmin(axis=1).tolist()
         self._orders: Optional[list[int]] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
@@ -137,11 +132,9 @@ class ElementTable:
         return orders[i]
 
     def _element_orders(self) -> list[int]:
-        """Every element's order.  With a Cayley table, x^(k+1) = x^k * x is one
-        gather over the elements whose powers have not yet reached the identity."""
+        """Every element's order: x^(k+1) = x^k * x is one table gather over the
+        elements whose powers have not yet reached the identity."""
         table = self._mul_table
-        if table is None:
-            return [Permutation._unsafe(t).order() for t in self.tuples]
         orders = np.ones(self.n, dtype=np.int64)
         live = np.arange(1, self.n)
         power = live.copy()
@@ -201,10 +194,10 @@ class ElementTable:
         it; a caller that extends one H many times passes a `ClosureBase`
         instead, and its generators stand for `base_gens`.  The closure walks
         left cosets of H: for a coset representative t and a generator g, a new
-        u = g*t brings in the whole coset u*H, one gather from row u (composed
-        tuples above 4096 elements).  The result is closed under left
-        multiplication by a generating set, so it is the subgroup; the cost is
-        linear in its size, and the walk stops once it is the whole group.
+        u = g*t brings in the whole coset u*H, one gather from row u.  The
+        result is closed under left multiplication by a generating set, so it
+        is the subgroup; the cost is linear in its size, and the walk stops
+        once it is the whole group.
         Returns None when the result would exceed `abort_above`.
         """
         rows = self.rows
@@ -274,38 +267,8 @@ def coset_gather(block: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, .
     return itemgetter(*block)
 
 
-class _ComposedRows:
-    """Rows of the Cayley table for groups too large to tabulate: `rows[i][j]`
-    composes the image tuples of elements i and j."""
-
-    __slots__ = ("tuples", "index")
-
-    def __init__(self, tuples: list[tuple[int, ...]], index: dict[tuple[int, ...], int]):
-        self.tuples = tuples
-        self.index = index
-
-    def __getitem__(self, i: int) -> "_ComposedRow":
-        return _ComposedRow(itemgetter(*self.tuples[i]), self.tuples, self.index)
-
-
-class _ComposedRow:
-    __slots__ = ("apply", "tuples", "index")
-
-    def __init__(self, apply: Callable, tuples: list[tuple[int, ...]],
-                 index: dict[tuple[int, ...], int]):
-        self.apply = apply  # reads a tuple at element i's images
-        self.tuples = tuples
-        self.index = index
-
-    def __getitem__(self, j: int) -> int:
-        return self.index[self.apply(self.tuples[j])]
-
-
-def element_table(group: PermGroup, cap: int = 10_000) -> ElementTable:
-    """Memoized element table for a group.  The cap holds on a memo hit too, so
-    whether a caller's cap is enforced does not depend on earlier calls."""
-    if group.order > cap:
-        raise CapExceededError(f"group order {group.order} exceeds element cap {cap}")
+def element_table(group: PermGroup) -> ElementTable:
+    """Memoized element table for a group."""
     cached = group._cache.get("element_table")
     if cached is not None and cached.n == group.order:
         return cached

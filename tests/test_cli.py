@@ -186,6 +186,31 @@ def test_theorem_vacuous_pass_on_s5(capsys):
     assert doc["evidence"]["hypothesis"]["status"] == "fail"
 
 
+def test_maximals_psl2_23_above_the_old_lattice_cap(capsys):
+    # Dickson, q = 23 = 7 mod 8: 23:11, two classes of S4, D24 and D22
+    code, doc, _ = run_json(["maximals", "--group", '{"kind":"named","name":"PSL2","params":[23]}'],
+                            capsys)
+    assert code == 0
+    assert doc["completeness"] is True
+    assert doc["evidence"]["orders"] == [253, 24, 24, 24, 22]
+
+
+def test_theorem_on_pgl2_19_with_the_default_max_order(capsys):
+    # |PGL2(19)| = 6840.  19 = 3 mod 8, so S4 is maximal in PGL2(19) but not
+    # inside PSL2(19): its section over the chief factor PSL2(19)/1 is
+    # S4 meet PSL2(19) = A4, which is not supersolvable, so the hypothesis
+    # fails and the theorem holds vacuously.
+    code, doc, _ = run_json(["theorem", "--group", '{"kind":"named","name":"PGL2","params":[19]}'],
+                            capsys)
+    assert code == 0
+    assert doc["status"] == "pass" and doc["completeness"] is True
+    assert doc["evidence"]["vacuous"] is True
+    rows = doc["evidence"]["hypothesis"]["rows"]
+    assert [r["maximal_order"] for r in rows] == [3420, 342, 40, 36, 24]
+    s4 = rows[-1]
+    assert s4["section_id"] == "A4" and s4["supersolvable"] is False
+
+
 def test_verify_lemma1_cli(capsys):
     code, doc, _ = run_json(["verify", "lemma1", "--group", V4], capsys)
     assert code == 0

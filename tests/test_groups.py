@@ -247,15 +247,6 @@ def test_coset_action_sign_map():
     assert S4.order // image.order == 12  # the kernel is A4
 
 
-def test_coset_action_degree_cap(monkeypatch):
-    A5 = named("Alt", 5)
-    monkeypatch.setattr(groups, "_COSET_DEGREE_CAP", 59)
-    with pytest.raises(CapExceededError):
-        _quotient(A5, Subgroup(A5, []))
-    monkeypatch.setattr(groups, "_COSET_DEGREE_CAP", 60)
-    assert _quotient(A5, Subgroup(A5, [])).degree == 60
-
-
 def _center(G):
     """The center of G, read off the oracle's multiplication table."""
     table = NaiveTable(elements_of(G))

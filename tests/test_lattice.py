@@ -291,7 +291,7 @@ def test_klein_four_classes_psl2_7():
     assert all(c.class_size == 7 for c in classes)
 
 
-@pytest.mark.parametrize("p", [7, 17])  # PGL2(17) has 4896 elements, above the table bound
+@pytest.mark.parametrize("p", [7, 17])
 def test_klein_classes_fuse_in_pgl2(p):
     K = named("PSL2", p)
     G = named("PGL2", p)
@@ -306,12 +306,9 @@ def test_klein_classes_fuse_in_pgl2(p):
 
 
 def test_lattice_caps():
-    S7 = named("Sym", 7)  # 5040 elements, above DEFAULT_ORDER_CAP
-    for search in (all_subgroups, maximal_subgroups, lambda G: subgroups_of_index(G, 7)):
-        with pytest.raises(CapExceededError):
-            search(S7)
-    S8 = named("Sym", 8)  # 40320 elements, above NORMAL_CAP
-    for search in (normal_subgroups, minimal_normal_subgroups, klein_four_classes):
+    S8 = named("Sym", 8)  # 40320 elements, above the element cap
+    for search in (all_subgroups, maximal_subgroups, lambda G: subgroups_of_index(G, 8),
+                   normal_subgroups, minimal_normal_subgroups, klein_four_classes):
         with pytest.raises(CapExceededError):
             search(S8)
 

@@ -1,6 +1,7 @@
 """Sections of maximal subgroups and the verdict machinery on top of them."""
 
-import os
+import gc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -290,7 +291,7 @@ def test_unidentified_factor_is_inconclusive_not_fail():
 
 
 def test_check_conclusion_opaque_factor_is_inconclusive(monkeypatch):
-    # An opaque factor needs order above NORMAL_CAP; patch identify to reach the branch.
+    # An opaque factor needs order above the element cap; patch identify to reach the branch.
     monkeypatch.setattr(sections, "identify", lambda f: GroupId("opaque", (f.order,), f.order))
     r = check_conclusion(named("PSL2", 7))
     assert r.status == "inconclusive"
@@ -316,6 +317,17 @@ def test_theorem_s4_nonvacuous_pass():
     assert ev["vacuous"] is False
     assert ev["hypothesis"]["status"] == "pass"
     assert ev["conclusion"]["status"] == "pass"
+
+
+def test_theorem_run_frees_its_table_with_its_group():
+    # The group's caches and its element table refer to each other, so the
+    # cycle collector frees them, not `del`; nothing else may keep them alive.
+    G = named("PSL2", 7)
+    assert verify_theorem_instance(G).status == "pass"
+    table = weakref.ref(element_table(G))
+    del G
+    gc.collect()
+    assert table() is None
 
 
 def test_theorem_passes_through_conclusion_when_hypothesis_partial():
@@ -444,12 +456,12 @@ def test_example_rejects_bad_parameters():
         with pytest.raises(ValueError, match="prime congruent"):
             verify_example(p)
     with pytest.raises(CapExceededError):
-        verify_example(23)  # PGL2(23) has 12144 elements, above the normal-subgroup cap
+        verify_example(23)  # PGL2(23) has 12144 elements, above the element cap
 
 
 @pytest.mark.parametrize("p", [23, 8191, 65521])
 def test_example_refuses_large_p_before_building_the_group(monkeypatch, p):
-    # |PGL2(p)| = p(p^2 - 1) is above the normal-subgroup cap from p = 23 on;
+    # |PGL2(p)| = p(p^2 - 1) is above the element cap from p = 23 on;
     # the field, and so G, must not be built for such p.
     def no_field(q):
         raise AssertionError(f"field of order {q} built for a refused p")
@@ -459,8 +471,6 @@ def test_example_refuses_large_p_before_building_the_group(monkeypatch, p):
         verify_example(p)
 
 
-@pytest.mark.skipif(not os.environ.get("CSECTION_RUN_LARGE"),
-                    reason="set CSECTION_RUN_LARGE=1 for the complete p = 17 run (about 11 s)")
 def test_example_p17_complete():
     report = verify_example(17)
     assert report.status == "pass" and report.completeness

@@ -7,7 +7,7 @@ import pytest
 from csection.catalog import build_group, parse_group_spec
 from csection.groups import CapExceededError, PermGroup
 from csection.lattice import all_subgroups
-from csection.tables import ElementTable, _ComposedRows, element_table
+from csection.tables import ElementTable, element_table
 
 from gtools import elements_of, from_cycles, named, product
 from oracles import NaiveTable, all_subgroups_naive, compose, element_order, invert
@@ -61,17 +61,16 @@ def test_whole_table_is_tuple_composition(make):
     G = make()
     et = ElementTable(G)
     assert et.n == G.order
-    composed = _ComposedRows(et.tuples, et.index)
+    tuples, index = et.tuples, et.index
     for i in range(et.n):
-        row = composed[i]
-        assert list(et.rows[i]) == [row[j] for j in range(et.n)]
+        assert list(et.rows[i]) == [index[compose(tuples[i], t)] for t in tuples]
 
 
 @pytest.mark.parametrize("make", TABLED + [lambda: named("PGL2", 17)],
-                         ids=TABLED_IDS + ["PGL2_17_composed"])
+                         ids=TABLED_IDS + ["PGL2_17"])
 def test_inverse_times_element_is_the_identity(make):
     et = ElementTable(make())
-    assert (et._mul_table is not None) == (et.n <= 4096)
+    assert et._mul_table is not None
     assert all(et.rows[i][et.inverse[i]] == 0 for i in range(et.n))
 
 
@@ -91,11 +90,11 @@ def test_generator_leaving_the_elements_raises():
         et._build_table()
 
 
-@pytest.mark.parametrize("name,order,tabled", [("PSL2", 2448, True), ("PGL2", 4896, False)])
-def test_mul_spot_check_against_tuple_composition(name, order, tabled):
+@pytest.mark.parametrize("name,order", [("PSL2", 2448), ("PGL2", 4896)])
+def test_mul_spot_check_against_tuple_composition(name, order):
     et = element_table(named(name, 17))
     assert et.n == order
-    assert (et._mul_table is not None) == tabled  # the table stops at order 4096
+    assert et._mul_table is not None
     rng = random.Random(17)
     for _ in range(10_000):
         i, j = rng.randrange(et.n), rng.randrange(et.n)
@@ -145,12 +144,9 @@ def test_closure_aborts_exactly_above_the_bound():
     assert et.closure(c4, [four], [], abort_above=3) is None
 
 
-@pytest.mark.parametrize("rows", ["table", "composed"])
-def test_closure_over_every_subgroup_matches_oracle(rows):
+def test_closure_over_every_subgroup_matches_oracle():
     G = named("Sym", 4)
     et = ElementTable(G)
-    if rows == "composed":  # the path of groups too large to tabulate
-        et.rows = _ComposedRows(et.tuples, et.index)
     oracle = NaiveTable(elements_of(G))
     to_et = [et.index[t] for t in oracle.elems]
     for H in all_subgroups_naive(oracle):
@@ -163,30 +159,33 @@ def test_closure_over_every_subgroup_matches_oracle(rows):
             assert et.closure(base, gens, [to_et[x]], abort_above=len(want) - 1) is None
 
 
-def test_element_cap_holds_on_a_memo_hit():
-    G = named("Sym", 7)  # 5040 elements
-    with pytest.raises(CapExceededError, match="exceeds element cap 5000"):
-        element_table(G, 5000)
-    et = element_table(G)
-    assert element_table(G) is et
-    # the memoized table must not let a smaller cap through
-    with pytest.raises(CapExceededError, match="exceeds element cap 5000"):
-        element_table(G, 5000)
+def test_element_cap_holds_on_a_memo_hit(monkeypatch):
+    S8 = named("Sym", 8)  # 40320 elements
+    stale = element_table(named("Sym", 4))
+
+    def no_elements(self):
+        raise AssertionError("elements enumerated for a group above the cap")
+
+    # the cap is checked before a single element is enumerated
+    monkeypatch.setattr(PermGroup, "elements", no_elements)
+    with pytest.raises(CapExceededError, match="group order 40320 exceeds element cap 10000"):
+        ElementTable(S8)
+    with pytest.raises(CapExceededError, match="exceeds element cap 10000"):
+        element_table(S8)
+    with pytest.raises(CapExceededError, match="exceeds element cap 10000"):
+        element_table(S8)  # the refusal memoized nothing
+    # a stale memo, a table of another group, does not let S8 through
+    S8._cache["element_table"] = stale
+    with pytest.raises(CapExceededError, match="exceeds element cap 10000"):
+        element_table(S8)
     with pytest.raises(CapExceededError):
-        all_subgroups(G)
+        all_subgroups(S8)
 
 
 def test_element_orders_match_oracle(battery500):
     """Orders read off the Cayley table, x^(k+1) = x^k * x a gather at a time."""
-    for label, G in battery500:
+    for label, G in battery500 + [("PGL2(17)", named("PGL2", 17))]:
         et = element_table(G)
         assert et._mul_table is not None, label
         assert [et.element_order(i) for i in range(et.n)] == \
             [element_order(t) for t in et.tuples], label
-
-
-def test_element_orders_without_a_table():
-    et = element_table(named("PGL2", 17))  # 4896 elements, above the table bound
-    assert et._mul_table is None
-    for i in random.Random(5).sample(range(et.n), 200):
-        assert et.element_order(i) == element_order(et.tuples[i])
