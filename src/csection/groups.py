@@ -443,14 +443,22 @@ def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> list[Pe
     return gens
 
 
+# The one trivial quotient: every D/L with D inside L is this group.
+TRIVIAL_QUOTIENT = trivial_group(1)
+
+
 def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]) -> PermGroup:
-    """D/L as a permutation group.  D is generated by the indices `d_gens` of
-    the element table `et`; `l_set` holds the indices of L, a normal subgroup
-    of D.  D acts by right multiplication on the cosets Ly = yL, each one
-    gather from row y; cosets are numbered breadth-first from L, in generator
-    order."""
+    """D/L as a permutation group, for D = <d_gens> * L.  The indices `d_gens`
+    of the element table `et` generate D together with L; `l_set` holds the
+    indices of L, a normal subgroup of D.  When every generator lies in L,
+    an empty `d_gens` included, D = L and the shared trivial group
+    `TRIVIAL_QUOTIENT` is returned at once.  Otherwise D acts by right
+    multiplication on the cosets Ly = yL, each one gather from row y; cosets
+    are numbered breadth-first from L, in generator order."""
     from .tables import coset_gather  # tables imports this module
 
+    if all(d in l_set for d in d_gens):
+        return TRIVIAL_QUOTIENT
     if any(et.conj(x, d) not in l_set for d in d_gens for x in l_set):
         raise NotNormalError("quotient requires a normal subgroup")
     rows = et.rows

@@ -17,18 +17,23 @@ from typing import Optional, Sequence
 
 from .catalog import _alt, _psl2, _sym
 from .gf import _is_p_power, _is_prime, _prime_factors
-from .groups import PermGroup, derived_subgroup
+from .groups import PermGroup
+from .lattice import _normal_join
 from .tables import MAX_ORDER, ElementTable, element_table
 
 
 # -- fingerprints ------------------------------------------------------------
 
 def fingerprint(G: PermGroup) -> tuple:
-    """Cheap iso-invariant: order statistics, class sizes, center, derived."""
+    """Cheap iso-invariant: order statistics, class sizes, center, derived.
+    Everything is read off G's element table; |G'| is the size of the normal
+    closure of the generators' commutators, the `_normal_join` of the
+    commutators onto the trivial subgroup."""
     cached = G._cache.get("fingerprint")
     if cached is not None:
         return cached
     et = element_table(G)
+    mul, inv = et.mul, et.inverse
     order_counts: dict[int, int] = {}
     for i in range(et.n):
         o = et.element_order(i)
@@ -37,8 +42,10 @@ def fingerprint(G: PermGroup) -> tuple:
     gens = et.generator_indices
     center = sum(1 for i in range(et.n)
                  if all(et.mul(i, g) == et.mul(g, i) for g in gens))
-    fp = (G.order, tuple(sorted(order_counts.items())), class_sizes,
-          center, derived_subgroup(G).order)
+    commutators = [mul(mul(inv[a], inv[b]), mul(a, b)) for i, a in enumerate(gens)
+                   for b in gens[i + 1:]]
+    derived = _normal_join(et, frozenset([0]), [], commutators)
+    fp = (G.order, tuple(sorted(order_counts.items())), class_sizes, center, len(derived))
     G._cache["fingerprint"] = fp
     return fp
 
@@ -49,6 +56,8 @@ def abelian_invariants(G: PermGroup) -> tuple[int, ...]:
         raise ValueError("abelian_invariants needs an abelian group")
     if G.order == 1:
         return ()
+    if _is_prime(G.order):
+        return (G.order,)  # cyclic, by Lagrange
     et = element_table(G)
     orders = [et.element_order(i) for i in range(et.n)]
     primary: dict[int, list[int]] = {}
@@ -303,6 +312,8 @@ def _identify(G: PermGroup) -> GroupId:
     n = G.order
     if n == 1:
         return GroupId("trivial", (), 1)
+    if _is_prime(n):
+        return GroupId("cyclic", (n,), n)  # by Lagrange, with no element table
     if G.is_abelian():
         invs = abelian_invariants(G)
         if len(invs) == 1:

@@ -363,16 +363,22 @@ def _conjugates(et: ElementTable, subset: frozenset[int]
     return orbit, list(schreier)
 
 
-def _normal_join(et: ElementTable, s: frozenset[int], sgens: list[int], x: int) -> frozenset[int]:
-    """Normal closure of a normal subgroup s and one element x.
+def _normal_join(et: ElementTable, s: frozenset[int], sgens: list[int],
+                 xs: Iterable[int]) -> frozenset[int]:
+    """Normal closure of a normal subgroup s and the elements xs.
 
     A subgroup is normal once the conjugates of its generators by G's
-    generators lie in it; s is normal already, so only x and the conjugates
-    added after it are checked.
+    generators lie in it; s is normal already, so only the elements added
+    after sgens are checked.
     """
-    gens = list(sgens) + [x]
-    current = et.closure(s, sgens, [x])
-    pending = [x]
+    gens = list(sgens)
+    current = s
+    pending = []
+    for x in xs:
+        if x not in current:
+            current = et.closure(current, gens, [x])
+            gens.append(x)
+            pending.append(x)
     while pending:
         y = pending.pop()
         for g in et.generator_indices:
@@ -385,25 +391,48 @@ def _normal_join(et: ElementTable, s: frozenset[int], sgens: list[int], x: int) 
 
 
 def normal_subgroups(G: PermGroup) -> list[Subgroup]:
-    """All normal subgroups, as joins of element conjugacy classes."""
+    """All normal subgroups, sorted by order, then by their sorted indices.
+
+    Every normal subgroup is a product of normal closures of element
+    conjugacy classes.  Each class's normal closure is computed once, and the
+    distinct ones start the walk.  The walk joins every normal subgroup s
+    found with every class closure N outside it; s*N is normal, so the join
+    is one plain closure with no conjugation loop.  It is skipped when a
+    normal subgroup already found has the product's order |s| |N| / |s cap N|
+    and contains both, since that subgroup is s*N.
+    """
     cached = G._cache.get("normal_subgroups")
     if cached is not None:
         return cached
     et = element_table(G)
-    reps = [c[0] for c in et.conjugacy_classes()]
     trivial = frozenset([0])
+    # each distinct class closure, with the representative of the first class closed to it
+    closures: dict[frozenset[int], int] = {}
+    for c in et.conjugacy_classes()[1:]:  # the identity's class comes first
+        closures.setdefault(_normal_join(et, trivial, [], [c[0]]), c[0])
     found: dict[frozenset[int], list[int]] = {trivial: []}
-    queue = deque([trivial])
+    by_order: dict[int, list[frozenset[int]]] = {}
+    for N in closures:
+        found[N] = et.extract_generators(N)
+        by_order.setdefault(len(N), []).append(N)
+    queue = deque(closures)
     while queue:
         s = queue.popleft()
-        sgens = found[s]
-        for rep in reps:
-            if rep in s or rep == 0:
+        base = None
+        for N, rep in closures.items():
+            if rep in s:
+                continue  # N is the normal closure of rep, so N lies inside s
+            order = len(s) * len(N) // len(s & N)
+            if any(s <= t and N <= t for t in by_order.get(order, ())):
                 continue
-            grown = _normal_join(et, s, sgens, rep)
-            if grown not in found:
-                found[grown] = et.extract_generators(grown)
-                queue.append(grown)
+            if base is None:
+                base = ClosureBase(et, s, found[s])
+            grown = et.closure(base, (), found[N])
+            if len(grown) != order:
+                raise RuntimeError("the join of two normal subgroups is not their product")
+            found[grown] = et.extract_generators(grown)
+            by_order.setdefault(order, []).append(grown)
+            queue.append(grown)
     subs = []
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
         # the chain is built only for the subgroups whose `.group` is read

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .gf import _is_prime, field_make, field_of_order
-from .groups import (CapExceededError, PermGroup, Subgroup, coset_action, is_normal,
-                     normalizer)
+from .groups import (TRIVIAL_QUOTIENT, CapExceededError, PermGroup, Subgroup, coset_action,
+                     is_normal, normalizer)
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
 from .lattice import (SubgroupClass, _normal_covers, all_subgroups, certify_maximal,
                       fuse_subgroup_classes, klein_four_classes, maximal_subgroups,
@@ -140,16 +140,21 @@ def chief_pairs_for_maximal(G: PermGroup, M: Subgroup) -> list[ChiefPair]:
 
 
 def _section_group(G: PermGroup, m_set: frozenset[int], pair: ChiefPair) -> PermGroup:
-    """(M cap K)/L as a permutation group.  A trivial L leaves M cap K on G's
-    points: its regular representation, of degree |M cap K|, would cost far
-    more to chain."""
+    """(M cap K)/L as a permutation group.  M cap K contains L, so the section
+    is trivial exactly when |M cap K| = |L|, a count: then no generators are
+    extracted, and the section is the shared trivial group `TRIVIAL_QUOTIENT`,
+    which `coset_action` returns at once for a nontrivial L.  A nontrivial
+    section over a trivial L is M cap K on G's points (its regular
+    representation, of degree |M cap K|, would cost far more to chain)."""
     et = element_table(G)
     d_set = m_set & pair.k_indices
-    d_gens = et.extract_generators(d_set)
-    if pair.L.order == 1:
+    d_gens = et.extract_generators(d_set) if len(d_set) > pair.L.order else []
+    if pair.L.order > 1:
+        grp = coset_action(et, d_gens, pair.l_indices)
+    elif d_gens:
         grp = PermGroup(G.degree, [et.permutation(i) for i in d_gens])
     else:
-        grp = coset_action(et, d_gens, pair.l_indices)
+        grp = TRIVIAL_QUOTIENT
     if grp.order * pair.L.order != len(d_set):
         raise RuntimeError("section order disagrees with |M meet K| / |L|")
     return grp

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .catalog import _cyclic
-from .gf import _prime_power
+from .gf import _is_prime, _prime_power
 from .groups import (PermGroup, Subgroup, coset_action, derived_subgroup, normal_closure,
                      whole_subgroup)
 from .lattice import _normal_covers, minimal_normal_subgroups, normal_subgroups
@@ -74,11 +74,14 @@ def chief_series(G: PermGroup) -> ChiefSeries:
 
 
 def is_supersolvable(G: PermGroup) -> bool:
-    """True when every chief factor has prime order."""
+    """True when every chief factor has prime order.  A group of order 1 or
+    of prime order is trivial or cyclic, by Lagrange, and needs no series."""
     cached = G._cache.get("is_supersolvable")
     if cached is None:
-        series = chief_series(G)
-        cached = all(f.is_prime_order for f in series.factors)
+        if G.order == 1 or _is_prime(G.order):
+            cached = True
+        else:
+            cached = all(f.is_prime_order for f in chief_series(G).factors)
         G._cache["is_supersolvable"] = cached
     return cached
 
@@ -118,11 +121,14 @@ def composition_factors(G: PermGroup) -> list[PermGroup]:
     groups of order p; a nonabelian chief factor is a power of one simple
     group, read off a minimal normal subgroup."""
     out: list[PermGroup] = []
+    cyclic: dict[int, PermGroup] = {}  # one C_p per prime, shared by its factors
     series = chief_series(G)
     for K, L, f in zip(series.terms, series.terms[1:], series.factors):
         if f.abelian:
             p, k = f.prime_power
-            out.extend([_cyclic(p)] * k)
+            if p not in cyclic:
+                cyclic[p] = _cyclic(p)
+            out.extend([cyclic[p]] * k)
             continue
         if L.order == 1:
             g = G if K.order == G.order else K.group  # G/1 is G: keep its caches warm

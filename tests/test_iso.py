@@ -3,8 +3,11 @@ search on small orders and frozen labels on the scan battery."""
 
 import pytest
 
+from csection.groups import derived_subgroup
 from csection.iso import (GroupId, abelian_invariants, fingerprint, identify,
                           is_isomorphic, l2_parameters)
+from csection.series import is_supersolvable
+from csection.tables import ElementTable
 
 from gtools import elements_of, named, product, quaternion
 from oracles import abelian_order_counts_match, brute_isomorphic
@@ -185,3 +188,25 @@ def test_fingerprint_invariance_and_separation():
     assert fingerprint(named("Dihedral", 4)) != fingerprint(quaternion())
     G = named("Sym", 4)
     assert fingerprint(G) is fingerprint(G)
+
+
+def test_fingerprint_reads_the_derived_order_the_chain_path_finds(battery500):
+    for label, G in battery500:
+        assert fingerprint(G)[4] == derived_subgroup(G).order, label
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_prime_order_groups_are_answered_without_a_table(p, monkeypatch):
+    G = named("Cyclic", p)
+    built = []
+    init = ElementTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ElementTable, "__init__", counting_init)
+    assert identify(G) == GroupId("cyclic", (p,), p)
+    assert is_supersolvable(G) is True
+    assert abelian_invariants(G) == (p,)
+    assert built == []

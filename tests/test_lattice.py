@@ -259,6 +259,64 @@ def test_normal_subgroup_chains_are_built_on_first_read(make):
         wrong.group
 
 
+def _normal_join_walk(G):
+    """The normal-subgroup walk with no class closures: every normal subgroup
+    s found is joined with every class representative outside it, and each
+    join re-closes under conjugation by G's generators from scratch.  Lists
+    each normal subgroup with its generators, in `normal_subgroups` order."""
+    et = element_table(G)
+    reps = [c[0] for c in et.conjugacy_classes()]
+    trivial = frozenset([0])
+    found = {trivial: []}
+    queue = deque([trivial])
+    while queue:
+        s = queue.popleft()
+        for rep in reps:
+            if rep in s:
+                continue
+            gens = found[s] + [rep]
+            current = et.closure(s, found[s], [rep])
+            pending = [rep]
+            while pending:
+                y = pending.pop()
+                for g in et.generator_indices:
+                    z = et.conj(y, g)
+                    if z not in current:
+                        current = et.closure(current, gens, [z])
+                        gens.append(z)
+                        pending.append(z)
+            if current not in found:
+                found[current] = et.extract_generators(current)
+                queue.append(current)
+    return [(s, found[s]) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
+def _check_normal_subgroups(G):
+    """`normal_subgroups` against the naive oracle, and its list, order and
+    generators against the join walk; returns the number found."""
+    et = element_table(G)
+    normals = normal_subgroups(G)
+    got = [(N._cache["ambient_indices"], [et.index[g.images] for g in N.generators])
+           for N in normals]
+    assert got == _normal_join_walk(G)
+    table = NaiveTable(elements_of(G))
+    want = {frozenset(table.elems[i] for i in s) for s in normal_subgroups_naive(table)}
+    assert {frozenset(et.tuples[i] for i in s) for s, _gens in got} == want
+    return len(normals)
+
+
+def test_normal_subgroups_match_oracle_and_join_walk_on_battery(battery500):
+    counts = {label: _check_normal_subgroups(G) for label, G in battery500 if G.order <= 64}
+    assert (counts["D8xD8"], counts["E2^4"], counts["E3^3"]) == (91, 67, 28)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_groups())
+def test_normal_subgroups_match_oracle_and_join_walk_on_random_groups(G):
+    assume(G.order <= 200)
+    _check_normal_subgroups(G)
+
+
 def test_minimal_normal_subgroups():
     cases = [
         (named("Sym", 4), [4]),

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from csection import groups, sections
 from csection.groups import CapExceededError, PermGroup, Subgroup
 from csection.iso import GroupId
-from csection.lattice import SubgroupClass, maximal_subgroups
+from csection.lattice import SubgroupClass, maximal_subgroups, normal_subgroups
 from csection.perms import Permutation
 from csection.sections import (ChiefPair, NoChiefPairError, NotAChiefPairError,
                                NotMaximalError, VerdictReport,
@@ -18,7 +18,7 @@ from csection.sections import (ChiefPair, NoChiefPairError, NotAChiefPairError,
                                unique_class_check, verify_example, verify_lemma1,
                                verify_lemma2a, verify_lemma3, verify_lemma4,
                                verify_theorem_instance)
-from csection.tables import element_table
+from csection.tables import ElementTable, element_table
 
 from gtools import elements_of, named, product, small_groups
 from oracles import NaiveTable, brute_isomorphic, normal_subgroups_naive
@@ -215,6 +215,51 @@ def test_a_section_over_a_nontrivial_L_builds_one_group(monkeypatch):
     monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
     section = sections._section_group(G, M._cache["ambient_indices"], pair)
     assert built == [section] and section.order == 12
+
+
+@pytest.mark.parametrize("name,params,m_order,l_order", [
+    ("Sym", (4,), 8, 4),   # D8 in S4: M cap A4 = V4 = L, quotiented by coset_action
+    ("Sym", (3,), 2, 1),   # C2 in S3: M cap C3 = 1 = L
+], ids=["S4_D8", "S3_C2"])
+def test_a_trivial_section_builds_no_group_and_no_table(name, params, m_order, l_order,
+                                                        monkeypatch):
+    G = named(name, *params)
+    M = next(c for c in maximal_subgroups(G) if c.order == m_order).representative
+    pair, = chief_pairs_for_maximal(G, M)
+    assert pair.L.order == l_order
+    built, quotients = [], []
+    init, table_init = groups.PermGroup.__init__, ElementTable.__init__
+    coset_action = sections.coset_action
+
+    def counting_init(self, *args, **kwargs):
+        built.append("PermGroup")
+        init(self, *args, **kwargs)
+
+    def counting_table_init(self, *args, **kwargs):
+        built.append("ElementTable")
+        table_init(self, *args, **kwargs)
+
+    def counting_coset_action(et, d_gens, l_set):
+        quotients.append(list(d_gens))
+        return coset_action(et, d_gens, l_set)
+
+    monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
+    monkeypatch.setattr(ElementTable, "__init__", counting_table_init)
+    monkeypatch.setattr(sections, "coset_action", counting_coset_action)
+    s = sec(G, M)
+    assert s.group is groups.TRIVIAL_QUOTIENT
+    assert (s.supersolvable, s.identified) == (True, GroupId("trivial", (), 1))
+    assert built == []
+    assert quotients == ([[]] if l_order > 1 else [])
+
+
+def test_coset_action_with_no_generators_is_trivial():
+    G = named("Sym", 4)
+    et = element_table(G)
+    v4 = next(N for N in normal_subgroups(G) if N.order == 4)._cache["ambient_indices"]
+    for l_set in (frozenset([0]), v4):
+        assert groups.coset_action(et, [], l_set).order == 1
+    assert groups.coset_action(et, sorted(v4), v4) is groups.TRIVIAL_QUOTIENT
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
