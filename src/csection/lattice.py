@@ -33,12 +33,33 @@ extension ends R's candidates.
 Targeted searches prune by Lagrange: intermediate subgroups of an order-m
 subgroup have order dividing m.  `maximal_subgroups` reads the classes that
 no extension grew and still certifies each one directly before returning it.
+
+Maximal subgroups through an abelian minimal normal subgroup.  After Eick &
+Hulpke, "Computing the maximal subgroups of a permutation group I" (2001),
+and Cannon & Holt, J. Symbolic Comput. 37 (2004).  Let N be an abelian
+minimal normal subgroup of G and M a maximal subgroup.  MN is a subgroup
+containing M, so either N <= M, or MN = G.  The maximal subgroups that
+contain N are read off the walk seeded at N (`all_subgroups(G, above=N)`),
+which reaches every subgroup above N: the cyclic extension argument above
+runs unchanged from N instead of from 1.  The others are exactly the
+complements of N:
+- A maximal M with MN = G complements N.  M cap N is normalized by M, and
+  by N since N is abelian, so by MN = G; it is a normal subgroup of G
+  properly inside N (else N <= M), so it is 1 by minimality.
+- A complement U of N is maximal.  Let U < H <= G.  By Dedekind's law
+  H = U(H cap N), so H cap N > 1.  H cap N is normalized by H and by the
+  abelian N, so by HN = G; by minimality H cap N = N, and H >= UN = G.
+Complements are found exactly by `_complements`, so the subgroup lattice is
+walked only above N, which for a group with a large abelian socle is a small
+part of it.  A group with no abelian minimal normal subgroup (A5, PGL2(p))
+walks the whole lattice.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .gf import _is_prime, _largest_proper_divisor, _prime_power
@@ -162,10 +183,13 @@ def _cyclic_subgroups(et: ElementTable, target: int
     return cyclics, [-1 if s is None else position[s] for s in owner]
 
 
-def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None
+def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None,
+                       above: Optional[frozenset[int]] = None
                        ) -> tuple[list[int], _Registry, set[int]]:
     """Class ids found, the registry holding them, and the ids of the classes
-    that some extension grew into a subgroup within the closure bound."""
+    that some extension grew into a subgroup within the closure bound.  With
+    `above`, a normal subgroup's indices, the walk is seeded at it alone and
+    finds the classes of the subgroups that contain it."""
     et = element_table(G)
     n = et.n
     target = divisor_target if divisor_target is not None else n
@@ -179,7 +203,8 @@ def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None
 
     queue: deque[int] = deque()
     found: set[int] = set()
-    for s in [frozenset([0])] + [s for s, _gen in cyclics]:
+    seeds = [frozenset([0])] + [s for s, _gen in cyclics] if above is None else [above]
+    for s in seeds:
         cid, new = registry.register(s)
         if new:
             found.add(cid)
@@ -252,17 +277,30 @@ def _class_from_registry(registry: _Registry, cid: int,
     return SubgroupClass(et, indices, gens, registry.sizes[cid], True, lattice_maximal)
 
 
-def all_subgroups(G: PermGroup) -> list[SubgroupClass]:
-    """All conjugacy classes of subgroups, sorted by order then lexicographically."""
+def all_subgroups(G: PermGroup, above: Optional[Subgroup] = None) -> list[SubgroupClass]:
+    """All conjugacy classes of subgroups, sorted by order then lexicographically.
+
+    With `above`, a normal subgroup N of G, only the classes of the subgroups
+    that contain N, found by a walk seeded at N; that list is not cached.
+    """
+    if above is not None:
+        et = element_table(G)
+        n_set = _indices_of(G, above)
+        if any(et.conj_set(n_set, g) != n_set for g in et.generator_indices):
+            raise ValueError("`above` must be a normal subgroup")
+        return _lattice_classes(G, *_enumerate_classes(G, above=n_set))
     cached = G._cache.get("all_subgroups")
-    if cached is not None:
-        return cached
-    ids, registry, grew = _enumerate_classes(G)
+    if cached is None:
+        cached = G._cache["all_subgroups"] = _lattice_classes(G, *_enumerate_classes(G))
+    return cached
+
+
+def _lattice_classes(G: PermGroup, ids: list[int], registry: _Registry,
+                     grew: set[int]) -> list[SubgroupClass]:
     # With the whole group as target, a class that grew has a proper overgroup.
     classes = [_class_from_registry(registry, cid, len(registry.reps[cid]) < G.order
                                     and cid not in grew) for cid in ids]
     classes.sort(key=lambda c: (c.order, sorted(c.indices)))
-    G._cache["all_subgroups"] = classes
     return classes
 
 
@@ -314,26 +352,81 @@ def certify_maximal(G: PermGroup, subset: frozenset[int], gens: Sequence[int],
 def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     """Maximal subgroup classes, sorted by descending order.
 
-    Candidates are the classes the lattice enumeration found no proper
-    overgroup for; each is then re-certified directly rather than trusted
-    from the enumeration.
+    When G has an abelian minimal normal subgroup N (the first one), the
+    candidates are the classes above N that no extension grew, and the
+    complements of N; otherwise they are the classes of the whole lattice
+    that no extension grew.  Each is then re-certified directly rather than
+    trusted from the enumeration.
     """
     cached = G._cache.get("maximal_subgroups")
     if cached is not None:
         return cached
-    classes = all_subgroups(G)
     et = element_table(G)
-    out = []
-    for c in classes:
-        if not c.lattice_maximal:
-            continue
+    N = next((K for K in _normal_covers(G)[frozenset([0])]
+              if _prime_power(K.order) is not None), None)
+    if N is None:
+        candidates = [c for c in all_subgroups(G) if c.lattice_maximal]
+    else:
+        candidates = [c for c in all_subgroups(G, above=N) if c.lattice_maximal]
+        candidates += _complements(et, N._cache["ambient_indices"])
+    for c in candidates:
         if not certify_maximal(G, c.indices, c.generator_indices, et):
             raise RuntimeError("lattice-maximal candidate failed direct certification")
         c.certified_maximal = True
-        out.append(c)
-    out.sort(key=lambda c: (-c.order, sorted(c.indices)))
-    G._cache["maximal_subgroups"] = out
-    return out
+    candidates.sort(key=lambda c: (-c.order, sorted(c.indices)))
+    G._cache["maximal_subgroups"] = candidates
+    return candidates
+
+
+def _complements(et: ElementTable, normal: frozenset[int]) -> list[SubgroupClass]:
+    """The conjugacy classes of complements of a normal subgroup N.
+
+    A complement U meets each coset of N once, so for each generator g_j of G
+    it holds exactly one g_j t_j with t_j in N, and U is generated by those
+    of the g_j that enlarge the span mod N.  The search picks the t_j in
+    turn.  A prefix P = <g_1 t_1, ..., g_i t_i> has PN = <N, g_1, ..., g_i>,
+    so it meets N in 1 exactly when |P| = |PN| / |N|; a prefix that is
+    larger meets N beyond 1 and is dropped, its closure aborted there.  Each
+    full choice that survives is one complement, met once.
+    """
+    gens: list[int] = []
+    bounds: list[int] = []
+    n_gens = et.extract_generators(normal)
+    span = normal
+    for g in et.generator_indices:
+        if g not in span:
+            span = et.closure(span, n_gens + gens, [g])
+            gens.append(g)
+            bounds.append(len(span) // len(normal))
+    registry = _Registry(et, et.n // len(normal))  # no normalizers: nothing extends a complement
+    rows = et.rows
+    found: list[int] = []
+    stack = [(frozenset([0]), [])]
+    while stack:
+        subset, sgens = stack.pop()
+        k = len(sgens)
+        if k == len(gens):
+            cid, new = registry.register(subset)
+            if new:
+                found.append(cid)
+            continue
+        base = ClosureBase(et, subset, sgens)
+        row = rows[gens[k]]
+        for t in normal:
+            grown = et.closure(base, (), [row[t]], abort_above=bounds[k])
+            if grown is not None:
+                stack.append((grown, sgens + [row[t]]))
+    return [_class_from_registry(registry, cid, True) for cid in found]
+
+
+def _indices_of(G: PermGroup, H: Subgroup) -> frozenset[int]:
+    """H's elements as indices in G's element table, cached on H."""
+    cached = H._cache.get("ambient_indices")
+    if cached is None:
+        et = element_table(G)
+        cached = frozenset(et.index[g.images] for g in H.elements())
+        H._cache["ambient_indices"] = cached
+    return cached
 
 
 def _conjugates(et: ElementTable, subset: frozenset[int]
@@ -394,7 +487,8 @@ def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     """All normal subgroups, sorted by order, then by their sorted indices.
 
     Every normal subgroup is a product of normal closures of element
-    conjugacy classes.  Each class's normal closure is computed once, and the
+    conjugacy classes.  Each rational class's normal closure is computed
+    once (the classes of x^k, k prime to |x|, share x's closure), and the
     distinct ones start the walk.  The walk joins every normal subgroup s
     found with every class closure N outside it; s*N is normal, so the join
     is one plain closure with no conjugation loop.  It is skipped when a
@@ -408,8 +502,20 @@ def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     trivial = frozenset([0])
     # each distinct class closure, with the representative of the first class closed to it
     closures: dict[frozenset[int], int] = {}
-    for c in et.conjugacy_classes()[1:]:  # the identity's class comes first
-        closures.setdefault(_normal_join(et, trivial, [], [c[0]]), c[0])
+    classes = et.conjugacy_classes()
+    # x^k with k prime to |x| generates <x>, so its class has x's normal closure
+    rational = bytearray(len(classes))
+    for c in classes[1:]:  # the identity's class comes first
+        x = c[0]
+        if rational[et.class_of(x)]:
+            continue
+        closures.setdefault(_normal_join(et, trivial, [], [x]), x)
+        order = et.element_order(x)
+        y = x
+        for k in range(1, order):
+            if gcd(k, order) == 1:
+                rational[et.class_of(y)] = 1
+            y = et.mul(y, x)
     found: dict[frozenset[int], list[int]] = {trivial: []}
     by_order: dict[int, list[frozenset[int]]] = {}
     for N in closures:

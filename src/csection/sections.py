@@ -19,9 +19,10 @@ from .gf import _is_prime, field_make, field_of_order
 from .groups import (TRIVIAL_QUOTIENT, CapExceededError, PermGroup, Subgroup, coset_action,
                      is_normal, normalizer)
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
-from .lattice import (SubgroupClass, _normal_covers, all_subgroups, certify_maximal,
-                      fuse_subgroup_classes, klein_four_classes, maximal_subgroups,
-                      minimal_normal_subgroups, normal_subgroups, subgroups_of_index)
+from .lattice import (SubgroupClass, _indices_of, _normal_covers, all_subgroups,
+                      certify_maximal, fuse_subgroup_classes, klein_four_classes,
+                      maximal_subgroups, minimal_normal_subgroups, normal_subgroups,
+                      subgroups_of_index)
 from .perms import Permutation
 from .series import composition_factors, is_supersolvable
 from .tables import MAX_ORDER, element_table
@@ -100,15 +101,6 @@ def _subject(G: PermGroup) -> str:
 
 
 # -- chief pairs and sections -------------------------------------------------
-
-def _indices_of(G: PermGroup, H: Subgroup) -> frozenset[int]:
-    cached = H._cache.get("ambient_indices")
-    if cached is None:
-        et = element_table(G)
-        cached = frozenset(et.index[g.images] for g in H.elements())
-        H._cache["ambient_indices"] = cached
-    return cached
-
 
 def _ensure_maximal(G: PermGroup, M: Subgroup) -> frozenset[int]:
     m_set = _indices_of(G, M)
@@ -258,8 +250,9 @@ def _conclusion_factor_ok(gid: GroupId) -> Optional[bool]:
 def check_conclusion(G: PermGroup, *, subject: Optional[str] = None) -> VerdictReport:
     """Every composition factor is cyclic of prime order, or a projective
     special linear group over a prime field with that prime +-1 mod 8."""
-    factors = composition_factors(G)
-    ids = [identify(f) for f in factors]
+    # a cyclic factor comes as its prime p, identified as C_p with no group built
+    factors = composition_factors(G, primes=True)
+    ids = [GroupId("cyclic", (f,), f) if isinstance(f, int) else identify(f) for f in factors]
     verdicts = [_conclusion_factor_ok(g) for g in ids]
     witnesses = [str(g) for g, v in zip(ids, verdicts) if v is False]
     if witnesses:
@@ -270,7 +263,7 @@ def check_conclusion(G: PermGroup, *, subject: Optional[str] = None) -> VerdictR
         ok = True
     return make_report(subject or _subject(G), "conclusion", ok, True,
                        {"factor_ids": [str(g) for g in ids],
-                        "factor_orders": [f.order for f in factors],
+                        "factor_orders": [g.order for g in ids],
                         "witnesses": witnesses})
 
 

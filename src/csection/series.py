@@ -115,20 +115,21 @@ def is_nilpotent(G: PermGroup) -> bool:
     return True
 
 
-def composition_factors(G: PermGroup) -> list[PermGroup]:
+def composition_factors(G: PermGroup, *, primes: bool = False) -> list[PermGroup | int]:
     """Simple factors of any composition series, as groups, refined from a
     chief series.  Abelian chief factors of order p^k contribute k cyclic
     groups of order p; a nonabelian chief factor is a power of one simple
-    group, read off a minimal normal subgroup."""
-    out: list[PermGroup] = []
+    group, read off a minimal normal subgroup.  With `primes`, each cyclic
+    factor is given as its order p and no group is built for it."""
+    out: list[PermGroup | int] = []
     cyclic: dict[int, PermGroup] = {}  # one C_p per prime, shared by its factors
     series = chief_series(G)
     for K, L, f in zip(series.terms, series.terms[1:], series.factors):
         if f.abelian:
             p, k = f.prime_power
-            if p not in cyclic:
+            if not primes and p not in cyclic:
                 cyclic[p] = _cyclic(p)
-            out.extend([cyclic[p]] * k)
+            out.extend([p if primes else cyclic[p]] * k)
             continue
         if L.order == 1:
             g = G if K.order == G.order else K.group  # G/1 is G: keep its caches warm
@@ -153,7 +154,7 @@ def composition_factors(G: PermGroup) -> list[PermGroup]:
         out.extend([simple] * t)
     total = 1
     for s in out:
-        total *= s.order
+        total *= s if isinstance(s, int) else s.order
     if total != G.order:
         raise RuntimeError("composition factor orders do not multiply to the group order")
     return out

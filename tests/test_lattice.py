@@ -4,15 +4,18 @@ from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from csection import lattice
 from csection.catalog import build_group, builtin_battery
-from csection.groups import CapExceededError, Subgroup, is_normal, normalizer
+from csection.gf import _prime_power
+from csection.groups import CapExceededError, PermGroup, Subgroup, is_normal, normalizer
 from csection.iso import identify
 from csection.lattice import (all_subgroups, certify_maximal, fuse_subgroup_classes,
                               klein_four_classes, maximal_subgroups,
                               minimal_normal_subgroups, normal_subgroups,
                               subgroup_count, subgroups_of_index)
+from csection.perms import Permutation
 from csection.tables import ElementTable, element_table
 
 from gtools import elements_of, named, product, quaternion, small_groups
@@ -317,6 +320,20 @@ def test_normal_subgroups_match_oracle_and_join_walk_on_random_groups(G):
     _check_normal_subgroups(G)
 
 
+@pytest.mark.parametrize("name,q,closures", [("PSL2", 17, 18), ("PGL2", 11, 28)])
+def test_normal_subgroups_close_each_rational_class_once(name, q, closures, monkeypatch):
+    """PSL2(17) has 10 nontrivial classes in 6 rational classes, PGL2(11) 12
+    in 9; closing every class took 27 and 36 closures."""
+    G = named(name, q)
+    element_table(G).conjugacy_classes()
+    calls = []
+    closure = ElementTable.closure
+    monkeypatch.setattr(ElementTable, "closure",
+                        lambda self, *a, **k: calls.append(1) or closure(self, *a, **k))
+    assert len(normal_subgroups(G)) == (2 if name == "PSL2" else 3)
+    assert len(calls) == closures
+
+
 def test_minimal_normal_subgroups():
     cases = [
         (named("Sym", 4), [4]),
@@ -471,3 +488,120 @@ def test_enumeration_closure_count_pgl2_7(monkeypatch):
     ids, _registry, _grew = lattice._enumerate_classes(G)
     assert len(ids) == classes
     assert len(calls) <= 450
+
+
+def _maximal_key(classes):
+    return [(c.order, c.class_size, c.indices, c.generator_indices) for c in classes]
+
+
+def _lattice_maximal(G):
+    """The lattice-maximal classes of the whole lattice, in `maximal_subgroups` order."""
+    classes = [c for c in all_subgroups(G) if c.lattice_maximal]
+    return sorted(classes, key=lambda c: (-c.order, sorted(c.indices)))
+
+
+def _abelian_minimal_normals(G):
+    return [N for N in minimal_normal_subgroups(G) if _prime_power(N.order) is not None]
+
+
+def test_maximal_subgroups_match_the_whole_lattice_on_battery(battery500):
+    """Through an abelian minimal normal subgroup or not, the maximal classes
+    are the whole lattice's lattice-maximal classes: orders, class sizes,
+    canonical representatives and generators."""
+    through_n = 0
+    for label, G in battery500:
+        assert _maximal_key(maximal_subgroups(G)) == _maximal_key(_lattice_maximal(G)), label
+        through_n += bool(_abelian_minimal_normals(G))
+    assert through_n == 59
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_groups())
+def test_maximal_subgroups_match_the_whole_lattice_on_random_groups(G):
+    assume(G.order <= 500)
+    assert _maximal_key(maximal_subgroups(G)) == _maximal_key(_lattice_maximal(G))
+
+
+def test_complements_match_brute_force(battery500):
+    """Every complement of every abelian minimal normal subgroup, against the
+    naive oracle's subgroups of order |G|/|N| that meet N in 1."""
+    checked = 0
+    for label, G in battery500:
+        if G.order > 64:
+            continue
+        et = element_table(G)
+        table = NaiveTable(elements_of(G))
+        naive = [frozenset(table.elems[i] for i in s) for s in all_subgroups_naive(table)]
+        for N in _abelian_minimal_normals(G):
+            n_set = N._cache["ambient_indices"]
+            n_tuples = frozenset(et.tuples[i] for i in n_set)
+            want = {U for U in naive if len(U) * len(n_set) == G.order and len(U & n_tuples) == 1}
+            got = set()
+            for c in lattice._complements(et, n_set):
+                conjugates = _expand_class(et, c.indices)
+                assert len(conjugates) == c.class_size and not conjugates & got, label
+                assert c.generator_indices == et.extract_generators(c.indices)
+                got |= conjugates
+            assert got == want, label
+            checked += 1
+    assert checked == 115
+
+
+def test_classes_above_a_normal_subgroup(battery500):
+    """all_subgroups(G, above=N), for every normal N, is the list of the
+    whole lattice's classes that contain N, flags and generators included."""
+    for label, G in battery500:
+        for N in normal_subgroups(G):
+            n_set = N._cache["ambient_indices"]
+            want = [(c.indices, c.class_size, c.generator_indices, c.lattice_maximal)
+                    for c in all_subgroups(G) if n_set <= c.indices]
+            got = [(c.indices, c.class_size, c.generator_indices, c.lattice_maximal)
+                   for c in all_subgroups(G, above=N)]
+            assert got == want, (label, N.order)
+
+
+def test_classes_above_are_not_cached_and_need_a_normal_subgroup():
+    G = named("Sym", 4)
+    V4 = normal_subgroups(G)[1]
+    assert V4.order == 4
+    assert [c.order for c in all_subgroups(G, above=V4)] == [4, 8, 12, 24]
+    assert "all_subgroups" not in G._cache
+    C2 = Subgroup(G, [Permutation.from_cycles(4, [(0, 1)])])
+    with pytest.raises(ValueError, match="normal"):
+        all_subgroups(G, above=C2)
+
+
+@pytest.mark.parametrize("a,b,bound", [("Dihedral", [4], 2_000), ("Sym", [4], 1_900)],
+                         ids=["D8xD8", "S4xS4"])
+def test_maximal_subgroups_closure_count(a, b, bound, monkeypatch):
+    """Through the abelian minimal normal subgroup, maximal_subgroups on D8xD8
+    takes 1,843 closures, normal subgroups included (the whole lattice took
+    3,543), and on S4xS4 1,710 (9,373)."""
+    G = product(a, b, a, b)
+    element_table(G)
+    calls = []
+    closure = ElementTable.closure
+    monkeypatch.setattr(ElementTable, "closure",
+                        lambda self, *a, **k: calls.append(1) or closure(self, *a, **k))
+    maximal_subgroups(G)
+    assert len(calls) <= bound
+
+
+@st.composite
+def _relabeled(draw):
+    """A small group and a copy of it with its points relabeled and its
+    generators shuffled."""
+    G = draw(small_groups())
+    sigma = Permutation(draw(st.permutations(range(G.degree))))
+    gens = [g.conjugated_by(sigma) for g in draw(st.permutations(G.generators))]
+    return G, PermGroup(G.degree, gens)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_relabeled())
+def test_maximal_classes_survive_relabeling(pair):
+    G, H = pair
+    assume(G.order <= 500)
+    assert H.order == G.order
+    assert sorted((c.order, c.class_size) for c in maximal_subgroups(G)) == \
+        sorted((c.order, c.class_size) for c in maximal_subgroups(H))

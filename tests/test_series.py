@@ -6,6 +6,7 @@ from csection import groups, series as series_module
 from csection.groups import is_normal
 from csection.iso import identify
 from csection.lattice import normal_subgroups
+from csection.sections import check_conclusion
 from csection.series import (chief_series, composition_factors, derived_series,
                              is_nilpotent, is_simple, is_solvable, is_supersolvable)
 
@@ -132,6 +133,21 @@ def test_composition_factors_build_only_the_nonabelian_factor(monkeypatch):
     assert sorted(f.order for f in chief_series(G).factors) == [2, 60]
     assert sorted(g.order for g in composition_factors(G)) == [2, 60]
     assert built == [60]
+
+
+def test_composition_factors_as_primes_build_no_cyclic_group(monkeypatch):
+    groups_path = {}
+    for make in (lambda: named("Sym", 4), lambda: product("Cyclic", [2], "Alt", [5])):
+        G = make()
+        groups_path[G.order] = [f.order for f in composition_factors(G)]
+    monkeypatch.setattr(series_module, "_cyclic", None)  # any call would raise
+    assert composition_factors(named("Sym", 4), primes=True) == [2, 3, 2, 2]
+    factors = composition_factors(product("Cyclic", [2], "Alt", [5]), primes=True)
+    assert str(identify(factors[0])) == "A5" and factors[1] == 2
+    assert groups_path == {24: [2, 3, 2, 2], 120: [60, 2]}
+    evidence = check_conclusion(named("Sym", 4)).evidence
+    assert (evidence["factor_ids"], evidence["factor_orders"]) == (["C2", "C3", "C2", "C2"],
+                                                                  [2, 3, 2, 2])
 
 
 SUPERSOLVABLE_CASES = [
