@@ -354,21 +354,24 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
 
     When G has an abelian minimal normal subgroup N (the first one), the
     candidates are the classes above N that no extension grew, and the
-    complements of N; otherwise they are the classes of the whole lattice
-    that no extension grew.  Each is then re-certified directly rather than
-    trusted from the enumeration.
+    complements of N; otherwise, or when the whole lattice is already
+    cached, they are the classes of the whole lattice that no extension
+    grew.  Each is then re-certified directly rather than trusted from the
+    enumeration.
     """
     cached = G._cache.get("maximal_subgroups")
     if cached is not None:
         return cached
     et = element_table(G)
-    N = next((K for K in _normal_covers(G)[frozenset([0])]
-              if _prime_power(K.order) is not None), None)
+    N = None
+    if "all_subgroups" not in G._cache:
+        N = next((K for K in minimal_normal_subgroups(G) if _prime_power(K.order) is not None),
+                 None)
     if N is None:
         candidates = [c for c in all_subgroups(G) if c.lattice_maximal]
     else:
         candidates = [c for c in all_subgroups(G, above=N) if c.lattice_maximal]
-        candidates += _complements(et, N._cache["ambient_indices"])
+        candidates += _complements(et, _indices_of(G, N))
     for c in candidates:
         if not certify_maximal(G, c.indices, c.generator_indices, et):
             raise RuntimeError("lattice-maximal candidate failed direct certification")

@@ -24,7 +24,7 @@ from .lattice import (SubgroupClass, _indices_of, _normal_covers, all_subgroups,
                       maximal_subgroups, minimal_normal_subgroups, normal_subgroups,
                       subgroups_of_index)
 from .perms import Permutation
-from .series import composition_factors, is_supersolvable
+from .series import _nonabelian_factors, chief_series, is_supersolvable
 from .tables import MAX_ORDER, element_table
 
 
@@ -250,9 +250,14 @@ def _conclusion_factor_ok(gid: GroupId) -> Optional[bool]:
 def check_conclusion(G: PermGroup, *, subject: Optional[str] = None) -> VerdictReport:
     """Every composition factor is cyclic of prime order, or a projective
     special linear group over a prime field with that prime +-1 mod 8."""
-    # a cyclic factor comes as its prime p, identified as C_p with no group built
-    factors = composition_factors(G, primes=True)
-    ids = [GroupId("cyclic", (f,), f) if isinstance(f, int) else identify(f) for f in factors]
+    ids: list[GroupId] = []
+    series = chief_series(G)
+    for K, L, f in zip(series.terms, series.terms[1:], series.factors):
+        if f.abelian:  # p^k gives k factors C_p, with no group built
+            p, k = f.prime_power
+            ids.extend([GroupId("cyclic", (p,), p)] * k)
+        else:
+            ids.extend(identify(s) for s in _nonabelian_factors(G, K, L, f))
     verdicts = [_conclusion_factor_ok(g) for g in ids]
     witnesses = [str(g) for g, v in zip(ids, verdicts) if v is False]
     if witnesses:

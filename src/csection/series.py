@@ -4,8 +4,8 @@ solvability family of predicates.
 A chief series steps up the covering relation of the normal subgroup lattice,
 always to the first normal subgroup directly above the current term.  Every
 chief series has the same factor orders, which the tests check over all of
-them.  A factor is described by its order; it is built as a group only where
-`composition_factors` must identify a nonabelian factor.
+them.  A factor is described by its order; `_nonabelian_factors` builds a
+nonabelian factor as a group where its simple factors must be identified.
 """
 
 from __future__ import annotations
@@ -115,49 +115,55 @@ def is_nilpotent(G: PermGroup) -> bool:
     return True
 
 
-def composition_factors(G: PermGroup, *, primes: bool = False) -> list[PermGroup | int]:
+def composition_factors(G: PermGroup) -> list[PermGroup]:
     """Simple factors of any composition series, as groups, refined from a
     chief series.  Abelian chief factors of order p^k contribute k cyclic
     groups of order p; a nonabelian chief factor is a power of one simple
-    group, read off a minimal normal subgroup.  With `primes`, each cyclic
-    factor is given as its order p and no group is built for it."""
-    out: list[PermGroup | int] = []
+    group, read off a minimal normal subgroup."""
+    out: list[PermGroup] = []
     cyclic: dict[int, PermGroup] = {}  # one C_p per prime, shared by its factors
     series = chief_series(G)
     for K, L, f in zip(series.terms, series.terms[1:], series.factors):
         if f.abelian:
             p, k = f.prime_power
-            if not primes and p not in cyclic:
+            if p not in cyclic:
                 cyclic[p] = _cyclic(p)
-            out.extend([p if primes else cyclic[p]] * k)
-            continue
-        if L.order == 1:
-            g = G if K.order == G.order else K.group  # G/1 is G: keep its caches warm
+            out.extend([cyclic[p]] * k)
         else:
-            et = element_table(G)
-            g = coset_action(et, [et.index[x.images] for x in K.generators],
-                             L._cache["ambient_indices"])
-        if g.order != f.order:
-            raise RuntimeError("chief factor order disagrees with the index")
-        mins = minimal_normal_subgroups(g)
-        if mins[0].order == f.order:
-            out.append(g)  # the chief factor is itself simple
-            continue
-        simple = mins[0].group
-        t = 0
-        order = f.order
-        while order > 1 and order % simple.order == 0:
-            order //= simple.order
-            t += 1
-        if order != 1 or simple.order ** t != f.order:
-            raise RuntimeError("nonabelian chief factor is not a power of its socle factor")
-        out.extend([simple] * t)
+            out.extend(_nonabelian_factors(G, K, L, f))
     total = 1
     for s in out:
-        total *= s if isinstance(s, int) else s.order
+        total *= s.order
     if total != G.order:
         raise RuntimeError("composition factor orders do not multiply to the group order")
     return out
+
+
+def _nonabelian_factors(G: PermGroup, K: Subgroup, L: Subgroup,
+                        f: FactorDescriptor) -> list[PermGroup]:
+    """The simple composition factors of the nonabelian chief factor K/L of
+    G: t copies of one simple group, read off a minimal normal subgroup of
+    K/L.  Only this factor is built as a group."""
+    if L.order == 1:
+        g = G if K.order == G.order else K.group  # G/1 is G: keep its caches warm
+    else:
+        et = element_table(G)
+        g = coset_action(et, [et.index[x.images] for x in K.generators],
+                         L._cache["ambient_indices"])
+    if g.order != f.order:
+        raise RuntimeError("chief factor order disagrees with the index")
+    mins = minimal_normal_subgroups(g)
+    if mins[0].order == f.order:
+        return [g]  # the chief factor is itself simple
+    simple = mins[0].group
+    t = 0
+    order = f.order
+    while order > 1 and order % simple.order == 0:
+        order //= simple.order
+        t += 1
+    if order != 1 or simple.order ** t != f.order:
+        raise RuntimeError("nonabelian chief factor is not a power of its socle factor")
+    return [simple] * t
 
 
 def is_simple(G: PermGroup) -> bool:

@@ -135,19 +135,18 @@ def test_composition_factors_build_only_the_nonabelian_factor(monkeypatch):
     assert built == [60]
 
 
-def test_composition_factors_as_primes_build_no_cyclic_group(monkeypatch):
-    groups_path = {}
+def test_conclusion_builds_no_cyclic_group(monkeypatch):
+    expected = {}
+    for make in (lambda: named("Sym", 4), lambda: product("Cyclic", [2], "Alt", [5])):
+        factors = composition_factors(make())
+        expected[make().order] = ([str(identify(f)) for f in factors], [f.order for f in factors])
+    assert expected == {24: (["C2", "C3", "C2", "C2"], [2, 3, 2, 2]),
+                        120: (["A5", "C2"], [60, 2])}
+    monkeypatch.setattr(series_module, "_cyclic", None)  # any call would raise
     for make in (lambda: named("Sym", 4), lambda: product("Cyclic", [2], "Alt", [5])):
         G = make()
-        groups_path[G.order] = [f.order for f in composition_factors(G)]
-    monkeypatch.setattr(series_module, "_cyclic", None)  # any call would raise
-    assert composition_factors(named("Sym", 4), primes=True) == [2, 3, 2, 2]
-    factors = composition_factors(product("Cyclic", [2], "Alt", [5]), primes=True)
-    assert str(identify(factors[0])) == "A5" and factors[1] == 2
-    assert groups_path == {24: [2, 3, 2, 2], 120: [60, 2]}
-    evidence = check_conclusion(named("Sym", 4)).evidence
-    assert (evidence["factor_ids"], evidence["factor_orders"]) == (["C2", "C3", "C2", "C2"],
-                                                                  [2, 3, 2, 2])
+        evidence = check_conclusion(G).evidence
+        assert (evidence["factor_ids"], evidence["factor_orders"]) == expected[G.order]
 
 
 SUPERSOLVABLE_CASES = [
