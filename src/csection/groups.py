@@ -302,6 +302,16 @@ class Subgroup:
         sub._cache = {}
         return sub
 
+    @classmethod
+    def _of_group(cls, ambient: PermGroup, group: PermGroup) -> "Subgroup":
+        """A subgroup given as a group already built on elements of the
+        ambient group; its stabilizer chain is reused, not rebuilt."""
+        if ambient.order % group.order:
+            raise RuntimeError("subgroup order fails Lagrange against its ambient group")
+        sub = cls._of_known_order(ambient, group.generators, group.order)
+        sub._group = group
+        return sub
+
     @property
     def group(self) -> PermGroup:
         group = self._group
@@ -419,7 +429,7 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
                 if not sg.is_identity() and sg.images not in seen_stab:
                     seen_stab.add(sg.images)
                     stab.append(sg)
-    result = Subgroup(G, _reduce_generating_set(G.degree, stab), check=False)
+    result = Subgroup._of_group(G, _reduce_generating_set(G.degree, stab))
     if result.order * len(transversal) != G.order:
         raise RuntimeError("orbit-stabilizer bookkeeping failed in normalizer")
     return result
@@ -430,8 +440,9 @@ def _block_key(block: np.ndarray, base: list[int]) -> bytes:
     return block[np.lexsort(block[:, base].T[::-1])].tobytes()
 
 
-def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> list[Permutation]:
-    """Pick a small generating subset of the given elements, deterministically."""
+def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> PermGroup:
+    """The group the given elements generate, on a small generating subset of
+    them picked deterministically."""
     gens: list[Permutation] = []
     current = PermGroup(degree, [])
     for g in sorted(set(elems)):
@@ -440,7 +451,7 @@ def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> list[Pe
         if not current.contains(g):
             gens.append(g)
             current = PermGroup(degree, gens)
-    return gens
+    return current
 
 
 # The one trivial quotient: every D/L with D inside L is this group.

@@ -34,14 +34,25 @@ Targeted searches prune by Lagrange: intermediate subgroups of an order-m
 subgroup have order dividing m.  `maximal_subgroups` reads the classes that
 no extension grew and still certifies each one directly before returning it.
 
-Maximal subgroups through an abelian minimal normal subgroup.  After Eick &
-Hulpke, "Computing the maximal subgroups of a permutation group I" (2001),
-and Cannon & Holt, J. Symbolic Comput. 37 (2004).  Let N be an abelian
-minimal normal subgroup of G and M a maximal subgroup.  MN is a subgroup
-containing M, so either N <= M, or MN = G.  The maximal subgroups that
-contain N are read off the walk seeded at N (`all_subgroups(G, above=N)`),
-which reaches every subgroup above N: the cyclic extension argument above
-runs unchanged from N instead of from 1.  The others are exactly the
+Maximal subgroups off the normal structure.  After Eick & Hulpke,
+"Computing the maximal subgroups of a permutation group I" (2001), and
+Cannon & Holt, J. Symbolic Comput. 37 (2004).  Every candidate is still
+certified directly; the arguments below show that no maximal class is
+missed.
+
+A nilpotent G: its maximal subgroups are normal of prime index, so they are
+read off `normal_subgroups`, each a class of size one, and no lattice is
+walked.
+
+Otherwise let N be a minimal normal subgroup of G and M a maximal subgroup.
+MN is a subgroup containing M, so either N <= M, or MN = G.  The maximal
+subgroups that contain N are read off the walk seeded at N
+(`all_subgroups(G, above=N)`), which reaches every subgroup above N: the
+cyclic extension argument above runs unchanged from N instead of from 1.
+When |G : N| is prime no walk is needed: by Lagrange N is the only one.
+For the others, MN = G:
+
+N abelian (the first such N is taken).  The others are exactly the
 complements of N:
 - A maximal M with MN = G complements N.  M cap N is normalized by M, and
   by N since N is abelian, so by MN = G; it is a normal subgroup of G
@@ -49,10 +60,25 @@ complements of N:
 - A complement U of N is maximal.  Let U < H <= G.  By Dedekind's law
   H = U(H cap N), so H cap N > 1.  H cap N is normalized by H and by the
   abelian N, so by HN = G; by minimality H cap N = N, and H >= UN = G.
-Complements are found exactly by `_complements`, so the subgroup lattice is
-walked only above N, which for a group with a large abelian socle is a small
-part of it.  A group with no abelian minimal normal subgroup (A5, PGL2(p))
-walks the whole lattice.
+
+No minimal normal subgroup is abelian, and G is not simple (N is the first
+one, so N < G).  Let U = M cap N.
+- U = 1: M complements N.
+- U > 1: U < N, as N is not inside M, so U is not normal in G, by
+  minimality; but M normalizes U, so M <= N_G(U) < G and M = N_G(U).
+  Since MN = G and M normalizes U, every conjugate U^(mn) is U^n: U's
+  G-class is its N-class.
+So M is a complement of N, or N_G(U) for a subgroup 1 < U < N whose G-class
+is its N-class; U is N-conjugate to a class representative U^n of N's own
+lattice, and N_G(U^n) = M^n.  Complements are found exactly by
+`_complements`; N's classes come from `all_subgroups(N.group)`, on N's own
+table, and each G-class is walked on G's table.  Complements and
+normalizers of a nonabelian N need not be maximal.  A normalizer that lies
+properly inside a conjugate of another is dropped at once, and the
+certificate drops the others that are not maximal.
+
+So G's whole lattice is walked only when G is simple, or read when it is
+already cached.
 """
 
 from __future__ import annotations
@@ -137,19 +163,20 @@ class _Registry:
         self.gens.append(gens)
         self.normalizer_gens.append(
             _normalizer_generators(et, canonical, gens, et.n // len(orbit),
-                                   (et.conj(x, orbit[canonical]) for x in schreier))
+                                   (et.conj(x, orbit[canonical]) for x in schreier))[1]
             if len(canonical) < self.target else [])
         return cid, True
 
 
 def _normalizer_generators(et: ElementTable, rep: frozenset[int], rep_gens: list[int],
-                           order: int, candidates: Iterable[int]) -> list[int]:
-    """Generators of N_G(rep), a subgroup of the given order: rep's own
-    generators, then those candidates (elements that normalize rep and
+                           order: int, candidates: Iterable[int]
+                           ) -> tuple[frozenset[int], list[int]]:
+    """N_G(rep), a subgroup of the given order, and generators of it: rep's
+    own generators, then those candidates (elements that normalize rep and
     together with rep generate N_G(rep)) that enlarge the span, until it
     reaches the order."""
     if order == et.n:
-        return [g for g in et.generator_indices if g]
+        return frozenset(range(et.n)), [g for g in et.generator_indices if g]
     gens = list(rep_gens)
     span = rep
     for x in candidates:
@@ -160,7 +187,7 @@ def _normalizer_generators(et: ElementTable, rep: frozenset[int], rep_gens: list
             gens.append(x)
     if len(span) != order:
         raise RuntimeError("Schreier generators do not span the normalizer's order")
-    return gens
+    return span, gens
 
 
 def _cyclic_subgroups(et: ElementTable, target: int
@@ -352,33 +379,93 @@ def certify_maximal(G: PermGroup, subset: frozenset[int], gens: Sequence[int],
 def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     """Maximal subgroup classes, sorted by descending order.
 
-    When G has an abelian minimal normal subgroup N (the first one), the
-    candidates are the classes above N that no extension grew, and the
-    complements of N; otherwise, or when the whole lattice is already
-    cached, they are the classes of the whole lattice that no extension
-    grew.  Each is then re-certified directly rather than trusted from the
-    enumeration.
+    The candidates come from the normal structure (module docstring):
+    - when the whole lattice is already cached, its classes that no
+      extension grew;
+    - when G is nilpotent, its normal subgroups of prime index;
+    - when G has an abelian minimal normal subgroup N (the first one), the
+      classes above N that no extension grew (N alone when |G : N| is
+      prime), and the complements of N;
+    - when G is not simple and N, its first minimal normal subgroup, is
+      nonabelian, the same classes above N, the complements of N, and
+      N_G(U) for the subgroups 1 < U < N whose G-class is their N-class;
+    - otherwise (G simple) the classes of the whole lattice that no
+      extension grew.
+    Each is then certified directly rather than trusted from the search.  The
+    complements and normalizers of the nonabelian case need not be maximal,
+    and those that fail the certificate are dropped; any other candidate
+    that fails it is an internal error.
     """
     cached = G._cache.get("maximal_subgroups")
     if cached is not None:
         return cached
+    from .series import is_nilpotent  # series imports this module
+
     et = element_table(G)
-    N = None
-    if "all_subgroups" not in G._cache:
-        N = next((K for K in minimal_normal_subgroups(G) if _prime_power(K.order) is not None),
-                 None)
-    if N is None:
+    possible: list[SubgroupClass] = []
+    if "all_subgroups" in G._cache:
         candidates = [c for c in all_subgroups(G) if c.lattice_maximal]
+    elif is_nilpotent(G):
+        candidates = [_normal_class(et, N) for N in normal_subgroups(G)
+                      if _is_prime(G.order // N.order)]
     else:
-        candidates = [c for c in all_subgroups(G, above=N) if c.lattice_maximal]
-        candidates += _complements(et, _indices_of(G, N))
+        minimal = minimal_normal_subgroups(G)
+        N = next((K for K in minimal if _prime_power(K.order) is not None), minimal[0])
+        if N.order == G.order:  # G is simple
+            candidates = [c for c in all_subgroups(G) if c.lattice_maximal]
+        else:
+            # by Lagrange, N is the one maximal subgroup above N when |G : N| is prime
+            candidates = ([_normal_class(et, N)] if _is_prime(G.order // N.order) else
+                          [c for c in all_subgroups(G, above=N) if c.lattice_maximal])
+            complements = _complements(et, _indices_of(G, N))
+            if _prime_power(N.order) is not None:
+                candidates += complements
+            else:
+                possible = complements + _normalizers_in(et, N)
     for c in candidates:
         if not certify_maximal(G, c.indices, c.generator_indices, et):
-            raise RuntimeError("lattice-maximal candidate failed direct certification")
+            raise RuntimeError("maximal candidate failed direct certification")
         c.certified_maximal = True
+    for c in possible:
+        if certify_maximal(G, c.indices, c.generator_indices, et):
+            c.certified_maximal = True
+            candidates.append(c)
     candidates.sort(key=lambda c: (-c.order, sorted(c.indices)))
     G._cache["maximal_subgroups"] = candidates
     return candidates
+
+
+def _normal_class(et: ElementTable, N: Subgroup) -> SubgroupClass:
+    """A normal subgroup from `normal_subgroups` as a class of size one, with
+    the generators extracted for it there."""
+    return SubgroupClass(et, N._cache["ambient_indices"],
+                         [et.index[g.images] for g in N.generators], 1, True, True)
+
+
+def _normalizers_in(et: ElementTable, N: Subgroup) -> list[SubgroupClass]:
+    """The classes of N_G(U), for the classes 1 < U < N of N's own lattice
+    whose G-class is their N-class.  U's G-class is walked on G's table,
+    and N_G(U) is spanned by the walk's Schreier generators up to its order
+    |G| / |G-class|."""
+    net = element_table(N.group)
+    into_g = [et.index[t] for t in net.tuples]
+    registry = _Registry(et, 0)  # no normalizers: nothing extends a candidate
+    found: list[int] = []
+    for c in all_subgroups(N.group):
+        if c.order in (1, net.n):
+            continue
+        u = frozenset(into_g[i] for i in c.indices)
+        orbit, schreier = _conjugates(et, u)
+        if len(orbit) != c.class_size:
+            continue
+        normalizer, _gens = _normalizer_generators(
+            et, u, [into_g[i] for i in c.generator_indices], et.n // len(orbit), schreier)
+        cid, new = registry.register(normalizer)
+        if new:
+            found.append(cid)
+    # one inside a conjugate of another is not maximal, and its certificate can be slow
+    return [_class_from_registry(registry, cid, True) for cid in found
+            if not any(registry.reps[cid] < s for s in registry.seen)]
 
 
 def _complements(et: ElementTable, normal: frozenset[int]) -> list[SubgroupClass]:
@@ -389,8 +476,10 @@ def _complements(et: ElementTable, normal: frozenset[int]) -> list[SubgroupClass
     of the g_j that enlarge the span mod N.  The search picks the t_j in
     turn.  A prefix P = <g_1 t_1, ..., g_i t_i> has PN = <N, g_1, ..., g_i>,
     so it meets N in 1 exactly when |P| = |PN| / |N|; a prefix that is
-    larger meets N beyond 1 and is dropped, its closure aborted there.  Each
-    full choice that survives is one complement, met once.
+    larger meets N beyond 1 and is dropped, its closure aborted there, and
+    so is one whose new generator has an order not dividing |PN| / |N|,
+    with no closure.  Each full choice that survives is one complement, met
+    once.
     """
     gens: list[int] = []
     bounds: list[int] = []
@@ -416,9 +505,12 @@ def _complements(et: ElementTable, normal: frozenset[int]) -> list[SubgroupClass
         base = ClosureBase(et, subset, sgens)
         row = rows[gens[k]]
         for t in normal:
-            grown = et.closure(base, (), [row[t]], abort_above=bounds[k])
+            x = row[t]
+            if bounds[k] % et.element_order(x):
+                continue
+            grown = et.closure(base, (), [x], abort_above=bounds[k])
             if grown is not None:
-                stack.append((grown, sgens + [row[t]]))
+                stack.append((grown, sgens + [x]))
     return [_class_from_registry(registry, cid, True) for cid in found]
 
 

@@ -394,10 +394,13 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     Five sub-checks: unique chief series G > K > 1; exactly two classes of
     Klein four subgroups in K with normalizer order 24; those classes fused
     into one inside G; all sections of maximal subgroups of G supersolvable;
-    every maximal class of K isomorphic to S4, A5, or supersolvable.  G and K
-    both get the complete subgroup lattice, so p = 7 and p = 17 give complete
-    verdicts; from p = 23 on, |G| = p(p^2 - 1) exceeds `MAX_ORDER`, the bound
-    of the element table, and CapExceededError is raised before G is built.
+    every maximal class of K isomorphic to S4, A5, or supersolvable.  Only K's
+    subgroup lattice is built: K is G's minimal normal subgroup, so G's
+    maximal classes come from K's lattice (`lattice` module docstring), which
+    is cached on `K.group` and read again for K's own maximal classes in
+    step 5.  p = 7 and p = 17 give complete verdicts; from p = 23 on,
+    |G| = p(p^2 - 1) exceeds `MAX_ORDER`, the bound of the element table, and
+    CapExceededError is raised before G is built.
     """
     if not _is_prime(p) or p % 8 not in (1, 7):
         raise ValueError("p must be a prime congruent to +-1 mod 8")

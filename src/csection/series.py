@@ -1,5 +1,5 @@
-"""Normal series: chief series, derived and lower central series, and the
-solvability family of predicates.
+"""Normal series: chief series and derived series, and the solvability family
+of predicates; nilpotency is counted off the element table.
 
 A chief series steps up the covering relation of the normal subgroup lattice,
 always to the first normal subgroup directly above the current term.  Every
@@ -10,13 +10,13 @@ nonabelian factor as a group where its simple factors must be identified.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .catalog import _cyclic
-from .gf import _is_prime, _prime_power
-from .groups import (PermGroup, Subgroup, coset_action, derived_subgroup, normal_closure,
-                     whole_subgroup)
+from .gf import _is_prime, _prime_factors, _prime_power
+from .groups import PermGroup, Subgroup, coset_action, derived_subgroup, whole_subgroup
 from .lattice import _normal_covers, minimal_normal_subgroups, normal_subgroups
 from .tables import element_table
 
@@ -103,16 +103,32 @@ def is_solvable(G: PermGroup) -> bool:
 
 
 def is_nilpotent(G: PermGroup) -> bool:
-    """Lower central series termination test."""
-    current = whole_subgroup(G)
-    while current.order > 1:
-        comms = [g.inverse() * h.inverse() * g * h
-                 for g in G.generators for h in current.generators]
-        nxt = normal_closure(G, comms)
-        if nxt.order == current.order:
-            return False
-        current = nxt
-    return True
+    """True when G is the direct product of its Sylow subgroups, read off the
+    element table.  A Sylow p-subgroup has |G|_p elements, all of p-power
+    order, so G has at least |G|_p of them, and exactly |G|_p when every
+    p-element lies in one Sylow p-subgroup, that is when it is normal.  So G is
+    nilpotent exactly when, for each prime p, |G|_p elements have p-power
+    order.  Above `MAX_ORDER` the table, and so the test, raises
+    CapExceededError."""
+    cached = G._cache.get("is_nilpotent")
+    if cached is None:
+        et = element_table(G)
+        p_elements: Counter[int] = Counter()  # nontrivial elements of p-power order, per p
+        for order, count in Counter(map(et.element_order, range(1, et.n))).items():
+            pk = _prime_power(order)
+            if pk is not None:
+                p_elements[pk[0]] += count
+        cached = all(p_elements[p] + 1 == _p_part(G.order, p) for p in _prime_factors(G.order))
+        G._cache["is_nilpotent"] = cached
+    return cached
+
+
+def _p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    part = 1
+    while n % (part * p) == 0:
+        part *= p
+    return part
 
 
 def composition_factors(G: PermGroup) -> list[PermGroup]:

@@ -3,7 +3,9 @@
 Everything here works on plain image tuples (or small-int indices backed by a
 locally built multiplication table) with its own composition function.  No
 code is shared with the package under test, so any disagreement points at a
-real bug on one side or the other.
+real bug on one side or the other.  The one exception is
+`is_nilpotent_lower_central`, which runs on the package's stabilizer chains,
+a path that never reads an element table.
 """
 
 from __future__ import annotations
@@ -314,3 +316,20 @@ SL34_SYLOW_NORMALIZER_GENERATORS = {
         (2, 13, 18, 7, 12, 5, 15, 20, 10, 9, 16, 6, 19, 17, 14, 11, 8, 1, 0, 4, 3),
     ],
 }
+
+
+def is_nilpotent_lower_central(G):
+    """Lower central series on stabilizer chains: G is nilpotent when
+    G > [G, G] > [G, [G, G]] > ... reaches 1.  Each term is the normal
+    closure of the commutators of G's generators with the last term's."""
+    from csection.groups import normal_closure, whole_subgroup
+
+    current = whole_subgroup(G)
+    while current.order > 1:
+        comms = [g.inverse() * h.inverse() * g * h
+                 for g in G.generators for h in current.generators]
+        nxt = normal_closure(G, comms)
+        if nxt.order == current.order:
+            return False
+        current = nxt
+    return True

@@ -16,9 +16,10 @@ from csection.lattice import (all_subgroups, certify_maximal, fuse_subgroup_clas
                               minimal_normal_subgroups, normal_subgroups,
                               subgroup_count, subgroups_of_index)
 from csection.perms import Permutation
+from csection.series import is_nilpotent
 from csection.tables import ElementTable, element_table
 
-from gtools import elements_of, named, product, quaternion, small_groups
+from gtools import elements_of, from_cycles, named, product, quaternion, small_groups
 from oracles import (NaiveTable, all_subgroups_naive, all_subgroups_powerset,
                      normal_subgroups_naive)
 
@@ -505,12 +506,12 @@ def _abelian_minimal_normals(G):
 
 
 def test_maximal_subgroups_match_the_whole_lattice_on_battery(battery500):
-    """Through an abelian minimal normal subgroup or not, the maximal classes
-    are the whole lattice's lattice-maximal classes: orders, class sizes,
-    canonical representatives and generators.  Each group is rebuilt twice,
-    so that one copy finds its maximal classes before the whole lattice is
-    cached and the other reads them off the cached lattice."""
-    through_n = 0
+    """Whichever path maximal_subgroups takes, the maximal classes are the
+    whole lattice's lattice-maximal classes: orders, class sizes, canonical
+    representatives and generators.  Each group is rebuilt twice, so that
+    one copy finds its maximal classes before the whole lattice is cached
+    and the other reads them off the cached lattice."""
+    paths = {"nilpotent": 0, "abelian N": 0, "nonabelian N": 0, "simple": 0}
     for label, G in battery500:
         first = PermGroup(G.degree, G.generators)
         found = _maximal_key(maximal_subgroups(first))
@@ -518,8 +519,14 @@ def test_maximal_subgroups_match_the_whole_lattice_on_battery(battery500):
         cached = PermGroup(G.degree, G.generators)
         all_subgroups(cached)
         assert _maximal_key(maximal_subgroups(cached)) == found, label
-        through_n += bool(_abelian_minimal_normals(G))
-    assert through_n == 59
+        if is_nilpotent(G):
+            paths["nilpotent"] += 1
+        elif _abelian_minimal_normals(G):
+            paths["abelian N"] += 1
+        else:
+            paths["simple" if minimal_normal_subgroups(G)[0].order == G.order
+                  else "nonabelian N"] += 1
+    assert paths == {"nilpotent": 27, "abelian N": 33, "nonabelian N": 3, "simple": 8}
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -578,13 +585,18 @@ def test_classes_above_are_not_cached_and_need_a_normal_subgroup():
         all_subgroups(G, above=C2)
 
 
-@pytest.mark.parametrize("a,b,bound", [("Dihedral", [4], 2_000), ("Sym", [4], 1_900)],
-                         ids=["D8xD8", "S4xS4"])
-def test_maximal_subgroups_closure_count(a, b, bound, monkeypatch):
-    """Through the abelian minimal normal subgroup, maximal_subgroups on D8xD8
-    takes 1,843 closures, normal subgroups included (the whole lattice took
-    3,543), and on S4xS4 1,710 (9,373)."""
-    G = product(a, b, a, b)
+@pytest.mark.parametrize("make,bound", [
+    (lambda: product("Dihedral", [4], "Dihedral", [4]), 450),
+    (lambda: product("Sym", [4], "Sym", [4]), 1_900),
+    (lambda: named("PGL2", 7), 400),
+], ids=["D8xD8", "S4xS4", "PGL2_7"])
+def test_maximal_subgroups_closure_count(make, bound, monkeypatch):
+    """maximal_subgroups, normal subgroups included, reads D8xD8's maximal
+    classes off its normal subgroups of prime index in 380 closures (through
+    its abelian minimal normal subgroup it took 1,843, and the whole lattice
+    3,543); S4xS4's through its abelian minimal normal subgroup in 1,710
+    (9,373); and PGL2(7)'s through PSL2(7)'s lattice in 319 (467)."""
+    G = make()
     element_table(G)
     calls = []
     closure = ElementTable.closure
@@ -592,6 +604,47 @@ def test_maximal_subgroups_closure_count(a, b, bound, monkeypatch):
                         lambda self, *a, **k: calls.append(1) or closure(self, *a, **k))
     maximal_subgroups(G)
     assert len(calls) <= bound
+
+
+def _wreath_c3_c3():
+    """C3 wr C3 (order 81): the base C3^3 on three blocks, permuted cyclically."""
+    return from_cycles(9, [[[1, 2, 3]], [[1, 4, 7], [2, 5, 8], [3, 6, 9]]])
+
+
+def _q8_x_c3():
+    i, j = quaternion().generators
+    return PermGroup(11, [Permutation(i.images + (8, 9, 10)),
+                          Permutation(j.images + (8, 9, 10)),
+                          Permutation(tuple(range(8)) + (9, 10, 8))])
+
+
+@pytest.mark.parametrize("make,nilpotent", [
+    (lambda: named("Sym", 5), False),
+    (lambda: named("PGL2", 5), False),
+    (lambda: named("Sym", 6), False),
+    (lambda: named("PGL2", 7), False),
+    (lambda: named("PGL2", 11), False),
+    (lambda: named("PGL2", 13), False),
+    (lambda: named("PGL2", 17), False),
+    (_q8_x_c3, True),
+    (lambda: product("Dihedral", [4], "Cyclic", [4]), True),
+    (_wreath_c3_c3, True),
+], ids=["S5", "PGL2_5", "S6", "PGL2_7", "PGL2_11", "PGL2_13", "PGL2_17",
+        "Q8xC3", "D8xC4", "C3wrC3"])
+def test_maximal_subgroups_off_the_normal_structure(make, nilpotent):
+    """Nilpotent groups read their maximal classes off the normal subgroups of
+    prime index; groups whose minimal normal subgroups are all nonabelian,
+    through the first one's own lattice.  Neither walks G's whole lattice,
+    and both find its lattice-maximal classes: orders, class sizes,
+    canonical representatives and generators.  PGL2(19) agrees too, but its
+    whole lattice takes seconds, so it is left out here."""
+    G = make()
+    assert is_nilpotent(G) is nilpotent
+    if not nilpotent:
+        assert not _abelian_minimal_normals(G)
+    found = _maximal_key(maximal_subgroups(G))
+    assert "all_subgroups" not in G._cache
+    assert found == _maximal_key(_lattice_maximal(G))
 
 
 @st.composite

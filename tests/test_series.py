@@ -1,17 +1,19 @@
 """Chief series, composition factors, and the solvability predicate family."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from csection import groups, series as series_module
-from csection.groups import is_normal
+from csection.groups import CapExceededError, is_normal
 from csection.iso import identify
 from csection.lattice import normal_subgroups
 from csection.sections import check_conclusion
 from csection.series import (chief_series, composition_factors, derived_series,
                              is_nilpotent, is_simple, is_solvable, is_supersolvable)
 
-from gtools import elements_of, every_chief_series_orders, named, product, quaternion
-from oracles import NaiveTable, is_supersolvable_naive
+from gtools import (elements_of, every_chief_series_orders, named, product, quaternion,
+                    small_groups)
+from oracles import NaiveTable, is_nilpotent_lower_central, is_supersolvable_naive
 
 
 def test_chief_series_of_s4():
@@ -223,3 +225,85 @@ def test_predicate_implications_across_battery(battery200):
             assert ss, f"{label}: nilpotent groups are supersolvable"
         if ss:
             assert is_solvable(G), f"{label}: supersolvable groups are solvable"
+
+
+def _sympy_group(G):
+    """G as a sympy permutation group (sympy's identity stands in for no generators)."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = [combinatorics.Permutation(list(g.images)) for g in G.generators]
+    return combinatorics.PermutationGroup(
+        gens or [combinatorics.Permutation(list(range(G.degree)))])
+
+
+def test_is_nilpotent_matches_lower_central_series_and_sympy(battery200):
+    nilpotent = 0
+    for label, G in battery200:
+        want = is_nilpotent_lower_central(G)
+        assert is_nilpotent(G) is want, label
+        assert _sympy_group(G).is_nilpotent is want, label
+        nilpotent += want
+    assert nilpotent == 27  # C1 included
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_groups())
+def test_is_nilpotent_matches_lower_central_series_on_random_groups(G):
+    want = is_nilpotent_lower_central(G)
+    assert is_nilpotent(G) is want
+    assert _sympy_group(G).is_nilpotent is want
+
+
+def test_table_predicates_refuse_groups_above_the_bound():
+    S8 = named("Sym", 8)  # 40320 elements, above the element cap
+    for predicate in (is_nilpotent, is_supersolvable, is_simple):
+        with pytest.raises(CapExceededError):
+            predicate(S8)
+
+
+def _prime_multiset(n):
+    out, p = [], 2
+    while n > 1:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out
+
+
+def _sympy_composition_orders(S):
+    """Composition factor orders of a sympy group, from sympy alone.  sympy's
+    `composition_series` needs a solvable group.  Otherwise the derived
+    series ends at a perfect D; each abelian factor above D gives the primes
+    of its order.  The check below needs D/Z(D) simple: every element outside
+    the center has normal closure D, so any normal subgroup of D lies in Z(D)
+    or is D.  That holds for every perfect group of order up to 500."""
+    if S.is_solvable:
+        series = S.composition_series()
+        return [a.order() // b.order() for a, b in zip(series, series[1:])]
+    derived = S.derived_series()
+    out = [p for a, b in zip(derived, derived[1:]) for p in _prime_multiset(a.order() // b.order())]
+    D = derived[-1]
+    Z = D.center()
+    assert all(D.normal_closure(next(iter(c))).order() == D.order()
+               for c in D.conjugacy_classes() if not Z.contains(next(iter(c))))
+    return out + _sympy_composition_orders(Z) + [D.order() // Z.order()]
+
+
+def test_chief_factors_match_sympy_composition_series(battery500):
+    """An abelian chief factor of order p^k gives k composition factors of
+    order p.  Below order 500 a nonabelian chief factor T^t has t = 1, since
+    |T|^2 >= 3600, so it is one composition factor."""
+    nonabelian = 0
+    for label, G in battery500:
+        orders = []
+        for f in chief_series(G).factors:
+            if f.abelian:
+                p, k = f.prime_power
+                orders += [p] * k
+            else:
+                orders.append(f.order)
+                nonabelian += 1
+        want = sorted(_sympy_composition_orders(_sympy_group(G)))
+        assert sorted(orders) == want, label
+        assert sorted(s.order for s in composition_factors(G)) == want, label
+    assert nonabelian == 15  # one nonabelian chief factor in each nonsolvable group
