@@ -1,6 +1,7 @@
 """Byte-identity of the JSON reports: sha256 digests of `csection ... --json`
 output for `theorem` and `verify lemma1` on every `builtin_battery(500)` group,
-`conclusion` on the five large groups of the benchmark, and
+`conclusion` on the five large groups of the benchmark and on SL(2,13) and
+SL(2,17), whose nonabelian chief factor lies over the center, and
 `verify example --p 7`.
 
 A change that alters a verdict or its evidence on purpose regenerates the
@@ -21,7 +22,8 @@ import pytest
 from csection.catalog import builtin_battery, named_spec
 from csection.cli import main
 
-LARGE_GROUPS = (("PSL2", 11), ("PSL2", 13), ("PGL2", 9), ("PGL2", 11), ("PSL2", 17))
+LARGE_GROUPS = (("PSL2", (11,)), ("PSL2", (13,)), ("PGL2", (9,)), ("PGL2", (11,)),
+                ("PSL2", (17,)), ("SL", (2, 13)), ("SL", (2, 17)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -32,9 +34,10 @@ def _commands() -> dict[str, list[str]]:
         spec = json.dumps(entry.spec.to_dict(), separators=(",", ":"))
         out[f"theorem {entry.label}"] = ["theorem", "--group", spec]
         out[f"lemma1 {entry.label}"] = ["verify", "lemma1", "--group", spec]
-    for name, q in LARGE_GROUPS:
-        spec = json.dumps(named_spec(name, q).to_dict(), separators=(",", ":"))
-        out[f"conclusion {name}({q})"] = ["conclusion", "--group", spec]
+    for name, params in LARGE_GROUPS:
+        spec = json.dumps(named_spec(name, *params).to_dict(), separators=(",", ":"))
+        label = f"{name}({','.join(map(str, params))})"
+        out[f"conclusion {label}"] = ["conclusion", "--group", spec]
     out["example 7"] = ["verify", "example", "--p", "7"]
     return out
 
@@ -194,6 +197,8 @@ PINNED = {
     'conclusion PGL2(9)': '3009224b4a9b5f6d2872ebc8cf675672fa64643553f7c9aa4cd12eb930d4e59b',
     'conclusion PGL2(11)': 'ab12c739a865de35230fda71f0fef044cba14b7cf1341602c901aef056666ec0',
     'conclusion PSL2(17)': 'b9232af726a31c2e9a616ddf22b0bca7b153a8b7d54458f0989357ef7aef57e1',
+    'conclusion SL(2,13)': 'bc535255ad55d1bbcfc3b490a2b1d3109d6ea0d478ea26666f0d975e56b6d38e',
+    'conclusion SL(2,17)': '411478b5472fa71347ed850363d86bfa3214eb246afeabed9471a85c9960c146',
     'example 7': 'c3f15261f00caa81da3ad9519012ac117c112ab18750591d216a3ca3977ce509',
 }
 
