@@ -14,8 +14,7 @@ from .catalog import (BatteryEntry, GroupSpec, build_group, builtin_battery,
                       named_spec, parse_group_spec, product_spec, spec_from_group)
 from .groups import CapExceededError, PermGroup, Subgroup, normalizer
 from .iso import GroupId, abelian_invariants, fingerprint, identify, is_isomorphic, l2_parameters
-from .lattice import (KleinFourClass, SubgroupClass, all_subgroups, certify_maximal,
-                      fuse_subgroup_classes, klein_four_classes, maximal_subgroups,
+from .lattice import (SubgroupClass, all_subgroups, certify_maximal, maximal_subgroups,
                       minimal_normal_subgroups, normal_subgroups, subgroup_count,
                       subgroups_of_index)
 from .perms import Permutation, parse_cycle_lists
@@ -32,14 +31,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatteryEntry", "CSection", "CapExceededError", "ChiefPair", "ChiefSeries",
-    "FactorDescriptor", "GroupId", "GroupSpec", "KleinFourClass", "NoChiefPairError",
+    "FactorDescriptor", "GroupId", "GroupSpec", "NoChiefPairError",
     "NotAChiefPairError", "NotMaximalError", "PermGroup", "Permutation", "Subgroup", "SubgroupClass",
     "VerdictReport", "abelian_invariants", "all_subgroups", "build_group",
     "builtin_battery", "certify_maximal", "check_conclusion", "check_hypothesis",
     "chief_pairs_for_maximal", "chief_series", "composition_factors",
-    "derived_series", "fingerprint", "fuse_subgroup_classes", "identify",
+    "derived_series", "fingerprint", "identify",
     "is_isomorphic", "is_nilpotent", "is_simple", "is_solvable", "is_supersolvable",
-    "klein_four_classes", "l2_parameters", "make_report", "maximal_subgroups",
+    "l2_parameters", "make_report", "maximal_subgroups",
     "minimal_normal_subgroups", "named_spec", "normal_subgroups", "normalizer",
     "parse_cycle_lists", "parse_group_spec", "product_spec", "sec", "spec_from_group",
     "subgroup_count", "subgroups_of_index",

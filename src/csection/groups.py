@@ -1,6 +1,6 @@
 """Permutation groups with deterministic stabilizer chains, subgroups, and the
 standard operations built on sifting: membership, normal closures and
-normalizers; and quotients D/L, read off an element table by coset action."""
+normalizers; and quotients D/L, read off an element table as table groups."""
 
 from __future__ import annotations
 
@@ -152,14 +152,6 @@ class PermGroup:
                 seen.update(orb)
                 out.append(orb)
         return out
-
-    def random_element(self, rng) -> Permutation:
-        """Uniformly random element drawn via the transversal factorization."""
-        g = self.identity()
-        for lv in reversed(self._levels):
-            pts = sorted(lv.transversal)
-            g = g * lv.transversal[pts[rng.randrange(len(pts))]]
-        return g
 
     def elements(self) -> Iterable[Permutation]:
         """All elements via transversal products, deepest level first."""
@@ -458,15 +450,19 @@ def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> PermGro
 TRIVIAL_QUOTIENT = trivial_group(1)
 
 
-def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]) -> PermGroup:
-    """D/L as a permutation group, for D = <d_gens> * L.  The indices `d_gens`
-    of the element table `et` generate D together with L; `l_set` holds the
+def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]):
+    """D/L as a table group, for D = <d_gens> * L.  The indices `d_gens` of
+    the element table `et` generate D together with L; `l_set` holds the
     indices of L, a normal subgroup of D.  When every generator lies in L,
     an empty `d_gens` included, D = L and the shared trivial group
-    `TRIVIAL_QUOTIENT` is returned at once.  Otherwise D acts by right
-    multiplication on the cosets Ly = yL, each one gather from row y; cosets
-    are numbered breadth-first from L, in generator order."""
-    from .tables import coset_gather  # tables imports this module
+    `TRIVIAL_QUOTIENT` is returned at once.
+
+    Otherwise the cosets Ly = yL are found breadth-first from L, each one
+    gather from row y, and numbered by their least members; for L = 1 that
+    is D's indices in order.  The quotient's Cayley table is G's table at
+    those least members, read through the coset-label array: one uint16
+    gather of |D : L|^2 cells."""
+    from .tables import TableGroup, coset_gather  # tables imports this module
 
     if all(d in l_set for d in d_gens):
         return TRIVIAL_QUOTIENT
@@ -474,25 +470,22 @@ def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]) -> PermGroup:
         raise NotNormalError("quotient requires a normal subgroup")
     rows = et.rows
     coset = coset_gather(sorted(l_set))
-    label = dict.fromkeys(l_set, 0)
-    reps = [0]
-    adjacency = []
-    for rep in reps:  # reps grows as cosets are found, so this is the BFS queue
+    found = dict.fromkeys(l_set, 0)  # element -> coset, in order of discovery
+    least = [0]
+    for rep in least:  # grows as cosets are found, so this is the BFS queue
         row = rows[rep]
-        images = []
         for d in d_gens:
             y = row[d]
-            j = label.get(y)
-            if j is None:
-                j = len(reps)
-                label.update(dict.fromkeys(coset(rows[y]), j))
-                reps.append(y)
-            images.append(j)
-        adjacency.append(images)
-    image = PermGroup(len(reps), [Permutation(col) for col in zip(*adjacency)])
-    if image.order != len(reps):
-        raise RuntimeError("quotient image order disagrees with the index")
-    return image
+            if y not in found:
+                members = coset(rows[y])
+                found.update(dict.fromkeys(members, len(least)))
+                least.append(min(members))
+    renumber = np.argsort(np.argsort(least))  # discovery order -> least-member order
+    label = np.zeros(et.n, dtype=np.uint16)  # read only at D's indices
+    label[list(found)] = renumber[list(found.values())]
+    reps = np.sort(least)
+    table = label[et._mul_table[np.ix_(reps, reps)]]
+    return TableGroup(table, [int(label[d]) for d in d_gens if d not in l_set])
 
 
 def whole_subgroup(G: PermGroup) -> Subgroup:

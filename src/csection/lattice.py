@@ -77,8 +77,7 @@ normalizers of a nonabelian N need not be maximal.  A normalizer that lies
 properly inside a conjugate of another is dropped at once, and the
 certificate drops the others that are not maximal.
 
-So G's whole lattice is walked only when G is simple, or read when it is
-already cached.
+So G's whole lattice is walked only when G is simple.
 """
 
 from __future__ import annotations
@@ -380,8 +379,6 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     """Maximal subgroup classes, sorted by descending order.
 
     The candidates come from the normal structure (module docstring):
-    - when the whole lattice is already cached, its classes that no
-      extension grew;
     - when G is nilpotent, its normal subgroups of prime index;
     - when G has an abelian minimal normal subgroup N (the first one), the
       classes above N that no extension grew (N alone when |G : N| is
@@ -403,9 +400,7 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
 
     et = element_table(G)
     possible: list[SubgroupClass] = []
-    if "all_subgroups" in G._cache:
-        candidates = [c for c in all_subgroups(G) if c.lattice_maximal]
-    elif is_nilpotent(G):
+    if is_nilpotent(G):
         candidates = [_normal_class(et, N) for N in normal_subgroups(G)
                       if _is_prime(G.order // N.order)]
     else:
@@ -438,8 +433,8 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
 def _normal_class(et: ElementTable, N: Subgroup) -> SubgroupClass:
     """A normal subgroup from `normal_subgroups` as a class of size one, with
     the generators extracted for it there."""
-    return SubgroupClass(et, N._cache["ambient_indices"],
-                         [et.index[g.images] for g in N.generators], 1, True, True)
+    return SubgroupClass(et, N._cache["ambient_indices"], N._cache["generator_indices"],
+                         1, True, True)
 
 
 def _normalizers_in(et: ElementTable, N: Subgroup) -> list[SubgroupClass]:
@@ -638,7 +633,7 @@ def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
         # the chain is built only for the subgroups whose `.group` is read
         subs.append(Subgroup._of_known_order(G, [et.permutation(i) for i in found[s]], len(s)))
-        subs[-1]._cache["ambient_indices"] = s
+        subs[-1]._cache.update(ambient_indices=s, generator_indices=found[s])
     G._cache["normal_subgroups"] = subs
     return subs
 
@@ -668,58 +663,3 @@ def _normal_covers(G: PermGroup) -> dict[frozenset[int], list[Subgroup]]:
 def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
     """Atoms of the normal subgroup lattice (G itself counts when simple)."""
     return list(_normal_covers(G)[frozenset([0])])
-
-
-@dataclass
-class KleinFourClass:
-    """A conjugacy class of Klein four-subgroups with its normalizer order."""
-
-    representative: Subgroup
-    class_size: int
-    normalizer_order: int
-    indices: frozenset[int] = field(repr=False, default=frozenset())
-
-
-def klein_four_classes(G: PermGroup) -> list[KleinFourClass]:
-    """Conjugacy classes of Klein four-subgroups (pairs of commuting involutions)."""
-    et = element_table(G)
-    n = et.n
-    involutions = [i for i in range(1, n) if et.element_order(i) == 2]
-    seen: set[frozenset[int]] = set()
-    classes = []
-    for idx, a in enumerate(involutions):
-        for b in involutions[idx + 1:]:
-            ab = et.mul(a, b)
-            if ab != et.mul(b, a):
-                continue
-            s = frozenset([0, a, b, ab])
-            if len(s) != 4 or s in seen:
-                continue
-            orbit, _schreier = _conjugates(et, s)
-            seen.update(orbit)
-            canonical = min(orbit, key=sorted)
-            norm_order = n // len(orbit)
-            gens = et.extract_generators(canonical)
-            sub = Subgroup(G, [et.permutation(i) for i in gens], check=False)
-            classes.append(KleinFourClass(representative=sub, class_size=len(orbit),
-                                          normalizer_order=norm_order, indices=canonical))
-    classes.sort(key=lambda c: sorted(c.indices))
-    return classes
-
-
-def fuse_subgroup_classes(G: PermGroup, reps: Sequence[frozenset[tuple[int, ...]]]) -> list[list[int]]:
-    """Partition subgroup element-sets (image tuples) by conjugacy in G.
-
-    Useful when the subgroups were found inside a smaller ambient group and
-    the question is how the classes fuse in the bigger one.  The sets are
-    read into G's element table and each block is one `_conjugates` orbit.
-    """
-    et = element_table(G)
-    sets = [frozenset(et.index[t] for t in s) for s in reps]
-    remaining = list(range(len(sets)))
-    blocks: list[list[int]] = []
-    while remaining:
-        orbit = _conjugates(et, sets[remaining[0]])[0]
-        blocks.append([j for j in remaining if sets[j] in orbit])
-        remaining = [j for j in remaining if sets[j] not in orbit]
-    return blocks

@@ -16,16 +16,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .gf import _is_prime, field_make, field_of_order
-from .groups import (TRIVIAL_QUOTIENT, CapExceededError, PermGroup, Subgroup, coset_action,
-                     is_normal, normalizer)
+from .groups import CapExceededError, PermGroup, Subgroup, coset_action, is_normal, normalizer
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
-from .lattice import (SubgroupClass, _indices_of, _normal_covers, all_subgroups,
-                      certify_maximal, fuse_subgroup_classes, klein_four_classes,
-                      maximal_subgroups, minimal_normal_subgroups, normal_subgroups,
-                      subgroups_of_index)
+from .lattice import (SubgroupClass, _conjugates, _indices_of, _normal_covers, all_subgroups,
+                      certify_maximal, maximal_subgroups, minimal_normal_subgroups,
+                      normal_subgroups, subgroups_of_index)
 from .perms import Permutation
 from .series import _nonabelian_factors, chief_series, is_supersolvable
-from .tables import MAX_ORDER, element_table
+from .tables import MAX_ORDER, TableGroup, element_table
 
 
 class NoChiefPairError(ValueError):
@@ -52,9 +50,10 @@ class ChiefPair:
 
 @dataclass
 class CSection:
-    """The section (M cap K)/L as a concrete permutation group."""
+    """The section (M cap K)/L as a table group, read off G's table (the
+    shared `TRIVIAL_QUOTIENT` when it is trivial)."""
 
-    group: PermGroup
+    group: PermGroup | TableGroup
     source_pair: ChiefPair
     supersolvable: bool
     identified: GroupId
@@ -131,22 +130,16 @@ def chief_pairs_for_maximal(G: PermGroup, M: Subgroup) -> list[ChiefPair]:
     return pairs
 
 
-def _section_group(G: PermGroup, m_set: frozenset[int], pair: ChiefPair) -> PermGroup:
-    """(M cap K)/L as a permutation group.  M cap K contains L, so the section
-    is trivial exactly when |M cap K| = |L|, a count: then no generators are
-    extracted, and the section is the shared trivial group `TRIVIAL_QUOTIENT`,
-    which `coset_action` returns at once for a nontrivial L.  A nontrivial
-    section over a trivial L is M cap K on G's points (its regular
-    representation, of degree |M cap K|, would cost far more to chain)."""
+def _section_group(G: PermGroup, m_set: frozenset[int],
+                   pair: ChiefPair) -> PermGroup | TableGroup:
+    """(M cap K)/L, read off G's table by `coset_action`.  M cap K contains L,
+    so the section is trivial exactly when |M cap K| = |L|, a count: then no
+    generators are extracted, and `coset_action` returns the shared trivial
+    group `TRIVIAL_QUOTIENT` at once."""
     et = element_table(G)
     d_set = m_set & pair.k_indices
     d_gens = et.extract_generators(d_set) if len(d_set) > pair.L.order else []
-    if pair.L.order > 1:
-        grp = coset_action(et, d_gens, pair.l_indices)
-    elif d_gens:
-        grp = PermGroup(G.degree, [et.permutation(i) for i in d_gens])
-    else:
-        grp = TRIVIAL_QUOTIENT
+    grp = coset_action(et, d_gens, pair.l_indices)
     if grp.order * pair.L.order != len(d_set):
         raise RuntimeError("section order disagrees with |M meet K| / |L|")
     return grp
@@ -395,12 +388,12 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     Klein four subgroups in K with normalizer order 24; those classes fused
     into one inside G; all sections of maximal subgroups of G supersolvable;
     every maximal class of K isomorphic to S4, A5, or supersolvable.  Only K's
-    subgroup lattice is built: K is G's minimal normal subgroup, so G's
-    maximal classes come from K's lattice (`lattice` module docstring), which
-    is cached on `K.group` and read again for K's own maximal classes in
-    step 5.  p = 7 and p = 17 give complete verdicts; from p = 23 on,
-    |G| = p(p^2 - 1) exceeds `MAX_ORDER`, the bound of the element table, and
-    CapExceededError is raised before G is built.
+    subgroup lattice is built, cached on `K.group`: step 2 reads the Klein
+    four classes off it; K is G's minimal normal subgroup, so G's maximal
+    classes in step 4 come from it too (`lattice` module docstring), and so
+    do K's own maximal classes in step 5.  p = 7 and p = 17 give complete
+    verdicts; from p = 23 on, |G| = p(p^2 - 1) exceeds `MAX_ORDER`, the bound
+    of the element table, and CapExceededError is raised before G is built.
     """
     if not _is_prime(p) or p % 8 not in (1, 7):
         raise ValueError("p must be a prime congruent to +-1 mod 8")
@@ -428,20 +421,22 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
                            {"p": p, "sub_checks": subs})
 
     Kg = K.group
-    # 2: Klein four classes inside K
-    kleins = klein_four_classes(Kg)
-    klein_ok = len(kleins) == 2 and all(c.normalizer_order == 24 for c in kleins)
+    ket = element_table(Kg)
+    # 2: Klein four classes inside K: the order-4 classes of involutions
+    kleins = [c for c in all_subgroups(Kg)
+              if c.order == 4 and all(ket.element_order(i) <= 2 for i in c.indices)]
+    klein_ok = len(kleins) == 2 and all(c.normalizer_order() == 24 for c in kleins)
     subs.append({"name": "klein_classes_in_K", "status": "pass" if klein_ok else "fail",
                  "class_count": len(kleins),
-                 "normalizer_orders": [c.normalizer_order for c in kleins]})
+                 "normalizer_orders": [c.normalizer_order() for c in kleins]})
     ok = ok and klein_ok
 
-    # 3: the two classes fuse under G
+    # 3: the two classes fuse under G: one G-orbit holds both representatives
     fused_ok = False
     if len(kleins) == 2:
-        reps = [frozenset(g.images for g in c.representative.elements()) for c in kleins]
-        blocks = fuse_subgroup_classes(G, reps)
-        fused_ok = len(blocks) == 1
+        et = element_table(G)
+        first, second = (frozenset(et.index[ket.tuples[i]] for i in c.indices) for c in kleins)
+        fused_ok = second in _conjugates(et, first)[0]
     subs.append({"name": "fusion_in_G", "status": "pass" if fused_ok else "fail"})
     ok = ok and fused_ok
 

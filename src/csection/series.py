@@ -18,7 +18,7 @@ from .catalog import _cyclic
 from .gf import _is_prime, _prime_factors, _prime_power
 from .groups import PermGroup, Subgroup, coset_action, derived_subgroup, whole_subgroup
 from .lattice import _normal_covers, minimal_normal_subgroups, normal_subgroups
-from .tables import element_table
+from .tables import TableGroup, element_table
 
 
 @dataclass
@@ -65,7 +65,7 @@ def chief_series(G: PermGroup) -> ChiefSeries:
         pk = _prime_power(order)
         if pk is not None:
             l_set = L._cache["ambient_indices"]
-            gens = [et.index[g.images] for g in K.generators]
+            gens = K._cache["generator_indices"]
             if any(mul(inv[x], mul(inv[y], mul(x, y))) not in l_set
                    for i, x in enumerate(gens) for y in gens[i + 1:]):
                 raise RuntimeError("chief factor of prime-power order is not abelian")
@@ -131,12 +131,13 @@ def _p_part(n: int, p: int) -> int:
     return part
 
 
-def composition_factors(G: PermGroup) -> list[PermGroup]:
+def composition_factors(G: PermGroup) -> list[PermGroup | TableGroup]:
     """Simple factors of any composition series, as groups, refined from a
     chief series.  Abelian chief factors of order p^k contribute k cyclic
     groups of order p; a nonabelian chief factor is a power of one simple
-    group, read off a minimal normal subgroup."""
-    out: list[PermGroup] = []
+    group, read off a minimal normal subgroup.  A nonabelian factor is a
+    table group read off G's table, except G itself when G is simple."""
+    out: list[PermGroup | TableGroup] = []
     cyclic: dict[int, PermGroup] = {}  # one C_p per prime, shared by its factors
     series = chief_series(G)
     for K, L, f in zip(series.terms, series.terms[1:], series.factors):
@@ -156,22 +157,22 @@ def composition_factors(G: PermGroup) -> list[PermGroup]:
 
 
 def _nonabelian_factors(G: PermGroup, K: Subgroup, L: Subgroup,
-                        f: FactorDescriptor) -> list[PermGroup]:
+                        f: FactorDescriptor) -> list[PermGroup | TableGroup]:
     """The simple composition factors of the nonabelian chief factor K/L of
     G: t copies of one simple group, read off a minimal normal subgroup of
-    K/L.  Only this factor is built as a group."""
-    if L.order == 1:
-        g = G if K.order == G.order else K.group  # G/1 is G: keep its caches warm
+    K/L.  Only this factor is built as a group, a table group read off G's
+    table, and its socle factor off its own."""
+    if L.order == 1 and K.order == G.order:
+        g = G  # G/1 is G: keep its caches warm
     else:
-        et = element_table(G)
-        g = coset_action(et, [et.index[x.images] for x in K.generators],
+        g = coset_action(element_table(G), K._cache["generator_indices"],
                          L._cache["ambient_indices"])
     if g.order != f.order:
         raise RuntimeError("chief factor order disagrees with the index")
     mins = minimal_normal_subgroups(g)
     if mins[0].order == f.order:
         return [g]  # the chief factor is itself simple
-    simple = mins[0].group
+    simple = coset_action(element_table(g), mins[0]._cache["generator_indices"], frozenset([0]))
     t = 0
     order = f.order
     while order > 1 and order % simple.order == 0:

@@ -14,6 +14,10 @@ index up to 65,536 elements.
 The hot loops read the table a row at a time: `rows[i]` is a 1-D view of row
 i, so a whole left coset u*H is one C-level gather, `itemgetter(*H)(rows[u])`,
 and a conjugate g^-1*x*g is two cell reads.
+
+An input group's table is enumerated from its permutations.  Every group the
+pipeline derives from it, a quotient D/L or a subgroup, is a `TableGroup`:
+its table is read off the parent's table, and no element is enumerated.
 """
 
 from __future__ import annotations
@@ -37,33 +41,40 @@ _TABLE_CHUNK = 1 << 14
 class ElementTable:
     """All elements of a group, indexed, with fast multiplication helpers.
 
-    Index 0 is always the identity; elements are sorted by image tuple, so
+    Index 0 is always the identity; elements are sorted by image tuple (a
+    table group's come in the order its parent's table gave them), so
     indices are stable across runs.
     """
 
     def __init__(self, group: PermGroup):
         if group.order > MAX_ORDER:
             raise CapExceededError(f"group order {group.order} exceeds element cap {MAX_ORDER}")
-        self.group = group
+        self.group: PermGroup | TableGroup = group
         tuples = sorted(g.images for g in group.elements())
         if len(tuples) != group.order:
             raise RuntimeError("element enumeration disagrees with the group order")
-        self.tuples: list[tuple[int, ...]] = tuples
-        self.index: dict[tuple[int, ...], int] = {t: i for i, t in enumerate(tuples)}
+        # None for a table group, whose elements are its indices
+        self.tuples: Optional[list[tuple[int, ...]]] = tuples
+        self.index: Optional[dict[tuple[int, ...], int]] = {t: i for i, t in enumerate(tuples)}
         self.n = len(tuples)
         ident = tuple(range(group.degree))
         if self.index[ident] != 0:
             raise RuntimeError("identity did not sort first in the element table")
         self.generator_indices: list[int] = [self.index[g.images] for g in group.generators]
-        self._mul_table: np.ndarray
-        # rows[i][j] is the index of element_i * element_j
-        self.rows: list[memoryview]
         self._build_table()
-        # The identity, index 0, sits once in every row, at the inverse's column.
-        self.inverse: list[int] = self._mul_table.argmin(axis=1).tolist()
-        self._orders: Optional[list[int]] = None
-        self._classes: Optional[list[tuple[int, ...]]] = None
-        self._class_of: Optional[list[int]] = None
+
+    @classmethod
+    def _of_table(cls, group: TableGroup, table: np.ndarray,
+                  generator_indices: list[int]) -> "ElementTable":
+        """The element table of a table group: its Cayley table, already read
+        off a parent's table, and its generators by index."""
+        et = cls.__new__(cls)
+        et.group = group
+        et.tuples = et.index = None
+        et.n = len(table)
+        et.generator_indices = generator_indices
+        et._adopt(table)
+        return et
 
     def _build_table(self) -> None:
         """Cayley table: row i, column j holds the index of element_i * element_j.
@@ -107,10 +118,21 @@ class ElementTable:
             layer = new
         if not seen.all():
             raise RuntimeError("the generators do not reach every element of the group")
+        self._adopt(table)
+
+    def _adopt(self, table: np.ndarray) -> None:
+        """Takes the (n x n) uint16 Cayley table and sets up its readers."""
         self._mul_table = table
         # Views into the table's buffer, one per row; no copy is made.
-        buffer = memoryview(cells)
-        self.rows = [buffer[i * n:(i + 1) * n] for i in range(n)]
+        # rows[i][j] is the index of element_i * element_j
+        n = self.n
+        buffer = memoryview(table.reshape(-1))
+        self.rows: list[memoryview] = [buffer[i * n:(i + 1) * n] for i in range(n)]
+        # The identity, index 0, sits once in every row, at the inverse's column.
+        self.inverse: list[int] = table.argmin(axis=1).tolist()
+        self._orders: Optional[list[int]] = None
+        self._classes: Optional[list[tuple[int, ...]]] = None
+        self._class_of: Optional[list[int]] = None
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -240,7 +262,44 @@ class ElementTable:
         return gens
 
     def permutation(self, i: int) -> Permutation:
+        """Element i as a permutation of the group's points.  A table group's
+        points are its elements, and element i moves x to x*i: column i."""
+        if self.tuples is None:
+            return Permutation._unsafe(tuple(self._mul_table[:, i].tolist()))
         return Permutation._unsafe(self.tuples[i])
+
+
+class TableGroup:
+    """A group given by its Cayley table, read off a parent group's table: a
+    quotient D/L, or a subgroup (L = 1).  Its elements are the indices
+    0..n-1, with 0 the identity, and its generators are given by index.  As a
+    permutation group it is its right regular representation: element i is
+    column i of the table, so its degree is its order.  It has no stabilizer
+    chain, so membership and normalizers are not offered."""
+
+    __slots__ = ("_cache",)
+
+    def __init__(self, table: np.ndarray, generator_indices: Sequence[int]):
+        self._cache: dict = {
+            "element_table": ElementTable._of_table(self, table, list(generator_indices))}
+
+    @property
+    def order(self) -> int:
+        return self._cache["element_table"].n
+
+    degree = order
+
+    def is_abelian(self) -> bool:
+        et = self._cache["element_table"]
+        gens, rows = et.generator_indices, et.rows
+        return all(rows[a][b] == rows[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
+
+    def elements(self) -> Iterable[Permutation]:
+        et = self._cache["element_table"]
+        return (et.permutation(i) for i in range(et.n))
+
+    def __repr__(self) -> str:
+        return f"TableGroup(order={self.order})"
 
 
 class ClosureBase:
@@ -267,8 +326,8 @@ def coset_gather(block: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, .
     return itemgetter(*block)
 
 
-def element_table(group: PermGroup) -> ElementTable:
-    """Memoized element table for a group."""
+def element_table(group: PermGroup | TableGroup) -> ElementTable:
+    """Memoized element table for a group; a table group holds its own."""
     cached = group._cache.get("element_table")
     if cached is not None and cached.n == group.order:
         return cached

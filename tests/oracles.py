@@ -209,6 +209,15 @@ def normalizer_naive(table: NaiveTable, subset):
                      if all(table.conj(x, g) in subset for x in subset))
 
 
+def coset_table_naive(table: NaiveTable, d, l):
+    """D/L from the table: the cosets yL of L in D, numbered by their least
+    members, and their products, (yL)(zL) = (yz)L, as a list of rows.  Also
+    returns each element's coset number."""
+    cosets = sorted({frozenset(table.mul[y][x] for x in l) for y in d}, key=min)
+    where = {x: i for i, c in enumerate(cosets) for x in c}
+    return [[where[table.mul[min(a)][min(b)]] for b in cosets] for a in cosets], where
+
+
 def centralizer_naive(table: NaiveTable, subset):
     return frozenset(g for g in range(table.n)
                      if all(table.mul[x][g] == table.mul[g][x] for x in subset))

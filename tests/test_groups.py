@@ -15,8 +15,8 @@ from csection.matgroups import triangular_instance
 from csection.perms import Permutation
 from csection.tables import element_table
 from gtools import elements_of, named, product, quaternion
-from oracles import (NaiveTable, centralizer_naive, compose, generated, invert,
-                     normalizer_naive)
+from oracles import (NaiveTable, centralizer_naive, compose, coset_table_naive, generated,
+                     invert, normalizer_naive)
 
 
 def perm(degree, *cycles):
@@ -69,15 +69,6 @@ def test_membership_of_random_words():
         for _ in range(rng.randrange(1, 12)):
             w = w * gens[rng.randrange(len(gens))]
         assert G.contains(w)
-
-
-def test_random_element_is_seeded_and_uniform_support():
-    G = named("Sym", 4)
-    a = G.random_element(random.Random(5))
-    b = G.random_element(random.Random(5))
-    assert a == b and G.contains(a)
-    seen = {G.random_element(random.Random(s)) for s in range(200)}
-    assert len(seen) > 12  # hits a decent spread of the 24 elements
 
 
 def test_orbits():
@@ -268,31 +259,19 @@ def test_quotients():
         _quotient(S4, Subgroup(S4, [perm(4, (0, 1))]))
 
 
-def _right_coset_images(G, N):
-    """Reference for `coset_action`: G's generators on the right cosets Nx,
-    numbered breadth-first from N in generator order, by permutation
-    products; generators acting trivially are dropped, as `PermGroup` does."""
-    elems = [Permutation(t) for t in N.element_set()]
-    keys = {frozenset(N.element_set()): 0}
-    reps, rows = [G.identity()], []
-    for x in reps:
-        row = []
-        for g in G.generators:
-            key = frozenset((h * x * g).images for h in elems)
-            if key not in keys:
-                keys[key] = len(reps)
-                reps.append(x * g)
-            row.append(keys[key])
-        rows.append(row)
-    return [col for col in zip(*rows) if col != tuple(range(len(reps)))]
-
-
-def test_coset_action_numbers_cosets_breadth_first():
+def test_coset_action_numbers_cosets_by_least_member():
+    """The quotient's Cayley table is the oracle's coset multiplication, with
+    the cosets numbered by their least members, and its generators are the
+    cosets of G's generators outside N."""
     S4, SL23, SL25, Q8 = named("Sym", 4), named("SL", 2, 3), named("SL", 2, 5), quaternion()
     cases = [(S4, Subgroup(S4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])),
              (S4, Subgroup(S4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])),
              (SL23, _center(SL23)), (SL25, _center(SL25)), (Q8, _center(Q8))]
     for G, N in cases:
-        image = _quotient(G, N)
-        assert [g.images for g in image.generators] == _right_coset_images(G, N)
-
+        quotient = element_table(_quotient(G, N))
+        et, table = element_table(G), NaiveTable(elements_of(G))
+        want, where = coset_table_naive(table, range(table.n),
+                                        [table.index[t] for t in N.element_set()])
+        assert quotient._mul_table.tolist() == want
+        cosets = [where[table.index[et.tuples[g]]] for g in et.generator_indices]
+        assert quotient.generator_indices == [c for c in cosets if c]

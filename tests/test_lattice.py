@@ -11,8 +11,7 @@ from csection.catalog import build_group, builtin_battery
 from csection.gf import _prime_power
 from csection.groups import CapExceededError, PermGroup, Subgroup, is_normal, normalizer
 from csection.iso import identify
-from csection.lattice import (all_subgroups, certify_maximal, fuse_subgroup_classes,
-                              klein_four_classes, maximal_subgroups,
+from csection.lattice import (_conjugates, all_subgroups, certify_maximal, maximal_subgroups,
                               minimal_normal_subgroups, normal_subgroups,
                               subgroup_count, subgroups_of_index)
 from csection.perms import Permutation
@@ -349,10 +348,17 @@ def test_minimal_normal_subgroups():
         assert all(is_normal(G, N) for N in atoms)
 
 
+def _klein_four_classes(G):
+    """The classes of Klein four-subgroups: order 4, every element of order <= 2."""
+    et = element_table(G)
+    return [c for c in all_subgroups(G)
+            if c.order == 4 and all(et.element_order(i) <= 2 for i in c.indices)]
+
+
 def test_klein_four_classes_s4():
     G = named("Sym", 4)
-    classes = klein_four_classes(G)
-    assert [(c.class_size, c.normalizer_order) for c in classes] == [(3, 8), (1, 24)]
+    classes = _klein_four_classes(G)
+    assert [(c.class_size, c.normalizer_order()) for c in classes] == [(3, 8), (1, 24)]
     for c in classes:
         assert c.representative.order == 4
         orders = sorted(p.order() for p in c.representative.elements())
@@ -361,9 +367,9 @@ def test_klein_four_classes_s4():
 
 def test_klein_four_classes_psl2_7():
     K = named("PSL2", 7)
-    classes = klein_four_classes(K)
+    classes = _klein_four_classes(K)
     assert len(classes) == 2
-    assert all(c.normalizer_order == 24 for c in classes)
+    assert all(c.normalizer_order() == 24 for c in classes)
     assert all(c.class_size == 7 for c in classes)
 
 
@@ -373,18 +379,25 @@ def test_klein_classes_fuse_in_pgl2(p):
     G = named("PGL2", p)
     # the projective constructions share their point ordering, so K < G literally
     assert all(G.contains(g) for g in K.generators)
-    et = element_table(K)
-    reps = [frozenset(et.tuples[i] for i in c.indices) for c in klein_four_classes(K)]
-    blocks = fuse_subgroup_classes(G, reps)
-    assert len(blocks) == 1 and sorted(blocks[0]) == [0, 1]
+    ket = element_table(K)
+    reps = [frozenset(ket.tuples[i] for i in c.indices) for c in _klein_four_classes(K)]
+    assert len(reps) == 2
+
+    def fused(H):
+        """Whether one conjugation orbit in H holds both representatives."""
+        et = element_table(H)
+        first, second = (frozenset(et.index[t] for t in r) for r in reps)
+        return second in _conjugates(et, first)[0]
+
+    assert fused(G)
     # inside K itself the two classes stay apart
-    assert len(fuse_subgroup_classes(K, reps)) == 2
+    assert not fused(K)
 
 
 def test_lattice_caps():
     S8 = named("Sym", 8)  # 40320 elements, above the element cap
     for search in (all_subgroups, maximal_subgroups, lambda G: subgroups_of_index(G, 8),
-                   normal_subgroups, minimal_normal_subgroups, klein_four_classes):
+                   normal_subgroups, minimal_normal_subgroups):
         with pytest.raises(CapExceededError):
             search(S8)
 
@@ -508,17 +521,14 @@ def _abelian_minimal_normals(G):
 def test_maximal_subgroups_match_the_whole_lattice_on_battery(battery500):
     """Whichever path maximal_subgroups takes, the maximal classes are the
     whole lattice's lattice-maximal classes: orders, class sizes, canonical
-    representatives and generators.  Each group is rebuilt twice, so that
-    one copy finds its maximal classes before the whole lattice is cached
-    and the other reads them off the cached lattice."""
+    representatives and generators.  Each group is rebuilt once, so that its
+    maximal classes are found afresh, whatever the session fixture has
+    cached."""
     paths = {"nilpotent": 0, "abelian N": 0, "nonabelian N": 0, "simple": 0}
     for label, G in battery500:
         first = PermGroup(G.degree, G.generators)
         found = _maximal_key(maximal_subgroups(first))
         assert found == _maximal_key(_lattice_maximal(first)), label
-        cached = PermGroup(G.degree, G.generators)
-        all_subgroups(cached)
-        assert _maximal_key(maximal_subgroups(cached)) == found, label
         if is_nilpotent(G):
             paths["nilpotent"] += 1
         elif _abelian_minimal_normals(G):

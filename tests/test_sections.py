@@ -18,10 +18,10 @@ from csection.sections import (ChiefPair, NoChiefPairError, NotAChiefPairError,
                                unique_class_check, verify_example, verify_lemma1,
                                verify_lemma2a, verify_lemma3, verify_lemma4,
                                verify_theorem_instance)
-from csection.tables import ElementTable, element_table
+from csection.tables import ElementTable, TableGroup, element_table
 
 from gtools import elements_of, named, product, small_groups
-from oracles import NaiveTable, brute_isomorphic, normal_subgroups_naive
+from oracles import NaiveTable, brute_isomorphic, coset_table_naive, normal_subgroups_naive
 
 
 def test_make_report_status_mapping():
@@ -196,12 +196,39 @@ def test_sections_match_the_naive_quotient(battery200):
                 assert section.order == len(d) // len(l), (label, cls.order)
                 want = _naive_quotient(table, d, l)
                 assert brute_isomorphic(elements_of(section), want), (label, cls.order)
+                if section.order > 1:
+                    assert (element_table(section)._mul_table.tolist()
+                            == coset_table_naive(table, d, l)[0]), (label, cls.order)
                 orders.append(section.order)
     assert sorted(set(orders)) == [1, 6, 10, 12]
 
 
+def test_a_quotient_over_the_trivial_group_is_the_subgroups_table(battery200):
+    """Over L = 1, `coset_action` gives D's own element table: the table and
+    generator indices that enumerating D's permutations gives, for every
+    normal subgroup and every section over L = 1 of the battery groups of
+    order <= 120."""
+    for label, G in battery200:
+        if G.order > 120:
+            continue
+        et = element_table(G)
+        subgroups = [N._cache["generator_indices"] for N in normal_subgroups(G)]
+        for cls in maximal_subgroups(G):
+            for pair in chief_pairs_for_maximal(G, cls.representative):
+                if pair.L.order == 1:
+                    subgroups.append(et.extract_generators(cls.indices & pair.k_indices))
+        for gens in subgroups:
+            if not gens:
+                continue
+            quotient = element_table(groups.coset_action(et, gens, frozenset([0])))
+            want = element_table(PermGroup(G.degree, [et.permutation(i) for i in gens]))
+            assert quotient._mul_table.tolist() == want._mul_table.tolist(), label
+            assert quotient.generator_indices == want.generator_indices, label
+
+
 def test_a_section_over_a_nontrivial_L_builds_one_group(monkeypatch):
-    # SL(2,5) over its center: the maximal SL(2,3) has section A4 = SL(2,3)/Z
+    # SL(2,5) over its center: the maximal SL(2,3) has section A4 = SL(2,3)/Z,
+    # a table group read off G's table, with no permutation group built
     G = named("SL", 2, 5)
     M = next(c for c in maximal_subgroups(G) if c.order == 24).representative
     pair, = (p for p in chief_pairs_for_maximal(G, M) if p.L.order == 2)
@@ -214,7 +241,7 @@ def test_a_section_over_a_nontrivial_L_builds_one_group(monkeypatch):
 
     monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
     section = sections._section_group(G, M._cache["ambient_indices"], pair)
-    assert built == [section] and section.order == 12
+    assert built == [] and isinstance(section, TableGroup) and section.order == 12
 
 
 @pytest.mark.parametrize("name,params,m_order,l_order", [
@@ -250,7 +277,7 @@ def test_a_trivial_section_builds_no_group_and_no_table(name, params, m_order, l
     assert s.group is groups.TRIVIAL_QUOTIENT
     assert (s.supersolvable, s.identified) == (True, GroupId("trivial", (), 1))
     assert built == []
-    assert quotients == ([[]] if l_order > 1 else [])
+    assert quotients == [[]]
 
 
 def test_coset_action_with_no_generators_is_trivial():
@@ -319,6 +346,21 @@ def test_check_conclusion():
     assert check_conclusion(named("PSL2", 7)).status == "pass"
     assert check_conclusion(product("Cyclic", [2], "PSL2", [7])).status == "pass"
     assert check_conclusion(named("Alt", 6)).status == "fail"
+
+
+def test_conclusion_builds_no_permutation_group_after_the_input(monkeypatch):
+    # SL(2,17)/Z is a chief factor of order 2,448, read off G's table
+    G = named("SL", 2, 17)
+    init = groups.PermGroup.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
+    assert check_conclusion(G).evidence["factor_orders"] == [2448, 2]
+    assert built == []
 
 
 def test_check_conclusion_unidentified_simple_is_inconclusive(psl2_16):
