@@ -24,8 +24,7 @@ from .sections import (ChiefPair, CSection, NoChiefPairError, NotAChiefPairError
                        verify_example, verify_lemma1, verify_lemma2a, verify_lemma3,
                        verify_lemma4, verify_theorem_instance)
 from .series import (ChiefSeries, FactorDescriptor, chief_series, composition_factors,
-                     derived_series, is_nilpotent, is_simple, is_solvable,
-                     is_supersolvable)
+                     is_nilpotent, is_simple, is_supersolvable)
 
 __version__ = "0.1.0"
 
@@ -36,8 +35,8 @@ __all__ = [
     "VerdictReport", "abelian_invariants", "all_subgroups", "build_group",
     "builtin_battery", "certify_maximal", "check_conclusion", "check_hypothesis",
     "chief_pairs_for_maximal", "chief_series", "composition_factors",
-    "derived_series", "fingerprint", "identify",
-    "is_isomorphic", "is_nilpotent", "is_simple", "is_solvable", "is_supersolvable",
+    "fingerprint", "identify",
+    "is_isomorphic", "is_nilpotent", "is_simple", "is_supersolvable",
     "l2_parameters", "make_report", "maximal_subgroups",
     "minimal_normal_subgroups", "named_spec", "normal_subgroups", "normalizer",
     "parse_cycle_lists", "parse_group_spec", "product_spec", "sec", "spec_from_group",

@@ -1,6 +1,6 @@
 """Permutation groups with deterministic stabilizer chains, subgroups, and the
-standard operations built on sifting: membership, normal closures and
-normalizers; and quotients D/L, read off an element table as table groups."""
+standard operations built on sifting: membership and normalizers; and
+quotients D/L, read off an element table as table groups."""
 
 from __future__ import annotations
 
@@ -353,35 +353,6 @@ def is_normal(G: PermGroup, H: Subgroup) -> bool:
     return True
 
 
-def normal_closure(G: PermGroup, seed: Subgroup | Sequence[Permutation]) -> Subgroup:
-    """Smallest normal subgroup of G containing the seed elements."""
-    gens = list(seed.generators if isinstance(seed, Subgroup) else seed)
-    gens = [g for g in gens if not g.is_identity()]
-    current = PermGroup(G.degree, gens)
-    queue = deque(gens)
-    while queue:
-        h = queue.popleft()
-        for g in G.generators:
-            c = h.conjugated_by(g)
-            if not current.contains(c):
-                gens.append(c)
-                current = PermGroup(G.degree, gens)
-                queue.append(c)
-    return Subgroup(G, gens, check=False)
-
-
-def derived_subgroup(G: PermGroup) -> Subgroup:
-    """Commutator subgroup: normal closure of the generator commutators."""
-    comms = []
-    gens = G.generators
-    for i, a in enumerate(gens):
-        for b in gens[i:]:
-            c = a.inverse() * b.inverse() * a * b
-            if not c.is_identity():
-                comms.append(c)
-    return normal_closure(G, comms)
-
-
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     """Normalizer of H in G: the stabilizer of H in its conjugation orbit,
     generated by Schreier generators and certified by orbit-stabilizer.
@@ -460,9 +431,9 @@ def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]):
     Otherwise the cosets Ly = yL are found breadth-first from L, each one
     gather from row y, and numbered by their least members; for L = 1 that
     is D's indices in order.  The quotient's Cayley table is G's table at
-    those least members, read through the coset-label array: one uint16
-    gather of |D : L|^2 cells."""
-    from .tables import TableGroup, coset_gather  # tables imports this module
+    those least members, read through the coset-label array, a block of rows
+    at a time, so no temporary exceeds about `_TABLE_CHUNK` cells."""
+    from .tables import _TABLE_CHUNK, TableGroup, coset_gather  # tables imports this module
 
     if all(d in l_set for d in d_gens):
         return TRIVIAL_QUOTIENT
@@ -484,10 +455,10 @@ def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]):
     label = np.zeros(et.n, dtype=np.uint16)  # read only at D's indices
     label[list(found)] = renumber[list(found.values())]
     reps = np.sort(least)
-    table = label[et._mul_table[np.ix_(reps, reps)]]
+    m = len(reps)
+    table = np.empty((m, m), dtype=np.uint16)
+    step = max(1, _TABLE_CHUNK // m)
+    for start in range(0, m, step):
+        table[start:start + step] = label[et._mul_table[np.ix_(reps[start:start + step], reps)]]
     return TableGroup(table, [int(label[d]) for d in d_gens if d not in l_set])
 
-
-def whole_subgroup(G: PermGroup) -> Subgroup:
-    """G viewed as a subgroup of itself."""
-    return Subgroup(G, G.generators, check=False)

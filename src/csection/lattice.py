@@ -71,11 +71,11 @@ one, so N < G).  Let U = M cap N.
 So M is a complement of N, or N_G(U) for a subgroup 1 < U < N whose G-class
 is its N-class; U is N-conjugate to a class representative U^n of N's own
 lattice, and N_G(U^n) = M^n.  Complements are found exactly by
-`_complements`; N's classes come from `all_subgroups(N.group)`, on N's own
-table, and each G-class is walked on G's table.  Complements and
-normalizers of a nonabelian N need not be maximal.  A normalizer that lies
-properly inside a conjugate of another is dropped at once, and the
-certificate drops the others that are not maximal.
+`_complements`; N's classes come from `all_subgroups` on N as a table group
+read off G's table (`_table_group`), and each G-class is walked on G's
+table.  Complements and normalizers of a nonabelian N need not be maximal.
+A normalizer that lies properly inside a conjugate of another is dropped at
+once, and the certificate drops the others that are not maximal.
 
 So G's whole lattice is walked only when G is simple.
 """
@@ -88,14 +88,17 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .gf import _is_prime, _largest_proper_divisor, _prime_power
-from .groups import PermGroup, Subgroup
-from .tables import ClosureBase, ElementTable, element_table
+from .groups import PermGroup, Subgroup, coset_action
+from .tables import ClosureBase, ElementTable, TableGroup, element_table
 
 
 @dataclass
 class SubgroupClass:
-    """A conjugacy class of subgroups, held by one representative's element
-    indices; the representative's stabilizer chain is built on first use."""
+    """A conjugacy class of subgroups, held by one representative's indices
+    in `table`.  The pipeline reads a representative as a table group,
+    `coset_action(table, generator_indices, frozenset([0]))`; the
+    `representative` Subgroup builds a stabilizer chain only when a caller
+    reads its `.group`."""
 
     table: ElementTable = field(repr=False)
     indices: frozenset[int] = field(repr=False)
@@ -437,17 +440,27 @@ def _normal_class(et: ElementTable, N: Subgroup) -> SubgroupClass:
                          1, True, True)
 
 
+def _table_group(et: ElementTable, H: Subgroup) -> PermGroup | TableGroup:
+    """A subgroup H of `normal_subgroups` as a table group read off G's table
+    `et`, memoized on H.  Its element i is H's i-th least index in `et`."""
+    cached = H._cache.get("table_group")
+    if cached is None:
+        cached = H._cache["table_group"] = coset_action(
+            et, H._cache["generator_indices"], frozenset([0]))
+    return cached
+
+
 def _normalizers_in(et: ElementTable, N: Subgroup) -> list[SubgroupClass]:
     """The classes of N_G(U), for the classes 1 < U < N of N's own lattice
-    whose G-class is their N-class.  U's G-class is walked on G's table,
-    and N_G(U) is spanned by the walk's Schreier generators up to its order
-    |G| / |G-class|."""
-    net = element_table(N.group)
-    into_g = [et.index[t] for t in net.tuples]
+    whose G-class is their N-class.  N's lattice is walked on N's table
+    group (`_table_group`), U's G-class on G's table, and N_G(U) is spanned
+    by the walk's Schreier generators up to its order |G| / |G-class|."""
+    ng = _table_group(et, N)
+    into_g = sorted(N._cache["ambient_indices"])
     registry = _Registry(et, 0)  # no normalizers: nothing extends a candidate
     found: list[int] = []
-    for c in all_subgroups(N.group):
-        if c.order in (1, net.n):
+    for c in all_subgroups(ng):
+        if c.order in (1, N.order):
             continue
         u = frozenset(into_g[i] for i in c.indices)
         orbit, schreier = _conjugates(et, u)

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 from .gf import _is_prime, field_make, field_of_order
 from .groups import CapExceededError, PermGroup, Subgroup, coset_action, is_normal, normalizer
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
-from .lattice import (SubgroupClass, _conjugates, _indices_of, _normal_covers, all_subgroups,
-                      certify_maximal, maximal_subgroups, minimal_normal_subgroups,
-                      normal_subgroups, subgroups_of_index)
+from .lattice import (SubgroupClass, _conjugates, _indices_of, _normal_covers, _table_group,
+                      all_subgroups, certify_maximal, maximal_subgroups,
+                      minimal_normal_subgroups, normal_subgroups, subgroups_of_index)
 from .perms import Permutation
 from .series import _nonabelian_factors, chief_series, is_supersolvable
 from .tables import MAX_ORDER, TableGroup, element_table
@@ -316,8 +316,8 @@ def verify_lemma3(n: int, *, subject: Optional[str] = None) -> VerdictReport:
     A = _reference("alt", n)
     classes = subgroups_of_index(A, n)
     expected = 2 if n == 6 else 1
-    iso_ok = all(is_isomorphic(c.representative.group, _reference("alt", n - 1))
-                 for c in classes)
+    iso_ok = all(is_isomorphic(coset_action(c.table, c.generator_indices, frozenset([0])),
+                               _reference("alt", n - 1)) for c in classes)
     ok = len(classes) == expected and iso_ok
     return make_report(subject or f"A{n}", "lemma3", ok, True,
                        {"degree": n, "class_count": len(classes), "expected": expected,
@@ -388,12 +388,14 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     Klein four subgroups in K with normalizer order 24; those classes fused
     into one inside G; all sections of maximal subgroups of G supersolvable;
     every maximal class of K isomorphic to S4, A5, or supersolvable.  Only K's
-    subgroup lattice is built, cached on `K.group`: step 2 reads the Klein
-    four classes off it; K is G's minimal normal subgroup, so G's maximal
-    classes in step 4 come from it too (`lattice` module docstring), and so
-    do K's own maximal classes in step 5.  p = 7 and p = 17 give complete
-    verdicts; from p = 23 on, |G| = p(p^2 - 1) exceeds `MAX_ORDER`, the bound
-    of the element table, and CapExceededError is raised before G is built.
+    subgroup lattice is built, on K's table group read off G's table
+    (`lattice._table_group`, memoized on K): step 2 reads the Klein four
+    classes off it; K is G's minimal normal subgroup, so G's maximal classes
+    in step 4 come from it too (`lattice` module docstring), and so do K's
+    own maximal classes in step 5, each read as a table group off K's table.
+    p = 7 and p = 17 give complete verdicts; from p = 23 on,
+    |G| = p(p^2 - 1) exceeds `MAX_ORDER`, the bound of the element table,
+    and CapExceededError is raised before G is built.
     """
     if not _is_prime(p) or p % 8 not in (1, 7):
         raise ValueError("p must be a prime congruent to +-1 mod 8")
@@ -420,10 +422,11 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
         return make_report(subject or f"PGL2({p})", "example", False, True,
                            {"p": p, "sub_checks": subs})
 
-    Kg = K.group
-    ket = element_table(Kg)
+    et = element_table(G)
+    Kt = _table_group(et, K)
+    ket = element_table(Kt)
     # 2: Klein four classes inside K: the order-4 classes of involutions
-    kleins = [c for c in all_subgroups(Kg)
+    kleins = [c for c in all_subgroups(Kt)
               if c.order == 4 and all(ket.element_order(i) <= 2 for i in c.indices)]
     klein_ok = len(kleins) == 2 and all(c.normalizer_order() == 24 for c in kleins)
     subs.append({"name": "klein_classes_in_K", "status": "pass" if klein_ok else "fail",
@@ -434,8 +437,8 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     # 3: the two classes fuse under G: one G-orbit holds both representatives
     fused_ok = False
     if len(kleins) == 2:
-        et = element_table(G)
-        first, second = (frozenset(et.index[ket.tuples[i]] for i in c.indices) for c in kleins)
+        into_g = sorted(K._cache["ambient_indices"])  # K's index i is into_g[i] in G's
+        first, second = (frozenset(into_g[i] for i in c.indices) for c in kleins)
         fused_ok = second in _conjugates(et, first)[0]
     subs.append({"name": "fusion_in_G", "status": "pass" if fused_ok else "fail"})
     ok = ok and fused_ok
@@ -451,9 +454,10 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     # 5: maximal subgroups of K are S4, A5, or supersolvable
     k_rows = []
     k_ok = True
-    for cls in maximal_subgroups(Kg):
-        gid = identify(cls.representative.group)
-        ss = is_supersolvable(cls.representative.group)
+    for cls in maximal_subgroups(Kt):
+        M = coset_action(ket, cls.generator_indices, frozenset([0]))
+        gid = identify(M)
+        ss = is_supersolvable(M)
         fits = gid in (GroupId("symmetric", (4,), 24), GroupId("alternating", (5,), 60)) or ss
         k_rows.append({"order": cls.order, "id": str(gid), "supersolvable": ss, "fits": fits})
         k_ok = k_ok and fits
@@ -474,7 +478,8 @@ def unique_class_check(G: PermGroup, H: Subgroup, *,
     """
     classes = all_subgroups(G)
     matching = [c for c in classes
-                if c.order == H.order and is_isomorphic(c.representative.group, H.group)]
+                if c.order == H.order and is_isomorphic(
+                    coset_action(c.table, c.generator_indices, frozenset([0])), H.group)]
     if not matching:
         raise RuntimeError("the lattice lost the input subgroup's class")
     unique = len(matching) == 1

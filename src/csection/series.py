@@ -1,5 +1,5 @@
-"""Normal series: chief series and derived series, and the solvability family
-of predicates; nilpotency is counted off the element table.
+"""Chief series and composition factors, and the predicates read off them or
+off the element table: supersolvable, nilpotent, simple.
 
 A chief series steps up the covering relation of the normal subgroup lattice,
 always to the first normal subgroup directly above the current term.  Every
@@ -16,8 +16,8 @@ from typing import Optional
 
 from .catalog import _cyclic
 from .gf import _is_prime, _prime_factors, _prime_power
-from .groups import PermGroup, Subgroup, coset_action, derived_subgroup, whole_subgroup
-from .lattice import _normal_covers, minimal_normal_subgroups, normal_subgroups
+from .groups import PermGroup, Subgroup, coset_action
+from .lattice import _normal_covers, _table_group, minimal_normal_subgroups, normal_subgroups
 from .tables import TableGroup, element_table
 
 
@@ -84,22 +84,6 @@ def is_supersolvable(G: PermGroup) -> bool:
             cached = all(f.is_prime_order for f in chief_series(G).factors)
         G._cache["is_supersolvable"] = cached
     return cached
-
-
-def derived_series(G: PermGroup) -> list[Subgroup]:
-    terms = [whole_subgroup(G)]
-    while True:
-        nxt = derived_subgroup(terms[-1].group)
-        if nxt.order == terms[-1].order:
-            break
-        terms.append(Subgroup(G, nxt.generators, check=False))
-        if nxt.order == 1:
-            break
-    return terms
-
-
-def is_solvable(G: PermGroup) -> bool:
-    return derived_series(G)[-1].order == 1
 
 
 def is_nilpotent(G: PermGroup) -> bool:
@@ -172,7 +156,7 @@ def _nonabelian_factors(G: PermGroup, K: Subgroup, L: Subgroup,
     mins = minimal_normal_subgroups(g)
     if mins[0].order == f.order:
         return [g]  # the chief factor is itself simple
-    simple = coset_action(element_table(g), mins[0]._cache["generator_indices"], frozenset([0]))
+    simple = _table_group(element_table(g), mins[0])
     t = 0
     order = f.order
     while order > 1 and order % simple.order == 0:

@@ -1,5 +1,6 @@
 """Small shared helpers for building test groups."""
 
+import pytest
 from hypothesis import strategies as st
 
 from csection.catalog import build_group, named_spec, product_spec
@@ -19,6 +20,14 @@ def product(name_a, params_a, name_b, params_b):
 def from_cycles(degree, cycle_lists):
     """Group from 1-indexed cycle notation."""
     return PermGroup(degree, parse_cycle_lists(degree, cycle_lists))
+
+
+def sympy_group(G):
+    """G as a sympy permutation group (sympy's identity stands in for no generators)."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = [combinatorics.Permutation(list(g.images)) for g in G.generators]
+    return combinatorics.PermutationGroup(
+        gens or [combinatorics.Permutation(list(range(G.degree)))])
 
 
 def elements_of(G):

@@ -3,9 +3,7 @@
 Everything here works on plain image tuples (or small-int indices backed by a
 locally built multiplication table) with its own composition function.  No
 code is shared with the package under test, so any disagreement points at a
-real bug on one side or the other.  The one exception is
-`is_nilpotent_lower_central`, which runs on the package's stabilizer chains,
-a path that never reads an element table.
+real bug on one side or the other.
 """
 
 from __future__ import annotations
@@ -327,18 +325,33 @@ SL34_SYLOW_NORMALIZER_GENERATORS = {
 }
 
 
-def is_nilpotent_lower_central(G):
-    """Lower central series on stabilizer chains: G is nilpotent when
-    G > [G, G] > [G, [G, G]] > ... reaches 1.  Each term is the normal
-    closure of the commutators of G's generators with the last term's."""
-    from csection.groups import normal_closure, whole_subgroup
+def normal_closure(degree, gens, xs):
+    """The smallest subgroup containing xs and normalized by the permutations
+    gens, by word BFS: an element joins the generators when it falls outside
+    their span, and its conjugates by gens are queued."""
+    seeds = []
+    span = generated(degree, seeds)
+    pending = list(xs)
+    while pending:
+        x = pending.pop()
+        if x not in span:
+            seeds.append(x)
+            span = generated(degree, seeds)
+            pending += [compose(compose(invert(g), x), g) for g in gens]
+    return span
 
-    current = whole_subgroup(G)
-    while current.order > 1:
-        comms = [g.inverse() * h.inverse() * g * h
-                 for g in G.generators for h in current.generators]
-        nxt = normal_closure(G, comms)
-        if nxt.order == current.order:
+
+def is_nilpotent_lower_central(G):
+    """Lower central series by word BFS: G is nilpotent when
+    G > [G, G] > [G, [G, G]] > ... reaches 1.  Each term is the normal
+    closure of the commutators of G's generators with the last term."""
+    gens = [g.images for g in G.generators]
+    current = generated(G.degree, gens)
+    while len(current) > 1:
+        commutators = [compose(compose(invert(g), invert(h)), compose(g, h))
+                       for g in gens for h in current]
+        nxt = normal_closure(G.degree, gens, commutators)
+        if len(nxt) == len(current):
             return False
         current = nxt
     return True

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from csection import groups, sections
+from csection.catalog import build_group, builtin_battery
 from csection.groups import CapExceededError, PermGroup, Subgroup
 from csection.iso import GroupId
 from csection.lattice import SubgroupClass, maximal_subgroups, normal_subgroups
@@ -226,22 +227,35 @@ def test_a_quotient_over_the_trivial_group_is_the_subgroups_table(battery200):
             assert quotient.generator_indices == want.generator_indices, label
 
 
+def _count_builds(monkeypatch):
+    """From here on, counts the permutation groups constructed, each with its
+    stabilizer chain, and the element tables enumerated from permutations."""
+    built = {"PermGroup": 0, "ElementTable": 0}
+    init, table_init = groups.PermGroup.__init__, ElementTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["PermGroup"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_table_init(self, *args, **kwargs):
+        built["ElementTable"] += 1
+        table_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
+    monkeypatch.setattr(ElementTable, "__init__", counting_table_init)
+    return built
+
+
 def test_a_section_over_a_nontrivial_L_builds_one_group(monkeypatch):
     # SL(2,5) over its center: the maximal SL(2,3) has section A4 = SL(2,3)/Z,
     # a table group read off G's table, with no permutation group built
     G = named("SL", 2, 5)
     M = next(c for c in maximal_subgroups(G) if c.order == 24).representative
     pair, = (p for p in chief_pairs_for_maximal(G, M) if p.L.order == 2)
-    init = groups.PermGroup.__init__
-    built = []
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
+    built = _count_builds(monkeypatch)
     section = sections._section_group(G, M._cache["ambient_indices"], pair)
-    assert built == [] and isinstance(section, TableGroup) and section.order == 12
+    assert isinstance(section, TableGroup) and section.order == 12
+    assert built == {"PermGroup": 0, "ElementTable": 0}
 
 
 @pytest.mark.parametrize("name,params,m_order,l_order", [
@@ -254,29 +268,19 @@ def test_a_trivial_section_builds_no_group_and_no_table(name, params, m_order, l
     M = next(c for c in maximal_subgroups(G) if c.order == m_order).representative
     pair, = chief_pairs_for_maximal(G, M)
     assert pair.L.order == l_order
-    built, quotients = [], []
-    init, table_init = groups.PermGroup.__init__, ElementTable.__init__
+    quotients = []
     coset_action = sections.coset_action
-
-    def counting_init(self, *args, **kwargs):
-        built.append("PermGroup")
-        init(self, *args, **kwargs)
-
-    def counting_table_init(self, *args, **kwargs):
-        built.append("ElementTable")
-        table_init(self, *args, **kwargs)
 
     def counting_coset_action(et, d_gens, l_set):
         quotients.append(list(d_gens))
         return coset_action(et, d_gens, l_set)
 
-    monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
-    monkeypatch.setattr(ElementTable, "__init__", counting_table_init)
+    built = _count_builds(monkeypatch)
     monkeypatch.setattr(sections, "coset_action", counting_coset_action)
     s = sec(G, M)
     assert s.group is groups.TRIVIAL_QUOTIENT
     assert (s.supersolvable, s.identified) == (True, GroupId("trivial", (), 1))
-    assert built == []
+    assert built == {"PermGroup": 0, "ElementTable": 0}
     assert quotients == [[]]
 
 
@@ -351,16 +355,35 @@ def test_check_conclusion():
 def test_conclusion_builds_no_permutation_group_after_the_input(monkeypatch):
     # SL(2,17)/Z is a chief factor of order 2,448, read off G's table
     G = named("SL", 2, 17)
-    init = groups.PermGroup.__init__
-    built = []
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
+    built = _count_builds(monkeypatch)
     assert check_conclusion(G).evidence["factor_orders"] == [2448, 2]
-    assert built == []
+    assert built == {"PermGroup": 0, "ElementTable": 1}
+
+
+def test_theorem_and_lemma1_build_no_group_and_one_table_after_the_input(battery500,
+                                                                        monkeypatch):
+    """Every subgroup and section is read off the input's table: on S5,
+    PGL2(5) and PGL2(7) the minimal normal subgroup's lattice is walked on
+    its table group, with no chain and no second table."""
+    for _label, G in battery500:  # builds the `iso` reference groups once
+        verify_theorem_instance(G)
+        verify_lemma1(G)
+    fresh = [(e.label, build_group(e.spec)) for e in builtin_battery(500)]
+    built = _count_builds(monkeypatch)
+    for label, G in fresh:
+        built.update(PermGroup=0, ElementTable=0)
+        verify_theorem_instance(G)
+        verify_lemma1(G)
+        assert built == {"PermGroup": 0, "ElementTable": 1}, label
+
+
+def test_example_builds_one_group_and_one_table(monkeypatch):
+    """Only G = PGL2(7) is built and enumerated; K, its lattice and K's
+    maximal classes are table groups read off G's table."""
+    verify_example(7)  # builds the `iso` reference groups once
+    built = _count_builds(monkeypatch)
+    assert verify_example(7).status == "pass"
+    assert built == {"PermGroup": 1, "ElementTable": 1}
 
 
 def test_check_conclusion_unidentified_simple_is_inconclusive(psl2_16):
