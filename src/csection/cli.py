@@ -343,7 +343,7 @@ def _dispatch(args) -> int:
         if not 0 <= args.maximal_index < len(classes):
             raise ValueError(f"maximal-index out of range 0..{len(classes) - 1}")
         cls = classes[args.maximal_index]
-        s = sec(G, cls.representative, verify=args.verify)
+        s = sec(G, cls, verify=args.verify)
         report = VerdictReport(
             subject=spec.canonical(), check="sec", status="pass",
             evidence={"maximal_order": cls.order, "section_order": s.order,

@@ -1,12 +1,14 @@
-"""Permutation groups with deterministic stabilizer chains, subgroups, and the
-standard operations built on sifting: membership and normalizers; and
-quotients D/L, read off an element table as table groups."""
+"""Permutation groups with deterministic stabilizer chains, and the standard
+operations built on sifting: membership and normalizers.  A `Subgroup` is a
+caller's permutation subgroup, and the normalizer's result; the pipeline
+holds the subgroups it derives as index sets (`lattice.SubgroupClass`).
+Quotients D/L are read off an element table as table groups."""
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -257,9 +259,11 @@ def trivial_group(degree: int) -> PermGroup:
 
 
 class Subgroup:
-    """A subgroup of an ambient group, carrying its own stabilizer chain."""
+    """A caller's subgroup of an ambient group, carrying its own stabilizer
+    chain.  The pipeline itself holds subgroups as index sets of the
+    ambient group's element table (`lattice.SubgroupClass`)."""
 
-    __slots__ = ("ambient", "generators", "order", "_group", "_cache")
+    __slots__ = ("ambient", "generators", "order", "group")
 
     def __init__(self, ambient: PermGroup, generators: Iterable[Permutation], *,
                  check: bool = True):
@@ -272,47 +276,23 @@ class Subgroup:
             for g in gens:
                 if not ambient.contains(g):
                     raise NotASubgroupError(f"generator {g!r} lies outside the ambient group")
-        self.ambient = ambient
-        self.generators = gens
-        self._group: Optional[PermGroup] = PermGroup(ambient.degree, gens)
-        self.order = self._group.order
-        if ambient.order % self.order:
-            raise RuntimeError("subgroup order fails Lagrange against its ambient group")
-        self._cache: dict = {}
-
-    @classmethod
-    def _of_known_order(cls, ambient: PermGroup, generators: Sequence[Permutation],
-                        order: int) -> "Subgroup":
-        """A subgroup whose order is already known (say, from its element
-        indices); its stabilizer chain is built, and checked against that
-        order, the first time `.group` is read."""
-        sub = cls.__new__(cls)
-        sub.ambient = ambient
-        sub.generators = tuple(g for g in generators if not g.is_identity())
-        sub._group = None
-        sub.order = order
-        sub._cache = {}
-        return sub
+        self._set(ambient, PermGroup(ambient.degree, gens))
 
     @classmethod
     def _of_group(cls, ambient: PermGroup, group: PermGroup) -> "Subgroup":
         """A subgroup given as a group already built on elements of the
         ambient group; its stabilizer chain is reused, not rebuilt."""
-        if ambient.order % group.order:
-            raise RuntimeError("subgroup order fails Lagrange against its ambient group")
-        sub = cls._of_known_order(ambient, group.generators, group.order)
-        sub._group = group
+        sub = cls.__new__(cls)
+        sub._set(ambient, group)
         return sub
 
-    @property
-    def group(self) -> PermGroup:
-        group = self._group
-        if group is None:
-            group = PermGroup(self.ambient.degree, self.generators)
-            if group.order != self.order:
-                raise RuntimeError("subgroup's stabilizer chain disagrees with its known order")
-            self._group = group
-        return group
+    def _set(self, ambient: PermGroup, group: PermGroup) -> None:
+        if ambient.order % group.order:
+            raise RuntimeError("subgroup order fails Lagrange against its ambient group")
+        self.ambient = ambient
+        self.generators = group.generators
+        self.group = group
+        self.order = group.order
 
     @property
     def degree(self) -> int:
@@ -330,15 +310,11 @@ class Subgroup:
         return self.group.elements()
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
-        """All elements as image tuples; memoized."""
-        cached = self._cache.get("element_set")
-        if cached is None:
-            if self.order > _ELEMENT_SET_CAP:
-                raise CapExceededError(
-                    f"subgroup order {self.order} exceeds element cap {_ELEMENT_SET_CAP}")
-            cached = frozenset(g.images for g in self.group.elements())
-            self._cache["element_set"] = cached
-        return cached
+        """All elements as image tuples."""
+        if self.order > _ELEMENT_SET_CAP:
+            raise CapExceededError(
+                f"subgroup order {self.order} exceeds element cap {_ELEMENT_SET_CAP}")
+        return frozenset(g.images for g in self.group.elements())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index()})"

@@ -227,7 +227,10 @@ def _backtrack_iso(G: PermGroup, H: PermGroup) -> bool:
             images.pop()
         return False
 
-    return extend(0, [])
+    try:
+        return extend(0, [])
+    finally:
+        del extend  # a recursive closure holds itself: break that cycle, and free the tables
 
 
 # -- identification ----------------------------------------------------------

@@ -71,10 +71,10 @@ one, so N < G).  Let U = M cap N.
 So M is a complement of N, or N_G(U) for a subgroup 1 < U < N whose G-class
 is its N-class; U is N-conjugate to a class representative U^n of N's own
 lattice, and N_G(U^n) = M^n.  Complements are found exactly by
-`_complements`; N's classes come from `all_subgroups` on N as a table group
-read off G's table (`_table_group`), and each G-class is walked on G's
-table.  Complements and normalizers of a nonabelian N need not be maximal.
-A normalizer that lies properly inside a conjugate of another is dropped at
+`_complements`; N's classes come from `all_subgroups` on N's table group
+(`SubgroupClass.group`), and each G-class is walked on G's table.
+Complements and normalizers of a nonabelian N need not be maximal.  A
+normalizer that lies properly inside a conjugate of another is dropped at
 once, and the certificate drops the others that are not maximal.
 
 So G's whole lattice is walked only when G is simple.
@@ -88,17 +88,18 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .gf import _is_prime, _largest_proper_divisor, _prime_power
-from .groups import PermGroup, Subgroup, coset_action
+from .groups import NotASubgroupError, PermGroup, Subgroup, coset_action
 from .tables import ClosureBase, ElementTable, TableGroup, element_table
 
 
 @dataclass
 class SubgroupClass:
-    """A conjugacy class of subgroups, held by one representative's indices
-    in `table`.  The pipeline reads a representative as a table group,
-    `coset_action(table, generator_indices, frozenset([0]))`; the
-    `representative` Subgroup builds a stabilizer chain only when a caller
-    reads its `.group`."""
+    """A subgroup held by its indices in `table`, G's element table: the
+    representative of a conjugacy class of `class_size` subgroups.  A normal
+    subgroup is a class of size one.  After the input group, this record is
+    the one way the pipeline holds a subgroup; a caller who wants
+    permutations builds `Subgroup(G, [table.permutation(i) for i in
+    generator_indices])`."""
 
     table: ElementTable = field(repr=False)
     indices: frozenset[int] = field(repr=False)
@@ -107,28 +108,22 @@ class SubgroupClass:
     verified_complete: bool
     # Set by all_subgroups: no extension of the class gave a proper subgroup.
     lattice_maximal: bool = field(default=False, repr=False)
-    # Set by maximal_subgroups once certify_maximal has confirmed the class.
+    # Set once certify_maximal has confirmed the class.
     certified_maximal: bool = field(default=False, init=False, repr=False)
-    _representative: Optional[Subgroup] = field(default=None, init=False, repr=False,
-                                                compare=False)
+    _group: Optional[PermGroup | TableGroup] = field(default=None, init=False, repr=False,
+                                                     compare=False)
 
     @property
     def order(self) -> int:
         return len(self.indices)
 
     @property
-    def representative(self) -> Subgroup:
-        rep = self._representative
-        if rep is None:
-            et = self.table
-            # the chain is built, and checked against the class, when `.group` is read
-            rep = Subgroup._of_known_order(
-                et.group, [et.permutation(i) for i in self.generator_indices], len(self.indices))
-            rep._cache["ambient_indices"] = self.indices
-            self._representative = rep
-        if self.certified_maximal:
-            rep._cache["certified_maximal"] = True
-        return rep
+    def group(self) -> PermGroup | TableGroup:
+        """The representative as a table group read off `table`, memoized:
+        its element i is the representative's i-th least index."""
+        if self._group is None:
+            self._group = coset_action(self.table, self.generator_indices, frozenset([0]))
+        return self._group
 
     def normalizer_order(self) -> int:
         """Orbit-stabilizer: |G| = class size * |normalizer|."""
@@ -306,18 +301,18 @@ def _class_from_registry(registry: _Registry, cid: int,
     return SubgroupClass(et, indices, gens, registry.sizes[cid], True, lattice_maximal)
 
 
-def all_subgroups(G: PermGroup, above: Optional[Subgroup] = None) -> list[SubgroupClass]:
+def all_subgroups(G: PermGroup | TableGroup,
+                  above: Optional[SubgroupClass | Subgroup] = None) -> list[SubgroupClass]:
     """All conjugacy classes of subgroups, sorted by order then lexicographically.
 
     With `above`, a normal subgroup N of G, only the classes of the subgroups
     that contain N, found by a walk seeded at N; that list is not cached.
     """
     if above is not None:
-        et = element_table(G)
-        n_set = _indices_of(G, above)
-        if any(et.conj_set(n_set, g) != n_set for g in et.generator_indices):
+        N = _as_class(G, above)
+        if N.class_size != 1:
             raise ValueError("`above` must be a normal subgroup")
-        return _lattice_classes(G, *_enumerate_classes(G, above=n_set))
+        return _lattice_classes(G, *_enumerate_classes(G, above=N.indices))
     cached = G._cache.get("all_subgroups")
     if cached is None:
         cached = G._cache["all_subgroups"] = _lattice_classes(G, *_enumerate_classes(G))
@@ -404,8 +399,7 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     et = element_table(G)
     possible: list[SubgroupClass] = []
     if is_nilpotent(G):
-        candidates = [_normal_class(et, N) for N in normal_subgroups(G)
-                      if _is_prime(G.order // N.order)]
+        candidates = [N for N in normal_subgroups(G) if _is_prime(G.order // N.order)]
     else:
         minimal = minimal_normal_subgroups(G)
         N = next((K for K in minimal if _prime_power(K.order) is not None), minimal[0])
@@ -413,9 +407,9 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
             candidates = [c for c in all_subgroups(G) if c.lattice_maximal]
         else:
             # by Lagrange, N is the one maximal subgroup above N when |G : N| is prime
-            candidates = ([_normal_class(et, N)] if _is_prime(G.order // N.order) else
+            candidates = ([N] if _is_prime(G.order // N.order) else
                           [c for c in all_subgroups(G, above=N) if c.lattice_maximal])
-            complements = _complements(et, _indices_of(G, N))
+            complements = _complements(et, N.indices)
             if _prime_power(N.order) is not None:
                 candidates += complements
             else:
@@ -433,33 +427,15 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     return candidates
 
 
-def _normal_class(et: ElementTable, N: Subgroup) -> SubgroupClass:
-    """A normal subgroup from `normal_subgroups` as a class of size one, with
-    the generators extracted for it there."""
-    return SubgroupClass(et, N._cache["ambient_indices"], N._cache["generator_indices"],
-                         1, True, True)
-
-
-def _table_group(et: ElementTable, H: Subgroup) -> PermGroup | TableGroup:
-    """A subgroup H of `normal_subgroups` as a table group read off G's table
-    `et`, memoized on H.  Its element i is H's i-th least index in `et`."""
-    cached = H._cache.get("table_group")
-    if cached is None:
-        cached = H._cache["table_group"] = coset_action(
-            et, H._cache["generator_indices"], frozenset([0]))
-    return cached
-
-
-def _normalizers_in(et: ElementTable, N: Subgroup) -> list[SubgroupClass]:
+def _normalizers_in(et: ElementTable, N: SubgroupClass) -> list[SubgroupClass]:
     """The classes of N_G(U), for the classes 1 < U < N of N's own lattice
     whose G-class is their N-class.  N's lattice is walked on N's table
-    group (`_table_group`), U's G-class on G's table, and N_G(U) is spanned
-    by the walk's Schreier generators up to its order |G| / |G-class|."""
-    ng = _table_group(et, N)
-    into_g = sorted(N._cache["ambient_indices"])
+    group, U's G-class on G's table, and N_G(U) is spanned by the walk's
+    Schreier generators up to its order |G| / |G-class|."""
+    into_g = sorted(N.indices)  # N's index i is into_g[i] in G's
     registry = _Registry(et, 0)  # no normalizers: nothing extends a candidate
     found: list[int] = []
-    for c in all_subgroups(ng):
+    for c in all_subgroups(N.group):
         if c.order in (1, N.order):
             continue
         u = frozenset(into_g[i] for i in c.indices)
@@ -522,14 +498,23 @@ def _complements(et: ElementTable, normal: frozenset[int]) -> list[SubgroupClass
     return [_class_from_registry(registry, cid, True) for cid in found]
 
 
-def _indices_of(G: PermGroup, H: Subgroup) -> frozenset[int]:
-    """H's elements as indices in G's element table, cached on H."""
-    cached = H._cache.get("ambient_indices")
-    if cached is None:
-        et = element_table(G)
-        cached = frozenset(et.index[g.images] for g in H.elements())
-        H._cache["ambient_indices"] = cached
-    return cached
+def _as_class(G: PermGroup | TableGroup, H: SubgroupClass | Subgroup) -> SubgroupClass:
+    """H as a record of G's table.  A record of G's own comes back as it is;
+    a caller's permutation Subgroup is read off G's table, its class size
+    off its conjugation orbit.  A record of another group's table, or a
+    Subgroup with an element outside G, raises NotASubgroupError."""
+    et = element_table(G)
+    if isinstance(H, SubgroupClass):
+        if H.table is not et:
+            raise NotASubgroupError("the subgroup record belongs to another group's table")
+        return H
+    try:
+        indices = frozenset(et.index[g.images] for g in H.elements())
+        gens = [et.index[g.images] for g in H.generators]
+    except KeyError:
+        raise NotASubgroupError(
+            f"the subgroup of order {H.order} has elements outside the group") from None
+    return SubgroupClass(et, indices, gens, len(_conjugates(et, indices)[0]), True)
 
 
 def _conjugates(et: ElementTable, subset: frozenset[int]
@@ -586,8 +571,9 @@ def _normal_join(et: ElementTable, s: frozenset[int], sgens: list[int],
     return current
 
 
-def normal_subgroups(G: PermGroup) -> list[Subgroup]:
-    """All normal subgroups, sorted by order, then by their sorted indices.
+def normal_subgroups(G: PermGroup | TableGroup) -> list[SubgroupClass]:
+    """All normal subgroups, as records of class size one, sorted by order,
+    then by their sorted indices.
 
     Every normal subgroup is a product of normal closures of element
     conjugacy classes.  Each rational class's normal closure is computed
@@ -642,16 +628,13 @@ def normal_subgroups(G: PermGroup) -> list[Subgroup]:
             found[grown] = et.extract_generators(grown)
             by_order.setdefault(order, []).append(grown)
             queue.append(grown)
-    subs = []
-    for s in sorted(found, key=lambda s: (len(s), sorted(s))):
-        # the chain is built only for the subgroups whose `.group` is read
-        subs.append(Subgroup._of_known_order(G, [et.permutation(i) for i in found[s]], len(s)))
-        subs[-1]._cache.update(ambient_indices=s, generator_indices=found[s])
+    subs = [SubgroupClass(et, s, found[s], 1, True)
+            for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
     G._cache["normal_subgroups"] = subs
     return subs
 
 
-def _normal_covers(G: PermGroup) -> dict[frozenset[int], list[Subgroup]]:
+def _normal_covers(G: PermGroup | TableGroup) -> dict[frozenset[int], list[SubgroupClass]]:
     """The covering relation of the normal subgroup lattice: each normal index
     set maps to the normal subgroups directly above it, in `normal_subgroups`
     order.  A pair L < K of the relation is a chief factor K/L of G."""
@@ -659,8 +642,8 @@ def _normal_covers(G: PermGroup) -> dict[frozenset[int], list[Subgroup]]:
     if cached is not None:
         return cached
     normals = normal_subgroups(G)
-    sets = [n._cache["ambient_indices"] for n in normals]
-    covers: dict[frozenset[int], list[Subgroup]] = {}
+    sets = [n.indices for n in normals]
+    covers: dict[frozenset[int], list[SubgroupClass]] = {}
     for i, s in enumerate(sets):
         # Normals come sorted by order, so any normal strictly between s and a
         # later t was met before t, and then so was a cover of s below t.
@@ -673,6 +656,6 @@ def _normal_covers(G: PermGroup) -> dict[frozenset[int], list[Subgroup]]:
     return covers
 
 
-def minimal_normal_subgroups(G: PermGroup) -> list[Subgroup]:
+def minimal_normal_subgroups(G: PermGroup | TableGroup) -> list[SubgroupClass]:
     """Atoms of the normal subgroup lattice (G itself counts when simple)."""
     return list(_normal_covers(G)[frozenset([0])])

@@ -12,15 +12,15 @@ reports whose pass verdicts always rest on complete enumerations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .gf import _is_prime, field_make, field_of_order
-from .groups import CapExceededError, PermGroup, Subgroup, coset_action, is_normal, normalizer
+from .groups import CapExceededError, PermGroup, Subgroup, coset_action, normalizer
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
-from .lattice import (SubgroupClass, _conjugates, _indices_of, _normal_covers, _table_group,
-                      all_subgroups, certify_maximal, maximal_subgroups,
-                      minimal_normal_subgroups, normal_subgroups, subgroups_of_index)
+from .lattice import (SubgroupClass, _as_class, _conjugates, _normal_covers, all_subgroups,
+                      certify_maximal, maximal_subgroups, minimal_normal_subgroups,
+                      normal_subgroups, subgroups_of_index)
 from .perms import Permutation
 from .series import _nonabelian_factors, chief_series, is_supersolvable
 from .tables import MAX_ORDER, TableGroup, element_table
@@ -40,12 +40,12 @@ class NotAChiefPairError(ValueError):
 
 @dataclass
 class ChiefPair:
-    """Adjacent normal pair (K, L) of G with L <= M and K not inside M."""
+    """Adjacent normal pair (K, L) of G with L <= M and K not inside M, as
+    records of `normal_subgroups`.  A caller may give K and L as permutation
+    Subgroups to pick the pair `sec` uses."""
 
-    K: Subgroup
-    L: Subgroup
-    k_indices: frozenset[int] = field(repr=False, default=frozenset())
-    l_indices: frozenset[int] = field(repr=False, default=frozenset())
+    K: SubgroupClass
+    L: SubgroupClass
 
 
 @dataclass
@@ -101,29 +101,21 @@ def _subject(G: PermGroup) -> str:
 
 # -- chief pairs and sections -------------------------------------------------
 
-def _ensure_maximal(G: PermGroup, M: Subgroup) -> frozenset[int]:
-    m_set = _indices_of(G, M)
-    if not M._cache.get("certified_maximal"):
-        et = element_table(G)
-        gens = [et.index[g.images] for g in M.generators]
-        if not certify_maximal(G, m_set, gens, et):
-            raise NotMaximalError(f"subgroup of order {M.order} is not maximal")
-        M._cache["certified_maximal"] = True
-    return m_set
-
-
-def chief_pairs_for_maximal(G: PermGroup, M: Subgroup) -> list[ChiefPair]:
+def chief_pairs_for_maximal(G: PermGroup, M: SubgroupClass | Subgroup) -> list[ChiefPair]:
     """All chief factors K/L of G with L <= M and K not inside M."""
-    m_set = _ensure_maximal(G, M)
+    M = _as_class(G, M)
+    if not M.certified_maximal:
+        if not certify_maximal(G, M.indices, M.generator_indices, M.table):
+            raise NotMaximalError(f"subgroup of order {M.order} is not maximal")
+        M.certified_maximal = True
+    m_set = M.indices
     covers = _normal_covers(G)
     # normal_subgroups and each cover list are in (order, indices) order, so
     # the pairs come out sorted by L, then K
     pairs = []
     for L in normal_subgroups(G):
-        ls = L._cache["ambient_indices"]
-        if ls <= m_set:
-            pairs += [ChiefPair(K=K, L=L, k_indices=K._cache["ambient_indices"], l_indices=ls)
-                      for K in covers[ls] if not K._cache["ambient_indices"] <= m_set]
+        if L.indices <= m_set:
+            pairs += [ChiefPair(K=K, L=L) for K in covers[L.indices] if not K.indices <= m_set]
     if not pairs:
         raise NoChiefPairError(
             f"no chief factor separates the maximal subgroup of order {M.order}")
@@ -137,45 +129,43 @@ def _section_group(G: PermGroup, m_set: frozenset[int],
     generators are extracted, and `coset_action` returns the shared trivial
     group `TRIVIAL_QUOTIENT` at once."""
     et = element_table(G)
-    d_set = m_set & pair.k_indices
+    d_set = m_set & pair.K.indices
     d_gens = et.extract_generators(d_set) if len(d_set) > pair.L.order else []
-    grp = coset_action(et, d_gens, pair.l_indices)
+    grp = coset_action(et, d_gens, pair.L.indices)
     if grp.order * pair.L.order != len(d_set):
         raise RuntimeError("section order disagrees with |M meet K| / |L|")
     return grp
 
 
 def _match_pair(G: PermGroup, pairs: list[ChiefPair], pair: ChiefPair) -> ChiefPair:
-    """The pair of `chief_pairs_for_maximal` with the given K and L, whose
-    index sets are read off K and L, not off the given pair's fields."""
-    try:
-        wanted = (_indices_of(G, pair.K), _indices_of(G, pair.L))
-    except KeyError:
-        raise NotAChiefPairError("the pair's K or L has elements outside the group") from None
+    """The pair of `chief_pairs_for_maximal` with the given K and L, records
+    of G's table or permutation Subgroups of G."""
+    wanted = (_as_class(G, pair.K).indices, _as_class(G, pair.L).indices)
     for p in pairs:
-        if (p.k_indices, p.l_indices) == wanted:
+        if (p.K.indices, p.L.indices) == wanted:
             return p
     raise NotAChiefPairError(
         f"(K, L) of orders ({pair.K.order}, {pair.L.order}) is not a chief pair "
         "separating the maximal subgroup")
 
 
-def sec(G: PermGroup, M: Subgroup, *, pair: Optional[ChiefPair] = None,
+def sec(G: PermGroup, M: SubgroupClass | Subgroup, *, pair: Optional[ChiefPair] = None,
         verify: bool = False) -> CSection:
-    """The section of M, from the first chief pair in canonical order.
+    """The section of M, a maximal class of G or a caller's permutation
+    Subgroup, from the first chief pair in canonical order.
 
     verify=True recomputes the section for every other pair and insists on
     pairwise isomorphism before returning.
     """
+    M = _as_class(G, M)
     pairs = chief_pairs_for_maximal(G, M)
     chosen = pairs[0] if pair is None else _match_pair(G, pairs, pair)
-    m_set = _indices_of(G, M)
-    grp = _section_group(G, m_set, chosen)
+    grp = _section_group(G, M.indices, chosen)
     if verify:
         for other in pairs:
             if other is chosen:
                 continue
-            alt = _section_group(G, m_set, other)
+            alt = _section_group(G, M.indices, other)
             if not is_isomorphic(grp, alt):
                 raise RuntimeError("sections from two chief pairs are not isomorphic")
     return CSection(group=grp, source_pair=chosen,
@@ -190,10 +180,8 @@ def verify_lemma1(G: PermGroup, *, subject: Optional[str] = None) -> VerdictRepo
     rows = []
     agree_all = True
     for cls in maximals:
-        M = cls.representative
-        pairs = chief_pairs_for_maximal(G, M)
-        m_set = _indices_of(G, M)
-        groups = [_section_group(G, m_set, p) for p in pairs]
+        pairs = chief_pairs_for_maximal(G, cls)
+        groups = [_section_group(G, cls.indices, p) for p in pairs]
         agree = all(is_isomorphic(groups[0], h) for h in groups[1:])
         agree_all = agree_all and agree
         rows.append({"maximal_order": cls.order, "pair_count": len(pairs),
@@ -213,7 +201,7 @@ def check_hypothesis(G: PermGroup, *, subject: Optional[str] = None,
     rows = []
     witnesses = []
     for cls in maximal_classes:
-        s = sec(G, cls.representative)
+        s = sec(G, cls)
         rows.append({"maximal_order": cls.order, "section_order": s.order,
                      "section_id": str(s.identified), "supersolvable": s.supersolvable})
         if not s.supersolvable:
@@ -316,8 +304,7 @@ def verify_lemma3(n: int, *, subject: Optional[str] = None) -> VerdictReport:
     A = _reference("alt", n)
     classes = subgroups_of_index(A, n)
     expected = 2 if n == 6 else 1
-    iso_ok = all(is_isomorphic(coset_action(c.table, c.generator_indices, frozenset([0])),
-                               _reference("alt", n - 1)) for c in classes)
+    iso_ok = all(is_isomorphic(c.group, _reference("alt", n - 1)) for c in classes)
     ok = len(classes) == expected and iso_ok
     return make_report(subject or f"A{n}", "lemma3", ok, True,
                        {"degree": n, "class_count": len(classes), "expected": expected,
@@ -329,11 +316,8 @@ _LEMMA4_ORDERS = {(2, 4): (12, 12), (2, 8): (56, 56), (2, 9): (72, 36), (3, 4): 
 
 
 def _certify_minimal_normal(N: PermGroup, corner_gens: Sequence[Permutation]) -> bool:
-    corner = Subgroup(N, corner_gens)
-    if not is_normal(N, corner):
-        return False
-    c_set = _indices_of(N, corner)
-    return any(m._cache["ambient_indices"] == c_set for m in minimal_normal_subgroups(N))
+    c_set = _as_class(N, Subgroup(N, corner_gens)).indices
+    return any(m.indices == c_set for m in minimal_normal_subgroups(N))
 
 
 def verify_lemma4(n: int, q: int, *, trials: int = 100, seed: int = 0,
@@ -388,8 +372,8 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     Klein four subgroups in K with normalizer order 24; those classes fused
     into one inside G; all sections of maximal subgroups of G supersolvable;
     every maximal class of K isomorphic to S4, A5, or supersolvable.  Only K's
-    subgroup lattice is built, on K's table group read off G's table
-    (`lattice._table_group`, memoized on K): step 2 reads the Klein four
+    subgroup lattice is built, on K's table group read off G's table (the
+    `group` of K's record, memoized there): step 2 reads the Klein four
     classes off it; K is G's minimal normal subgroup, so G's maximal classes
     in step 4 come from it too (`lattice` module docstring), and so do K's
     own maximal classes in step 5, each read as a table group off K's table.
@@ -423,7 +407,7 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
                            {"p": p, "sub_checks": subs})
 
     et = element_table(G)
-    Kt = _table_group(et, K)
+    Kt = K.group
     ket = element_table(Kt)
     # 2: Klein four classes inside K: the order-4 classes of involutions
     kleins = [c for c in all_subgroups(Kt)
@@ -437,7 +421,7 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     # 3: the two classes fuse under G: one G-orbit holds both representatives
     fused_ok = False
     if len(kleins) == 2:
-        into_g = sorted(K._cache["ambient_indices"])  # K's index i is into_g[i] in G's
+        into_g = sorted(K.indices)  # K's index i is into_g[i] in G's
         first, second = (frozenset(into_g[i] for i in c.indices) for c in kleins)
         fused_ok = second in _conjugates(et, first)[0]
     subs.append({"name": "fusion_in_G", "status": "pass" if fused_ok else "fail"})
@@ -455,7 +439,7 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     k_rows = []
     k_ok = True
     for cls in maximal_subgroups(Kt):
-        M = coset_action(ket, cls.generator_indices, frozenset([0]))
+        M = cls.group
         gid = identify(M)
         ss = is_supersolvable(M)
         fits = gid in (GroupId("symmetric", (4,), 24), GroupId("alternating", (5,), 60)) or ss
@@ -478,8 +462,7 @@ def unique_class_check(G: PermGroup, H: Subgroup, *,
     """
     classes = all_subgroups(G)
     matching = [c for c in classes
-                if c.order == H.order and is_isomorphic(
-                    coset_action(c.table, c.generator_indices, frozenset([0])), H.group)]
+                if c.order == H.order and is_isomorphic(c.group, H.group)]
     if not matching:
         raise RuntimeError("the lattice lost the input subgroup's class")
     unique = len(matching) == 1

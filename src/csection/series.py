@@ -16,8 +16,8 @@ from typing import Optional
 
 from .catalog import _cyclic
 from .gf import _is_prime, _prime_factors, _prime_power
-from .groups import PermGroup, Subgroup, coset_action
-from .lattice import _normal_covers, _table_group, minimal_normal_subgroups, normal_subgroups
+from .groups import PermGroup, coset_action
+from .lattice import SubgroupClass, _normal_covers, minimal_normal_subgroups, normal_subgroups
 from .tables import TableGroup, element_table
 
 
@@ -41,7 +41,7 @@ class FactorDescriptor:
 @dataclass
 class ChiefSeries:
     group: PermGroup
-    terms: list[Subgroup]            # descending: terms[0] = G, terms[-1] = 1
+    terms: list[SubgroupClass]       # descending: terms[0] = G, terms[-1] = 1
     factors: list[FactorDescriptor]  # factors[i] = terms[i] / terms[i+1]
 
     def factor_orders(self) -> list[int]:
@@ -55,7 +55,7 @@ def chief_series(G: PermGroup) -> ChiefSeries:
     covers = _normal_covers(G)
     chain = [normal_subgroups(G)[0]]
     while chain[-1].order < G.order:
-        chain.append(covers[chain[-1]._cache["ambient_indices"]][0])
+        chain.append(covers[chain[-1].indices][0])
     terms = list(reversed(chain))
     et = element_table(G)
     inv, mul = et.inverse, et.mul
@@ -64,8 +64,7 @@ def chief_series(G: PermGroup) -> ChiefSeries:
         order = K.order // L.order
         pk = _prime_power(order)
         if pk is not None:
-            l_set = L._cache["ambient_indices"]
-            gens = K._cache["generator_indices"]
+            l_set, gens = L.indices, K.generator_indices
             if any(mul(inv[x], mul(inv[y], mul(x, y))) not in l_set
                    for i, x in enumerate(gens) for y in gens[i + 1:]):
                 raise RuntimeError("chief factor of prime-power order is not abelian")
@@ -140,7 +139,7 @@ def composition_factors(G: PermGroup) -> list[PermGroup | TableGroup]:
     return out
 
 
-def _nonabelian_factors(G: PermGroup, K: Subgroup, L: Subgroup,
+def _nonabelian_factors(G: PermGroup, K: SubgroupClass, L: SubgroupClass,
                         f: FactorDescriptor) -> list[PermGroup | TableGroup]:
     """The simple composition factors of the nonabelian chief factor K/L of
     G: t copies of one simple group, read off a minimal normal subgroup of
@@ -149,14 +148,13 @@ def _nonabelian_factors(G: PermGroup, K: Subgroup, L: Subgroup,
     if L.order == 1 and K.order == G.order:
         g = G  # G/1 is G: keep its caches warm
     else:
-        g = coset_action(element_table(G), K._cache["generator_indices"],
-                         L._cache["ambient_indices"])
+        g = coset_action(element_table(G), K.generator_indices, L.indices)
     if g.order != f.order:
         raise RuntimeError("chief factor order disagrees with the index")
     mins = minimal_normal_subgroups(g)
     if mins[0].order == f.order:
         return [g]  # the chief factor is itself simple
-    simple = _table_group(element_table(g), mins[0])
+    simple = mins[0].group
     t = 0
     order = f.order
     while order > 1 and order % simple.order == 0:

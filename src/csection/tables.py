@@ -15,9 +15,13 @@ The hot loops read the table a row at a time: `rows[i]` is a 1-D view of row
 i, so a whole left coset u*H is one C-level gather, `itemgetter(*H)(rows[u])`,
 and a conjugate g^-1*x*g is two cell reads.
 
-An input group's table is enumerated from its permutations.  Every group the
-pipeline derives from it, a quotient D/L or a subgroup, is a `TableGroup`:
-its table is read off the parent's table, and no element is enumerated.
+An input group's table is enumerated from its permutations.  A subgroup is
+held as a `lattice.SubgroupClass` record, its indices in the parent's table.
+Every group the pipeline derives, a quotient D/L or a subgroup (a record's
+`group`), is a `TableGroup`: its table is read off the parent's table, and
+no element is enumerated.  A table does not refer back to its group, so a
+group, its caches and its tables hold no reference cycle, and they are freed
+as soon as the group is.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ class ElementTable:
     def __init__(self, group: PermGroup):
         if group.order > MAX_ORDER:
             raise CapExceededError(f"group order {group.order} exceeds element cap {MAX_ORDER}")
-        self.group: PermGroup | TableGroup = group
         tuples = sorted(g.images for g in group.elements())
         if len(tuples) != group.order:
             raise RuntimeError("element enumeration disagrees with the group order")
@@ -64,12 +67,10 @@ class ElementTable:
         self._build_table()
 
     @classmethod
-    def _of_table(cls, group: TableGroup, table: np.ndarray,
-                  generator_indices: list[int]) -> "ElementTable":
+    def _of_table(cls, table: np.ndarray, generator_indices: list[int]) -> "ElementTable":
         """The element table of a table group: its Cayley table, already read
         off a parent's table, and its generators by index."""
         et = cls.__new__(cls)
-        et.group = group
         et.tuples = et.index = None
         et.n = len(table)
         et.generator_indices = generator_indices
@@ -281,7 +282,7 @@ class TableGroup:
 
     def __init__(self, table: np.ndarray, generator_indices: Sequence[int]):
         self._cache: dict = {
-            "element_table": ElementTable._of_table(self, table, list(generator_indices))}
+            "element_table": ElementTable._of_table(table, list(generator_indices))}
 
     @property
     def order(self) -> int:

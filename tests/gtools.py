@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from csection.catalog import build_group, named_spec, product_spec
-from csection.groups import PermGroup
+from csection.groups import PermGroup, Subgroup
 from csection.lattice import _normal_covers, normal_subgroups
 from csection.perms import Permutation, parse_cycle_lists
 
@@ -28,6 +28,12 @@ def sympy_group(G):
     gens = [combinatorics.Permutation(list(g.images)) for g in G.generators]
     return combinatorics.PermutationGroup(
         gens or [combinatorics.Permutation(list(range(G.degree)))])
+
+
+def as_subgroup(G, c):
+    """A subgroup record of G's table as a permutation Subgroup of G, with a
+    stabilizer chain of its own, built from the record's generator indices."""
+    return Subgroup(G, [c.table.permutation(i) for i in c.generator_indices])
 
 
 def elements_of(G):
@@ -54,8 +60,8 @@ def every_chief_series_orders(G):
     covers = _normal_covers(G)
     up = {}
     for N in reversed(normal_subgroups(G)):
-        s = N._cache["ambient_indices"]
-        ways = {tuple(sorted(up[K._cache["ambient_indices"]] + (K.order // N.order,)))
+        s = N.indices
+        ways = {tuple(sorted(up[K.indices] + (K.order // N.order,)))
                 for K in covers[s]}
         assert len(ways) == (N.order < G.order), \
             f"chief series up from a normal subgroup of order {N.order}: {sorted(ways)}"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from csection import lattice
 from csection.catalog import build_group, builtin_battery
 from csection.gf import _prime_power
-from csection.groups import CapExceededError, PermGroup, Subgroup, is_normal, normalizer
+from csection.groups import (CapExceededError, NotASubgroupError, PermGroup, Subgroup,
+                             is_normal, normalizer)
 from csection.iso import identify
 from csection.lattice import (_conjugates, all_subgroups, certify_maximal, maximal_subgroups,
                               minimal_normal_subgroups, normal_subgroups,
@@ -18,7 +19,8 @@ from csection.perms import Permutation
 from csection.series import is_nilpotent
 from csection.tables import ElementTable, element_table
 
-from gtools import elements_of, from_cycles, named, product, quaternion, small_groups
+from gtools import (as_subgroup, elements_of, from_cycles, named, product, quaternion,
+                    small_groups)
 from oracles import (NaiveTable, all_subgroups_naive, all_subgroups_powerset,
                      normal_subgroups_naive)
 
@@ -133,7 +135,7 @@ def test_maximal_subgroup_classes(name, params, orders, sizes, group_ids):
     classes = maximal_subgroups(G)
     assert [c.order for c in classes] == orders
     assert [c.class_size for c in classes] == sizes
-    assert [str(identify(c.representative.group)) for c in classes] == group_ids
+    assert [str(identify(as_subgroup(G, c).group)) for c in classes] == group_ids
     assert all(c.verified_complete for c in classes)
     et = element_table(G)
     for c in classes:
@@ -169,11 +171,11 @@ def test_class_representatives_match_their_indices():
     G = named("Sym", 4)
     et = element_table(G)
     for c in all_subgroups(G):
-        rep = c.representative
+        rep = as_subgroup(G, c)
         assert isinstance(rep, Subgroup)
         assert rep.order == len(c.indices) == c.order
         assert frozenset(et.index[g.images] for g in rep.elements()) == c.indices
-        assert c.representative is rep
+        assert c.group is c.group and c.group.order == c.order
 
 
 def test_certify_maximal_rejects_non_maximal():
@@ -239,27 +241,25 @@ def test_normal_subgroups_match_oracle(make, count):
     G = make()
     normals = normal_subgroups(G)
     assert len(normals) == count
-    got = {frozenset(p.images for p in N.elements()) for N in normals}
+    got = {frozenset(p.images for p in as_subgroup(G, N).elements()) for N in normals}
     table = NaiveTable(elements_of(G))
     want = {frozenset(table.elems[i] for i in s) for s in normal_subgroups_naive(table)}
     assert got == want
-    assert all(is_normal(G, N) for N in normals)
+    assert all(is_normal(G, as_subgroup(G, N)) for N in normals)
 
 
 @pytest.mark.parametrize("make", [lambda: named("Sym", 4), lambda: named("PSL2", 7)],
                          ids=["S4", "PSL2_7"])
-def test_normal_subgroup_chains_are_built_on_first_read(make):
+def test_normal_subgroups_are_records_of_class_size_one(make):
     G = make()
     normals = normal_subgroups(G)
-    assert all(N._group is None for N in normals)  # no chain until .group is read
+    assert all(N.table is element_table(G) and N.class_size == 1 for N in normals)
     for N in normals:
-        s = N._cache["ambient_indices"]
+        s = N.indices
         assert N.order == len(s)
+        assert as_subgroup(G, N).order == len(s)
+        assert as_subgroup(G, N).index() == G.order // len(s)
         assert N.group.order == len(s)
-        assert N.index() == G.order // len(s)
-    wrong = Subgroup._of_known_order(G, normals[-1].generators, G.order // 2)
-    with pytest.raises(RuntimeError, match="known order"):
-        wrong.group
 
 
 def _normal_join_walk(G):
@@ -299,7 +299,7 @@ def _check_normal_subgroups(G):
     generators against the join walk; returns the number found."""
     et = element_table(G)
     normals = normal_subgroups(G)
-    got = [(N._cache["ambient_indices"], [et.index[g.images] for g in N.generators])
+    got = [(N.indices, [et.index[g.images] for g in as_subgroup(G, N).generators])
            for N in normals]
     assert got == _normal_join_walk(G)
     table = NaiveTable(elements_of(G))
@@ -345,7 +345,7 @@ def test_minimal_normal_subgroups():
     for G, orders in cases:
         atoms = minimal_normal_subgroups(G)
         assert sorted(N.order for N in atoms) == orders
-        assert all(is_normal(G, N) for N in atoms)
+        assert all(is_normal(G, as_subgroup(G, N)) for N in atoms)
 
 
 def _klein_four_classes(G):
@@ -360,8 +360,8 @@ def test_klein_four_classes_s4():
     classes = _klein_four_classes(G)
     assert [(c.class_size, c.normalizer_order()) for c in classes] == [(3, 8), (1, 24)]
     for c in classes:
-        assert c.representative.order == 4
-        orders = sorted(p.order() for p in c.representative.elements())
+        assert as_subgroup(G, c).order == 4
+        orders = sorted(p.order() for p in as_subgroup(G, c).elements())
         assert orders == [1, 2, 2, 2]
 
 
@@ -557,7 +557,7 @@ def test_complements_match_brute_force(battery500):
         table = NaiveTable(elements_of(G))
         naive = [frozenset(table.elems[i] for i in s) for s in all_subgroups_naive(table)]
         for N in _abelian_minimal_normals(G):
-            n_set = N._cache["ambient_indices"]
+            n_set = N.indices
             n_tuples = frozenset(et.tuples[i] for i in n_set)
             want = {U for U in naive if len(U) * len(n_set) == G.order and len(U & n_tuples) == 1}
             got = set()
@@ -576,7 +576,7 @@ def test_classes_above_a_normal_subgroup(battery500):
     whole lattice's classes that contain N, flags and generators included."""
     for label, G in battery500:
         for N in normal_subgroups(G):
-            n_set = N._cache["ambient_indices"]
+            n_set = N.indices
             want = [(c.indices, c.class_size, c.generator_indices, c.lattice_maximal)
                     for c in all_subgroups(G) if n_set <= c.indices]
             got = [(c.indices, c.class_size, c.generator_indices, c.lattice_maximal)
@@ -593,6 +593,18 @@ def test_classes_above_are_not_cached_and_need_a_normal_subgroup():
     C2 = Subgroup(G, [Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(ValueError, match="normal"):
         all_subgroups(G, above=C2)
+    assert [c.order for c in all_subgroups(G, above=as_subgroup(G, V4))] == [4, 8, 12, 24]
+
+
+def test_classes_above_refuse_a_subgroup_of_another_group():
+    S4, S5 = named("Sym", 4), named("Sym", 5)
+    a4_in_s5 = Subgroup(S5, [Permutation.from_cycles(5, [(0, 1, 2)]),
+                             Permutation.from_cycles(5, [(0, 1), (2, 3)])])
+    assert issubclass(NotASubgroupError, ValueError)
+    with pytest.raises(NotASubgroupError):
+        all_subgroups(S4, above=a4_in_s5)
+    with pytest.raises(NotASubgroupError):  # S5's record of A5 is not one of S4's
+        all_subgroups(S4, above=normal_subgroups(S5)[1])
 
 
 @pytest.mark.parametrize("make,bound", [

@@ -2,13 +2,14 @@
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from csection import groups, sections
-from csection.catalog import build_group, builtin_battery
-from csection.groups import CapExceededError, PermGroup, Subgroup
+from csection.catalog import build_group, builtin_battery, named_spec
+from csection.groups import CapExceededError, NotASubgroupError, PermGroup, Subgroup
 from csection.iso import GroupId
 from csection.lattice import SubgroupClass, maximal_subgroups, normal_subgroups
 from csection.perms import Permutation
@@ -21,7 +22,7 @@ from csection.sections import (ChiefPair, NoChiefPairError, NotAChiefPairError,
                                verify_theorem_instance)
 from csection.tables import ElementTable, TableGroup, element_table
 
-from gtools import elements_of, named, product, small_groups
+from gtools import as_subgroup, elements_of, named, product, small_groups
 from oracles import NaiveTable, brute_isomorphic, coset_table_naive, normal_subgroups_naive
 
 
@@ -48,10 +49,10 @@ def test_verdict_report_invariants():
 def test_chief_pairs_of_klein_four_maximals():
     G = named("ElemAbelian", 2, 2)
     for cls in maximal_subgroups(G):
-        pairs = chief_pairs_for_maximal(G, cls.representative)
+        pairs = chief_pairs_for_maximal(G, cls)
         assert len(pairs) == 3
         assert all(p.L.order in (1, 2) and p.K.order in (2, 4) for p in pairs)
-        s = sec(G, cls.representative, verify=True)
+        s = sec(G, cls, verify=True)
         assert s.order == 1 and str(s.identified) == "1"
         assert s.supersolvable
 
@@ -80,20 +81,20 @@ def test_sec_on_s4_and_s5():
     S4 = named("Sym", 4)
     a4 = maximal_subgroups(S4)[0]
     assert a4.order == 12
-    s = sec(S4, a4.representative, verify=True)
+    s = sec(S4, a4, verify=True)
     assert s.order == 1
     assert (s.source_pair.K.order, s.source_pair.L.order) == (24, 12)
 
     S5 = named("Sym", 5)
     by_order = {c.order: c for c in maximal_subgroups(S5)}
-    s = sec(S5, by_order[24].representative, verify=True)
+    s = sec(S5, by_order[24], verify=True)
     assert (s.order, str(s.identified), s.supersolvable) == (12, "A4", False)
-    s = sec(S5, by_order[60].representative)
+    s = sec(S5, by_order[60])
     assert s.order == 1
 
-    pairs = chief_pairs_for_maximal(S5, by_order[24].representative)
+    pairs = chief_pairs_for_maximal(S5, by_order[24])
     assert len(pairs) == 1
-    explicit = sec(S5, by_order[24].representative, pair=pairs[0])
+    explicit = sec(S5, by_order[24], pair=pairs[0])
     assert explicit.order == 12
 
 
@@ -106,11 +107,32 @@ def test_sec_rejects_non_maximal():
         sec(A5, Subgroup(A5, A5.generators))
 
 
+def test_chief_pairs_refuse_a_maximal_class_of_another_group():
+    # read against S5's table, S4's class A4 once gave the pair (A5, 1)
+    S4, S5 = named("Sym", 4), named("Sym", 5)
+    with pytest.raises(NotASubgroupError):
+        chief_pairs_for_maximal(S5, maximal_subgroups(S4)[0])
+
+
+def test_sec_refuses_a_subgroup_of_another_group():
+    S4, S5 = named("Sym", 4), named("Sym", 5)
+    a4_in_s5 = Subgroup(S5, [Permutation.from_cycles(5, [(0, 1, 2)]),
+                             Permutation.from_cycles(5, [(0, 1), (2, 3)])])
+    with pytest.raises(NotASubgroupError):
+        sec(S4, a4_in_s5)
+    # A4 is maximal in S4 but is all of A4: what one group certified does not
+    # carry over to another
+    a4 = as_subgroup(S4, maximal_subgroups(S4)[0])
+    assert sec(S4, a4).order == 1
+    with pytest.raises(NotMaximalError):
+        sec(named("Alt", 4), a4)
+
+
 def test_sec_reads_a_given_pairs_index_sets_off_K_and_L():
     """A pair built from K and L alone, with no index sets, gives the same
     section as the canonical pair; SL(2,5) over its centre is A4 in SL(2,3)."""
     G = named("SL", 2, 5)
-    M = next(c for c in maximal_subgroups(G) if c.order == 24).representative
+    M = next(c for c in maximal_subgroups(G) if c.order == 24)
     z = next(g for g in G.elements() if g.order() == 2)  # -I, the only involution
     s = sec(G, M, pair=ChiefPair(K=Subgroup(G, G.generators), L=Subgroup(G, [z])))
     assert (s.order, str(s.identified)) == (12, "A4")
@@ -119,7 +141,7 @@ def test_sec_reads_a_given_pairs_index_sets_off_K_and_L():
 
 def test_sec_rejects_a_pair_that_does_not_separate_M():
     G = named("SL", 2, 5)
-    M = next(c for c in maximal_subgroups(G) if c.order == 24).representative
+    M = next(c for c in maximal_subgroups(G) if c.order == 24)
     z = next(g for g in G.elements() if g.order() == 2)
     centre = Subgroup(G, [z])
     assert issubclass(NotAChiefPairError, ValueError)  # exit 3 in the CLI
@@ -134,13 +156,12 @@ def test_chief_pairs_exist_for_every_battery_maximal(battery200):
         if G.order == 1:
             continue
         for cls in maximal_subgroups(G):
-            M = cls.representative
-            pairs = chief_pairs_for_maximal(G, M)
+            pairs = chief_pairs_for_maximal(G, cls)
             assert pairs, f"{label}: maximal of order {cls.order} has no chief pair"
-            s = sec(G, M)
+            s = sec(G, cls)
             pair = s.source_pair
             # |G| = |K||M| / |K meet M| and the section is (K meet M)/L
-            assert s.order * pair.L.order * G.order == pair.K.order * M.order, label
+            assert s.order * pair.L.order * G.order == pair.K.order * cls.order, label
 
 
 def test_chief_pairs_match_brute_force_covers(battery200):
@@ -158,11 +179,11 @@ def test_chief_pairs_match_brute_force_covers(battery200):
         for cls in maximal_subgroups(G):
             m = naive(cls.indices)
             want = {(K, L) for K, L in covers if L <= m and not K <= m}
-            pairs = chief_pairs_for_maximal(G, cls.representative)
-            got = [(naive(p.k_indices), naive(p.l_indices)) for p in pairs]
+            pairs = chief_pairs_for_maximal(G, cls)
+            got = [(naive(p.K.indices), naive(p.L.indices)) for p in pairs]
             assert len(got) == len(set(got)) and set(got) == want, (label, cls.order)
-            assert all((p.K.order, p.L.order) == (len(p.k_indices), len(p.l_indices))
-                       for p in pairs), label
+            assert all((p.K.group.order, p.L.group.order)
+                       == (len(p.K.indices), len(p.L.indices)) for p in pairs), label
 
 
 def _naive_quotient(table, d, l):
@@ -188,12 +209,11 @@ def test_sections_match_the_naive_quotient(battery200):
             return frozenset(table.index[et.tuples[i]] for i in indices)
 
         for cls in maximal_subgroups(G):
-            M = cls.representative
-            for pair in chief_pairs_for_maximal(G, M):
+            for pair in chief_pairs_for_maximal(G, cls):
                 if pair.L.order == 1:
                     continue
-                d, l = naive(cls.indices) & naive(pair.k_indices), naive(pair.l_indices)
-                section = sec(G, M, pair=pair).group
+                d, l = naive(cls.indices) & naive(pair.K.indices), naive(pair.L.indices)
+                section = sec(G, cls, pair=pair).group
                 assert section.order == len(d) // len(l), (label, cls.order)
                 want = _naive_quotient(table, d, l)
                 assert brute_isomorphic(elements_of(section), want), (label, cls.order)
@@ -213,11 +233,11 @@ def test_a_quotient_over_the_trivial_group_is_the_subgroups_table(battery200):
         if G.order > 120:
             continue
         et = element_table(G)
-        subgroups = [N._cache["generator_indices"] for N in normal_subgroups(G)]
+        subgroups = [N.generator_indices for N in normal_subgroups(G)]
         for cls in maximal_subgroups(G):
-            for pair in chief_pairs_for_maximal(G, cls.representative):
+            for pair in chief_pairs_for_maximal(G, cls):
                 if pair.L.order == 1:
-                    subgroups.append(et.extract_generators(cls.indices & pair.k_indices))
+                    subgroups.append(et.extract_generators(cls.indices & pair.K.indices))
         for gens in subgroups:
             if not gens:
                 continue
@@ -229,9 +249,11 @@ def test_a_quotient_over_the_trivial_group_is_the_subgroups_table(battery200):
 
 def _count_builds(monkeypatch):
     """From here on, counts the permutation groups constructed, each with its
-    stabilizer chain, and the element tables enumerated from permutations."""
-    built = {"PermGroup": 0, "ElementTable": 0}
+    stabilizer chain, the element tables enumerated from permutations, and
+    the table elements turned back into permutations."""
+    built = {"PermGroup": 0, "ElementTable": 0, "permutation": 0}
     init, table_init = groups.PermGroup.__init__, ElementTable.__init__
+    permutation = ElementTable.permutation
 
     def counting_init(self, *args, **kwargs):
         built["PermGroup"] += 1
@@ -241,8 +263,13 @@ def _count_builds(monkeypatch):
         built["ElementTable"] += 1
         table_init(self, *args, **kwargs)
 
+    def counting_permutation(self, i):
+        built["permutation"] += 1
+        return permutation(self, i)
+
     monkeypatch.setattr(groups.PermGroup, "__init__", counting_init)
     monkeypatch.setattr(ElementTable, "__init__", counting_table_init)
+    monkeypatch.setattr(ElementTable, "permutation", counting_permutation)
     return built
 
 
@@ -250,12 +277,12 @@ def test_a_section_over_a_nontrivial_L_builds_one_group(monkeypatch):
     # SL(2,5) over its center: the maximal SL(2,3) has section A4 = SL(2,3)/Z,
     # a table group read off G's table, with no permutation group built
     G = named("SL", 2, 5)
-    M = next(c for c in maximal_subgroups(G) if c.order == 24).representative
+    M = next(c for c in maximal_subgroups(G) if c.order == 24)
     pair, = (p for p in chief_pairs_for_maximal(G, M) if p.L.order == 2)
     built = _count_builds(monkeypatch)
-    section = sections._section_group(G, M._cache["ambient_indices"], pair)
+    section = sections._section_group(G, M.indices, pair)
     assert isinstance(section, TableGroup) and section.order == 12
-    assert built == {"PermGroup": 0, "ElementTable": 0}
+    assert built == {"PermGroup": 0, "ElementTable": 0, "permutation": 0}
 
 
 @pytest.mark.parametrize("name,params,m_order,l_order", [
@@ -265,7 +292,7 @@ def test_a_section_over_a_nontrivial_L_builds_one_group(monkeypatch):
 def test_a_trivial_section_builds_no_group_and_no_table(name, params, m_order, l_order,
                                                         monkeypatch):
     G = named(name, *params)
-    M = next(c for c in maximal_subgroups(G) if c.order == m_order).representative
+    M = next(c for c in maximal_subgroups(G) if c.order == m_order)
     pair, = chief_pairs_for_maximal(G, M)
     assert pair.L.order == l_order
     quotients = []
@@ -280,14 +307,14 @@ def test_a_trivial_section_builds_no_group_and_no_table(name, params, m_order, l
     s = sec(G, M)
     assert s.group is groups.TRIVIAL_QUOTIENT
     assert (s.supersolvable, s.identified) == (True, GroupId("trivial", (), 1))
-    assert built == {"PermGroup": 0, "ElementTable": 0}
+    assert built == {"PermGroup": 0, "ElementTable": 0, "permutation": 0}
     assert quotients == [[]]
 
 
 def test_coset_action_with_no_generators_is_trivial():
     G = named("Sym", 4)
     et = element_table(G)
-    v4 = next(N for N in normal_subgroups(G) if N.order == 4)._cache["ambient_indices"]
+    v4 = next(N for N in normal_subgroups(G) if N.order == 4).indices
     for l_set in (frozenset([0]), v4):
         assert groups.coset_action(et, [], l_set).order == 1
     assert groups.coset_action(et, sorted(v4), v4) is groups.TRIVIAL_QUOTIENT
@@ -297,8 +324,9 @@ def test_coset_action_with_no_generators_is_trivial():
 @given(small_groups())
 def test_section_identity_is_invariant_under_conjugating_M(G):
     for cls in maximal_subgroups(G):
-        M = cls.representative
-        want = sec(G, M).identified
+        M = as_subgroup(G, cls)
+        want = sec(G, cls).identified
+        assert sec(G, M).identified == want
         for g in G.generators:
             conjugate = Subgroup(G, [h.conjugated_by(g) for h in M.generators], check=False)
             assert sec(G, conjugate).identified == want
@@ -357,24 +385,25 @@ def test_conclusion_builds_no_permutation_group_after_the_input(monkeypatch):
     G = named("SL", 2, 17)
     built = _count_builds(monkeypatch)
     assert check_conclusion(G).evidence["factor_orders"] == [2448, 2]
-    assert built == {"PermGroup": 0, "ElementTable": 1}
+    assert built == {"PermGroup": 0, "ElementTable": 1, "permutation": 0}
 
 
 def test_theorem_and_lemma1_build_no_group_and_one_table_after_the_input(battery500,
                                                                         monkeypatch):
     """Every subgroup and section is read off the input's table: on S5,
     PGL2(5) and PGL2(7) the minimal normal subgroup's lattice is walked on
-    its table group, with no chain and no second table."""
+    its table group, with no chain and no second table, and no element of
+    any table is turned back into a permutation."""
     for _label, G in battery500:  # builds the `iso` reference groups once
         verify_theorem_instance(G)
         verify_lemma1(G)
     fresh = [(e.label, build_group(e.spec)) for e in builtin_battery(500)]
     built = _count_builds(monkeypatch)
     for label, G in fresh:
-        built.update(PermGroup=0, ElementTable=0)
+        built.update(PermGroup=0, ElementTable=0, permutation=0)
         verify_theorem_instance(G)
         verify_lemma1(G)
-        assert built == {"PermGroup": 0, "ElementTable": 1}, label
+        assert built == {"PermGroup": 0, "ElementTable": 1, "permutation": 0}, label
 
 
 def test_example_builds_one_group_and_one_table(monkeypatch):
@@ -383,7 +412,7 @@ def test_example_builds_one_group_and_one_table(monkeypatch):
     verify_example(7)  # builds the `iso` reference groups once
     built = _count_builds(monkeypatch)
     assert verify_example(7).status == "pass"
-    assert built == {"PermGroup": 1, "ElementTable": 1}
+    assert built == {"PermGroup": 1, "ElementTable": 1, "permutation": 0}
 
 
 def test_check_conclusion_unidentified_simple_is_inconclusive(psl2_16):
@@ -430,14 +459,34 @@ def test_theorem_s4_nonvacuous_pass():
 
 
 def test_theorem_run_frees_its_table_with_its_group():
-    # The group's caches and its element table refer to each other, so the
-    # cycle collector frees them, not `del`; nothing else may keep them alive.
+    # No table refers back to its group, so `del` alone frees them both.
     G = named("PSL2", 7)
     assert verify_theorem_instance(G).status == "pass"
     table = weakref.ref(element_table(G))
     del G
-    gc.collect()
     assert table() is None
+
+
+def test_a_dead_group_leaves_nothing_to_the_cycle_collector():
+    """After theorem and lemma1, a group, its caches, its subgroup records
+    and its tables are freed by reference counting alone."""
+    specs = [e.spec for e in builtin_battery(200)[::7]] + [named_spec("PGL2", 7)]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for spec in specs:
+            G = build_group(spec)
+            verify_theorem_instance(G)
+            verify_lemma1(G)
+            del G
+        gc.collect()
+        kinds = (ElementTable, TableGroup, PermGroup, Subgroup, SubgroupClass, memoryview)
+        left = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, kinds))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert len(specs) == 11
+    assert not left
 
 
 def test_theorem_passes_through_conclusion_when_hypothesis_partial():

@@ -11,7 +11,7 @@ from csection.sections import check_conclusion
 from csection.series import (chief_series, composition_factors, is_nilpotent, is_simple,
                              is_supersolvable)
 
-from gtools import (elements_of, every_chief_series_orders, named, product, quaternion,
+from gtools import (as_subgroup, elements_of, every_chief_series_orders, named, product, quaternion,
                     small_groups, sympy_group)
 from oracles import NaiveTable, is_nilpotent_lower_central, is_supersolvable_naive
 
@@ -21,7 +21,7 @@ def test_chief_series_of_s4():
     series = chief_series(G)
     assert [t.order for t in series.terms] == [24, 12, 4, 1]
     assert series.factor_orders() == [2, 3, 4]
-    assert all(is_normal(G, t) for t in series.terms)
+    assert all(is_normal(G, as_subgroup(G, t)) for t in series.terms)
     assert [f.abelian for f in series.factors] == [True, True, True]
     assert [f.prime_power for f in series.factors] == [(2, 1), (3, 1), (2, 2)]
     assert [f.is_prime_order for f in series.factors] == [True, True, False]
@@ -31,7 +31,8 @@ def test_chief_series_is_deterministic_without_rng():
     G = named("SL", 2, 3)
     s1 = chief_series(G)
     s2 = chief_series(G)
-    assert [t.element_set() for t in s1.terms] == [t.element_set() for t in s2.terms]
+    assert ([as_subgroup(G, t).element_set() for t in s1.terms]
+            == [as_subgroup(G, t).element_set() for t in s2.terms])
 
 
 @pytest.mark.parametrize("make,orders", [
