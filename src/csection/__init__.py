@@ -12,7 +12,7 @@ divisible by 16.
 
 from .catalog import (BatteryEntry, GroupSpec, build_group, builtin_battery,
                       named_spec, parse_group_spec, product_spec, spec_from_group)
-from .groups import CapExceededError, PermGroup, Subgroup, normalizer
+from .groups import CapExceededError, PermGroup, normalizer
 from .iso import GroupId, abelian_invariants, fingerprint, identify, is_isomorphic, l2_parameters
 from .lattice import (SubgroupClass, all_subgroups, certify_maximal, maximal_subgroups,
                       minimal_normal_subgroups, normal_subgroups, subgroup_count,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BatteryEntry", "CSection", "CapExceededError", "ChiefPair", "ChiefSeries",
     "FactorDescriptor", "GroupId", "GroupSpec", "NoChiefPairError",
-    "NotAChiefPairError", "NotMaximalError", "PermGroup", "Permutation", "Subgroup", "SubgroupClass",
+    "NotAChiefPairError", "NotMaximalError", "PermGroup", "Permutation", "SubgroupClass",
     "VerdictReport", "abelian_invariants", "all_subgroups", "build_group",
     "builtin_battery", "certify_maximal", "check_conclusion", "check_hypothesis",
     "chief_pairs_for_maximal", "chief_series", "composition_factors",

@@ -299,7 +299,5 @@ def builtin_battery(max_order: int = 500) -> list[BatteryEntry]:
 
 
 def _lemma4_normalizer_spec(n: int, q: int, side: str) -> GroupSpec:
-    from .matgroups import triangular_instance
-    ti = triangular_instance(n, field_of_order(q))
-    sub = ti.vec_normalizer if side == "vec" else ti.proj_normalizer
-    return spec_from_group(sub.group)
+    from .matgroups import triangular_group
+    return spec_from_group(triangular_group(n, field_of_order(q), side == "proj"))

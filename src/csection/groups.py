@@ -1,8 +1,9 @@
 """Permutation groups with deterministic stabilizer chains, and the standard
-operations built on sifting: membership and normalizers.  A `Subgroup` is a
-caller's permutation subgroup, and the normalizer's result; the pipeline
-holds the subgroups it derives as index sets (`lattice.SubgroupClass`).
-Quotients D/L are read off an element table as table groups."""
+operations built on sifting: membership and normalizers.  A caller's
+subgroup of G is a `PermGroup` on G's points, and so is a normalizer; the
+pipeline holds the subgroups it derives as index sets of G's element table
+(`lattice.SubgroupClass`).  Quotients D/L are read off an element table as
+table groups."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ import numpy as np
 
 from .perms import Permutation
 
-# Largest subgroup `Subgroup.element_set` lists.
-_ELEMENT_SET_CAP = 1_000_000
+# Largest subgroup H whose elements `normalizer` lists.
+_NORMALIZER_SUBGROUP_CAP = 1_000_000
 # Largest conjugation orbit `normalizer` walks.
 _NORMALIZER_ORBIT_CAP = 500_000
 
@@ -258,80 +259,12 @@ def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [])
 
 
-class Subgroup:
-    """A caller's subgroup of an ambient group, carrying its own stabilizer
-    chain.  The pipeline itself holds subgroups as index sets of the
-    ambient group's element table (`lattice.SubgroupClass`)."""
-
-    __slots__ = ("ambient", "generators", "order", "group")
-
-    def __init__(self, ambient: PermGroup, generators: Iterable[Permutation], *,
-                 check: bool = True):
-        gens = tuple(g for g in generators if not g.is_identity())
-        for g in gens:
-            if g.degree != ambient.degree:
-                raise DegreeMismatchError(
-                    f"generator degree {g.degree} does not match ambient degree {ambient.degree}")
-        if check:
-            for g in gens:
-                if not ambient.contains(g):
-                    raise NotASubgroupError(f"generator {g!r} lies outside the ambient group")
-        self._set(ambient, PermGroup(ambient.degree, gens))
-
-    @classmethod
-    def _of_group(cls, ambient: PermGroup, group: PermGroup) -> "Subgroup":
-        """A subgroup given as a group already built on elements of the
-        ambient group; its stabilizer chain is reused, not rebuilt."""
-        sub = cls.__new__(cls)
-        sub._set(ambient, group)
-        return sub
-
-    def _set(self, ambient: PermGroup, group: PermGroup) -> None:
-        if ambient.order % group.order:
-            raise RuntimeError("subgroup order fails Lagrange against its ambient group")
-        self.ambient = ambient
-        self.generators = group.generators
-        self.group = group
-        self.order = group.order
-
-    @property
-    def degree(self) -> int:
-        return self.group.degree
-
-    def contains(self, g: Permutation) -> bool:
-        return self.group.contains(g)
-
-    __contains__ = contains
-
-    def index(self) -> int:
-        return self.ambient.order // self.order
-
-    def elements(self) -> Iterable[Permutation]:
-        return self.group.elements()
-
-    def element_set(self) -> frozenset[tuple[int, ...]]:
-        """All elements as image tuples."""
-        if self.order > _ELEMENT_SET_CAP:
-            raise CapExceededError(
-                f"subgroup order {self.order} exceeds element cap {_ELEMENT_SET_CAP}")
-        return frozenset(g.images for g in self.group.elements())
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order}, index={self.index()})"
-
-
-def is_normal(G: PermGroup, H: Subgroup) -> bool:
-    """True when H is normalized by every generator of G."""
-    for g in G.generators:
-        for h in H.generators:
-            if not H.contains(h.conjugated_by(g)):
-                return False
-    return True
-
-
-def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
-    """Normalizer of H in G: the stabilizer of H in its conjugation orbit,
-    generated by Schreier generators and certified by orbit-stabilizer.
+def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
+    """Normalizer in G of H, a subgroup on G's points: the stabilizer of H in
+    its conjugation orbit, generated by Schreier generators and certified by
+    orbit-stabilizer.  H's generators are sifted through G's chain first, as
+    the orbit key below holds only for H <= G; one outside G raises
+    NotASubgroupError.
 
     Each conjugate of H is held as one numpy block, the (|H| x degree) array
     of its elements' images; conjugating by g is the gather
@@ -339,8 +272,14 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     lexicographically by their images of G's base points, as bytes: those
     images determine an element of G, so no two rows tie, and the sorted
     block is a canonical form of the element set."""
+    for h in H.generators:
+        if not G.contains(h):
+            raise NotASubgroupError(f"generator {h!r} lies outside the group")
+    if H.order > _NORMALIZER_SUBGROUP_CAP:
+        raise CapExceededError(
+            f"subgroup order {H.order} exceeds element cap {_NORMALIZER_SUBGROUP_CAP}")
     dtype = np.uint16 if G.degree <= 1 << 16 else np.uint32
-    block = np.array(sorted(H.element_set()), dtype=dtype)
+    block = np.array(sorted(h.images for h in H.elements()), dtype=dtype)
     base = list(G.base) or [0]  # a trivial G has no base; its blocks have one row
     ident = Permutation.identity(G.degree)
     # Orbit key -> (transversal element u, its inverse).
@@ -368,7 +307,7 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
                 if not sg.is_identity() and sg.images not in seen_stab:
                     seen_stab.add(sg.images)
                     stab.append(sg)
-    result = Subgroup._of_group(G, _reduce_generating_set(G.degree, stab))
+    result = _reduce_generating_set(G.degree, stab)
     if result.order * len(transversal) != G.order:
         raise RuntimeError("orbit-stabilizer bookkeeping failed in normalizer")
     return result

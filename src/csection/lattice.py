@@ -88,7 +88,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .gf import _is_prime, _largest_proper_divisor, _prime_power
-from .groups import NotASubgroupError, PermGroup, Subgroup, coset_action
+from .groups import NotASubgroupError, PermGroup, coset_action
 from .tables import ClosureBase, ElementTable, TableGroup, element_table
 
 
@@ -96,10 +96,10 @@ from .tables import ClosureBase, ElementTable, TableGroup, element_table
 class SubgroupClass:
     """A subgroup held by its indices in `table`, G's element table: the
     representative of a conjugacy class of `class_size` subgroups.  A normal
-    subgroup is a class of size one.  After the input group, this record is
-    the one way the pipeline holds a subgroup; a caller who wants
-    permutations builds `Subgroup(G, [table.permutation(i) for i in
-    generator_indices])`."""
+    subgroup is a class of size one.  This record is the one subgroup type:
+    a caller's subgroup, a `PermGroup` on G's points, is read into one by
+    `_as_class`, and a caller who wants permutations builds
+    `PermGroup(G.degree, [table.permutation(i) for i in generator_indices])`."""
 
     table: ElementTable = field(repr=False)
     indices: frozenset[int] = field(repr=False)
@@ -302,7 +302,7 @@ def _class_from_registry(registry: _Registry, cid: int,
 
 
 def all_subgroups(G: PermGroup | TableGroup,
-                  above: Optional[SubgroupClass | Subgroup] = None) -> list[SubgroupClass]:
+                  above: Optional[SubgroupClass | PermGroup] = None) -> list[SubgroupClass]:
     """All conjugacy classes of subgroups, sorted by order then lexicographically.
 
     With `above`, a normal subgroup N of G, only the classes of the subgroups
@@ -498,22 +498,23 @@ def _complements(et: ElementTable, normal: frozenset[int]) -> list[SubgroupClass
     return [_class_from_registry(registry, cid, True) for cid in found]
 
 
-def _as_class(G: PermGroup | TableGroup, H: SubgroupClass | Subgroup) -> SubgroupClass:
-    """H as a record of G's table.  A record of G's own comes back as it is;
-    a caller's permutation Subgroup is read off G's table, its class size
-    off its conjugation orbit.  A record of another group's table, or a
-    Subgroup with an element outside G, raises NotASubgroupError."""
+def _as_class(G: PermGroup | TableGroup, H: SubgroupClass | PermGroup) -> SubgroupClass:
+    """H as a record of G's table, the one place a caller's subgroup is
+    checked.  A record of G's own comes back as it is.  A caller's subgroup,
+    a `PermGroup` on G's points, is read off G's table: each generator's
+    index, their closure for its indices, and its class size off its
+    conjugation orbit; none of H's elements is enumerated.  A record of
+    another group's table, or a generator outside G or of another degree,
+    raises NotASubgroupError."""
     et = element_table(G)
     if isinstance(H, SubgroupClass):
         if H.table is not et:
             raise NotASubgroupError("the subgroup record belongs to another group's table")
         return H
-    try:
-        indices = frozenset(et.index[g.images] for g in H.elements())
-        gens = [et.index[g.images] for g in H.generators]
-    except KeyError:
-        raise NotASubgroupError(
-            f"the subgroup of order {H.order} has elements outside the group") from None
+    gens = [et.index_of(g) for g in H.generators]
+    indices = et.closure(None, [], gens)
+    if len(indices) != H.order:
+        raise RuntimeError("the subgroup's closure in the table disagrees with its order")
     return SubgroupClass(et, indices, gens, len(_conjugates(et, indices)[0]), True)
 
 

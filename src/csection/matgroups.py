@@ -9,11 +9,12 @@ one-parameter corner subgroup) used by the Sylow-normalizer checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf import FieldTable
-from .groups import PermGroup, Subgroup
+from .groups import PermGroup
 from .perms import Permutation
 
 
@@ -159,7 +160,9 @@ def normalize_point(field: FieldTable, v: Sequence[int]) -> tuple[int, ...]:
 
 
 def _action_group(field: FieldTable, n: int, matrices: Sequence[Matrix],
-                  points: list[tuple[int, ...]], projective: bool) -> tuple[PermGroup, list[Permutation]]:
+                  points: list[tuple[int, ...]], projective: bool) -> PermGroup:
+    """The matrices' action on the points (row vectors, normalized when
+    projective) as a permutation group of degree len(points)."""
     index = {pt: i for i, pt in enumerate(points)}
     perms = []
     for m in matrices:
@@ -170,19 +173,17 @@ def _action_group(field: FieldTable, n: int, matrices: Sequence[Matrix],
                 w = normalize_point(field, w)
             images.append(index[w])
         perms.append(Permutation(images))
-    return PermGroup(len(points), perms), perms
+    return PermGroup(len(points), perms)
 
 
 def projective_perm_group(n: int, field: FieldTable, matrices: Sequence[Matrix]) -> PermGroup:
     """Image of the given matrices acting on projective (n-1)-space points."""
-    group, _ = _action_group(field, n, matrices, projective_points(field, n), True)
-    return group
+    return _action_group(field, n, matrices, projective_points(field, n), True)
 
 
 def vector_perm_group(n: int, field: FieldTable, matrices: Sequence[Matrix]) -> PermGroup:
     """Image of the given matrices acting on the nonzero row vectors."""
-    group, _ = _action_group(field, n, matrices, nonzero_vectors(field, n), False)
-    return group
+    return _action_group(field, n, matrices, nonzero_vectors(field, n), False)
 
 
 def sl_generators(n: int, field: FieldTable) -> list[Matrix]:
@@ -223,7 +224,6 @@ def sl_order(n: int, field: FieldTable) -> int:
 
 
 def psl_order(n: int, field: FieldTable) -> int:
-    import math
     return sl_order(n, field) // math.gcd(n, field.q - 1)
 
 
@@ -288,9 +288,23 @@ def triangular_count(n: int, field: FieldTable) -> int:
     return q ** (n * (n - 1) // 2) * (q - 1) ** (n - 1)
 
 
+def triangular_group(n: int, field: FieldTable, projective: bool) -> PermGroup:
+    """The lower triangular subgroup of SL(n, q), the normalizer of its
+    lower unitriangular Sylow subgroup, on the nonzero vectors or, when
+    projective, its image on the projective points; its order is checked
+    against the closed form."""
+    points = projective_points(field, n) if projective else nonzero_vectors(field, n)
+    group = _action_group(field, n, lower_triangular_sl_generators(n, field), points, projective)
+    kernel = math.gcd(n, field.q - 1) if projective else 1
+    if group.order != triangular_count(n, field) // kernel:
+        raise RuntimeError("triangular image has the wrong order")
+    return group
+
+
 @dataclass
 class TriangularInstance:
-    """SL(n, q) with its triangular subgroups realized on both actions.
+    """SL(n, q) with its triangular subgroups realized on both actions, each
+    a permutation group on its ambient group's points.
 
     `vec_*` subgroups live in the faithful action on nonzero vectors (matrix
     counts are orders there); `proj_*` subgroups live in the projective image,
@@ -301,44 +315,26 @@ class TriangularInstance:
     field: FieldTable
     vec_group: PermGroup
     proj_group: PermGroup
-    vec_sylow: Subgroup
-    proj_sylow: Subgroup
-    vec_normalizer: Subgroup
-    proj_normalizer: Subgroup
-    vec_corner: Subgroup
-    proj_corner: Subgroup
+    vec_sylow: PermGroup
+    proj_sylow: PermGroup
+    vec_normalizer: PermGroup
+    proj_normalizer: PermGroup
+    vec_corner: PermGroup
+    proj_corner: PermGroup
     kernel_order: int
-
-
-def _image_subgroup(field: FieldTable, n: int, ambient: PermGroup,
-                    matrices: Sequence[Matrix], points: list[tuple[int, ...]],
-                    projective: bool) -> Subgroup:
-    index = {pt: i for i, pt in enumerate(points)}
-    perms = []
-    for m in matrices:
-        images = []
-        for pt in points:
-            w = vec_mat_mul(pt, m)
-            if projective:
-                w = normalize_point(field, w)
-            images.append(index[w])
-        perms.append(Permutation(images))
-    return Subgroup(ambient, perms)
 
 
 def triangular_instance(n: int, field: FieldTable) -> TriangularInstance:
     """Build SL(n, q) with Sylow, normalizer, and corner subgroups on both actions."""
-    import math
     slgens = sl_generators(n, field)
     vec_pts = nonzero_vectors(field, n)
     proj_pts = projective_points(field, n)
-    vec_group, _ = _action_group(field, n, slgens, vec_pts, False)
-    proj_group, _ = _action_group(field, n, slgens, proj_pts, True)
+    vec_group = _action_group(field, n, slgens, vec_pts, False)
+    proj_group = _action_group(field, n, slgens, proj_pts, True)
     if vec_group.order != sl_order(n, field):
         raise RuntimeError("vector action is not faithful for SL")
 
     syl = lower_unitriangular_generators(n, field)
-    tri = lower_triangular_sl_generators(n, field)
     corner = corner_subgroup_generators(n, field)
 
     inst = TriangularInstance(
@@ -346,23 +342,18 @@ def triangular_instance(n: int, field: FieldTable) -> TriangularInstance:
         field=field,
         vec_group=vec_group,
         proj_group=proj_group,
-        vec_sylow=_image_subgroup(field, n, vec_group, syl, vec_pts, False),
-        proj_sylow=_image_subgroup(field, n, proj_group, syl, proj_pts, True),
-        vec_normalizer=_image_subgroup(field, n, vec_group, tri, vec_pts, False),
-        proj_normalizer=_image_subgroup(field, n, proj_group, tri, proj_pts, True),
-        vec_corner=_image_subgroup(field, n, vec_group, corner, vec_pts, False),
-        proj_corner=_image_subgroup(field, n, proj_group, corner, proj_pts, True),
+        vec_sylow=_action_group(field, n, syl, vec_pts, False),
+        proj_sylow=_action_group(field, n, syl, proj_pts, True),
+        vec_normalizer=triangular_group(n, field, False),
+        proj_normalizer=triangular_group(n, field, True),
+        vec_corner=_action_group(field, n, corner, vec_pts, False),
+        proj_corner=_action_group(field, n, corner, proj_pts, True),
         kernel_order=math.gcd(n, field.q - 1),
     )
     # Order certifications against the closed forms.
     q = field.q
-    expected_sylow = q ** (n * (n - 1) // 2)
-    if inst.vec_sylow.order != expected_sylow:
+    if inst.vec_sylow.order != q ** (n * (n - 1) // 2):
         raise RuntimeError("Sylow image has the wrong order")
-    if inst.vec_normalizer.order != triangular_count(n, field):
-        raise RuntimeError("triangular image has the wrong order")
-    if inst.proj_normalizer.order != triangular_count(n, field) // inst.kernel_order:
-        raise RuntimeError("projective triangular image has the wrong order")
     if inst.vec_corner.order != q:
         raise RuntimeError("corner subgroup has the wrong order")
     return inst

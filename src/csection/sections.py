@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .gf import _is_prime, field_make, field_of_order
-from .groups import CapExceededError, PermGroup, Subgroup, coset_action, normalizer
+from .groups import CapExceededError, PermGroup, coset_action, normalizer
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
 from .lattice import (SubgroupClass, _as_class, _conjugates, _normal_covers, all_subgroups,
                       certify_maximal, maximal_subgroups, minimal_normal_subgroups,
                       normal_subgroups, subgroups_of_index)
-from .perms import Permutation
 from .series import _nonabelian_factors, chief_series, is_supersolvable
 from .tables import MAX_ORDER, TableGroup, element_table
 
@@ -41,11 +40,12 @@ class NotAChiefPairError(ValueError):
 @dataclass
 class ChiefPair:
     """Adjacent normal pair (K, L) of G with L <= M and K not inside M, as
-    records of `normal_subgroups`.  A caller may give K and L as permutation
-    Subgroups to pick the pair `sec` uses."""
+    records of `normal_subgroups`.  A caller may give K and L as subgroups
+    on G's points (`PermGroup`s) to pick the pair `sec` uses; `sec` reads
+    them into records."""
 
-    K: SubgroupClass
-    L: SubgroupClass
+    K: SubgroupClass | PermGroup
+    L: SubgroupClass | PermGroup
 
 
 @dataclass
@@ -101,7 +101,7 @@ def _subject(G: PermGroup) -> str:
 
 # -- chief pairs and sections -------------------------------------------------
 
-def chief_pairs_for_maximal(G: PermGroup, M: SubgroupClass | Subgroup) -> list[ChiefPair]:
+def chief_pairs_for_maximal(G: PermGroup, M: SubgroupClass | PermGroup) -> list[ChiefPair]:
     """All chief factors K/L of G with L <= M and K not inside M."""
     M = _as_class(G, M)
     if not M.certified_maximal:
@@ -139,7 +139,7 @@ def _section_group(G: PermGroup, m_set: frozenset[int],
 
 def _match_pair(G: PermGroup, pairs: list[ChiefPair], pair: ChiefPair) -> ChiefPair:
     """The pair of `chief_pairs_for_maximal` with the given K and L, records
-    of G's table or permutation Subgroups of G."""
+    of G's table or subgroups on G's points."""
     wanted = (_as_class(G, pair.K).indices, _as_class(G, pair.L).indices)
     for p in pairs:
         if (p.K.indices, p.L.indices) == wanted:
@@ -149,10 +149,11 @@ def _match_pair(G: PermGroup, pairs: list[ChiefPair], pair: ChiefPair) -> ChiefP
         "separating the maximal subgroup")
 
 
-def sec(G: PermGroup, M: SubgroupClass | Subgroup, *, pair: Optional[ChiefPair] = None,
-        verify: bool = False) -> CSection:
-    """The section of M, a maximal class of G or a caller's permutation
-    Subgroup, from the first chief pair in canonical order.
+def sec(G: PermGroup | TableGroup, M: SubgroupClass | PermGroup, *,
+        pair: Optional[ChiefPair] = None, verify: bool = False) -> CSection:
+    """The section of M, a maximal class of G or a caller's subgroup on G's
+    points (a `PermGroup`, read into a record by `lattice._as_class`), from
+    the first chief pair in canonical order.
 
     verify=True recomputes the section for every other pair and insists on
     pairwise isomorphism before returning.
@@ -315,11 +316,6 @@ def verify_lemma3(n: int, *, subject: Optional[str] = None) -> VerdictReport:
 _LEMMA4_ORDERS = {(2, 4): (12, 12), (2, 8): (56, 56), (2, 9): (72, 36), (3, 4): (576, 192)}
 
 
-def _certify_minimal_normal(N: PermGroup, corner_gens: Sequence[Permutation]) -> bool:
-    c_set = _as_class(N, Subgroup(N, corner_gens)).indices
-    return any(m.indices == c_set for m in minimal_normal_subgroups(N))
-
-
 def verify_lemma4(n: int, q: int, *, trials: int = 100, seed: int = 0,
                   subject: Optional[str] = None) -> VerdictReport:
     """Sylow normalizers of the special linear group over a proper prime-power
@@ -349,9 +345,9 @@ def verify_lemma4(n: int, q: int, *, trials: int = 100, seed: int = 0,
     for side, norm, sylow, corner, ambient in (
             ("vec", ti.vec_normalizer, ti.vec_sylow, ti.vec_corner, ti.vec_group),
             ("proj", ti.proj_normalizer, ti.proj_sylow, ti.proj_corner, ti.proj_group)):
-        N = norm.group
-        minimal = _certify_minimal_normal(N, list(corner.generators))
-        nonss = not is_supersolvable(N)
+        c_set = _as_class(norm, corner).indices
+        minimal = any(m.indices == c_set for m in minimal_normal_subgroups(norm))
+        nonss = not is_supersolvable(norm)
         recomputed = normalizer(ambient, sylow)
         agrees = (recomputed.order == norm.order
                   and all(recomputed.contains(g) for g in norm.generators))
@@ -452,14 +448,17 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
                        {"p": p, "sub_checks": subs})
 
 
-def unique_class_check(G: PermGroup, H: Subgroup, *,
+def unique_class_check(G: PermGroup, H: SubgroupClass | PermGroup, *,
                        subject: Optional[str] = None) -> VerdictReport:
-    """Are all subgroups of G isomorphic to H conjugate to H?
+    """Are all subgroups of G isomorphic to H conjugate to H?  H is a record
+    of G's table or a subgroup on G's points, read into a record by
+    `lattice._as_class`, so an H outside G raises NotASubgroupError.
 
     When they are and every maximal subgroup of G has a supersolvable
     section, H itself is expected to be supersolvable; that cross-check
     rides along in the evidence and a violation fails the report.
     """
+    H = _as_class(G, H)
     classes = all_subgroups(G)
     matching = [c for c in classes
                 if c.order == H.order and is_isomorphic(c.group, H.group)]

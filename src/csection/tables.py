@@ -16,8 +16,9 @@ i, so a whole left coset u*H is one C-level gather, `itemgetter(*H)(rows[u])`,
 and a conjugate g^-1*x*g is two cell reads.
 
 An input group's table is enumerated from its permutations.  A subgroup is
-held as a `lattice.SubgroupClass` record, its indices in the parent's table.
-Every group the pipeline derives, a quotient D/L or a subgroup (a record's
+held as a `lattice.SubgroupClass` record, its indices in the parent's table;
+a caller's subgroup, a `PermGroup` on the parent's points, is read into one
+by `index_of` on its generators.  Every group the pipeline derives, a quotient D/L or a subgroup (a record's
 `group`), is a `TableGroup`: its table is read off the parent's table, and
 no element is enumerated.  A table does not refer back to its group, so a
 group, its caches and its tables hold no reference cycle, and they are freed
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import CapExceededError, PermGroup
+from .groups import CapExceededError, NotASubgroupError, PermGroup
 from .perms import Permutation
 
 # Largest group order that gets an element table, the bound of every search.
@@ -268,6 +269,21 @@ class ElementTable:
         if self.tuples is None:
             return Permutation._unsafe(tuple(self._mul_table[:, i].tolist()))
         return Permutation._unsafe(self.tuples[i])
+
+    def index_of(self, p: Permutation) -> int:
+        """The index of the element p, a permutation of the group's points:
+        the inverse of `permutation`.  A table group's element i is column i,
+        which moves the identity, point 0, to i.  A permutation that is not
+        an element, one of another degree included, raises NotASubgroupError."""
+        if self.tuples is None:
+            i = p.images[0]
+            if i < self.n and self.permutation(i) == p:
+                return i
+        else:
+            i = self.index.get(p.images)
+            if i is not None:
+                return i
+        raise NotASubgroupError(f"{p!r} is not an element of the group")
 
 
 class TableGroup:

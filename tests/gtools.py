@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from csection.catalog import build_group, named_spec, product_spec
-from csection.groups import PermGroup, Subgroup
+from csection.groups import PermGroup
 from csection.lattice import _normal_covers, normal_subgroups
 from csection.perms import Permutation, parse_cycle_lists
 
@@ -31,9 +31,10 @@ def sympy_group(G):
 
 
 def as_subgroup(G, c):
-    """A subgroup record of G's table as a permutation Subgroup of G, with a
-    stabilizer chain of its own, built from the record's generator indices."""
-    return Subgroup(G, [c.table.permutation(i) for i in c.generator_indices])
+    """A subgroup record of G's table as a permutation group on G's points,
+    with a stabilizer chain of its own, built from the record's generator
+    indices."""
+    return PermGroup(G.degree, [c.table.permutation(i) for i in c.generator_indices])
 
 
 def elements_of(G):

@@ -2,14 +2,16 @@
 against word-BFS closures and full-scan oracles."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from csection import groups
 from csection.gf import field_of_order
 from csection.groups import (CapExceededError, DegreeMismatchError, NotASubgroupError,
-                             NotNormalError, PermGroup, Subgroup, coset_action,
-                             is_normal, normalizer, trivial_group)
+                             NotNormalError, PermGroup, coset_action, normalizer,
+                             trivial_group)
+from csection.lattice import _as_class
 from csection.matgroups import triangular_instance
 from csection.perms import Permutation
 from csection.tables import element_table
@@ -87,43 +89,45 @@ def test_constructor_errors():
     assert trivial_group(6).order == 1
 
 
-def test_subgroup_checks():
-    S4 = named("Sym", 4)
-    A4 = Subgroup(S4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])
-    assert A4.order == 12 and A4.index() == 2
-    assert A4.contains(perm(4, (0, 1), (2, 3)))
+def test_a_callers_subgroup_is_checked_where_it_is_read():
+    """A caller's subgroup is a PermGroup on G's points.  `_as_class` reads
+    it off G's table and `normalizer` sifts it through G's chain; both
+    refuse a generator outside G or of another degree."""
+    S4, A4 = named("Sym", 4), named("Alt", 4)
+    H = PermGroup(4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])
+    c = _as_class(S4, H)
+    assert c.order == 12 and c.class_size == 1 and S4.order // c.order == 2
+    assert element_table(S4).index_of(perm(4, (0, 1), (2, 3))) in c.indices
+    for bad in (PermGroup(4, [perm(4, (0, 1))]), PermGroup(5, [perm(5, (0, 1, 2))])):
+        with pytest.raises(NotASubgroupError):
+            _as_class(A4, bad)
+        with pytest.raises(NotASubgroupError):
+            normalizer(A4, bad)
     with pytest.raises(NotASubgroupError):
-        Subgroup(named("Alt", 4), [perm(4, (0, 1))])
-    with pytest.raises(DegreeMismatchError):
-        Subgroup(S4, [perm(5, (0, 1))])
+        _as_class(S4, PermGroup(5, [perm(5, (0, 1))]))
+    # an order that disagrees with the closure is a program error, not bad input
+    fake = SimpleNamespace(generators=H.generators, order=6)
+    with pytest.raises(RuntimeError, match="closure"):
+        _as_class(S4, fake)
 
 
-def test_element_set_and_cap(monkeypatch):
+def test_normalizer_subgroup_cap(monkeypatch):
     S4 = named("Sym", 4)
-    V = Subgroup(S4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])
-    assert len(V.element_set()) == 4
-    G = named("Alt", 5)
-    A5 = Subgroup(G, G.generators, check=False)
-    monkeypatch.setattr(groups, "_ELEMENT_SET_CAP", 10)
+    V = PermGroup(4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])
+    monkeypatch.setattr(groups, "_NORMALIZER_SUBGROUP_CAP", 3)
     with pytest.raises(CapExceededError):
-        A5.element_set()
-
-
-def test_is_normal():
-    S4 = named("Sym", 4)
-    V = Subgroup(S4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])
-    assert is_normal(S4, V)
-    assert not is_normal(S4, Subgroup(S4, [perm(4, (0, 1))]))
-    assert not is_normal(S4, Subgroup(S4, [perm(4, (0, 1)), perm(4, (0, 1, 2))]))
+        normalizer(S4, V)
+    monkeypatch.setattr(groups, "_NORMALIZER_SUBGROUP_CAP", 4)
+    assert normalizer(S4, V).order == 24
 
 
 def _compare_with_scan(G, gens):
-    H = Subgroup(G, gens)
+    H = PermGroup(G.degree, gens)
     table = NaiveTable(elements_of(G))
-    hidx = {table.index[t] for t in H.element_set()}
+    hidx = {table.index[t] for t in elements_of(H)}
     got = normalizer(G, H)
     want = normalizer_naive(table, hidx)
-    assert {table.index[t] for t in got.element_set()} == want
+    assert {table.index[t] for t in elements_of(got)} == want
     return got
 
 
@@ -133,9 +137,9 @@ def test_normalizer_against_oracle():
     assert got.order == 8
     _compare_with_scan(S4, [perm(4, (0, 1, 2))])
     A5 = named("Alt", 5)
-    syl5 = Subgroup(A5, [perm(5, (0, 1, 2, 3, 4))])
+    syl5 = PermGroup(5, [perm(5, (0, 1, 2, 3, 4))])
     assert normalizer(A5, syl5).order == 10
-    V = Subgroup(A5, [perm(5, (0, 1), (2, 3)), perm(5, (0, 2), (1, 3))])
+    V = PermGroup(5, [perm(5, (0, 1), (2, 3)), perm(5, (0, 2), (1, 3))])
     assert normalizer(A5, V).order == 12
 
 
@@ -170,7 +174,7 @@ def test_normalizer_matches_the_scan(case):
 
 def test_normalizer_orbit_cap(monkeypatch):
     A5, gens = _klein_in_a5()
-    V = Subgroup(A5, gens)  # five conjugates
+    V = PermGroup(5, gens)  # five conjugates
     monkeypatch.setattr(groups, "_NORMALIZER_ORBIT_CAP", 4)
     with pytest.raises(CapExceededError):
         normalizer(A5, V)
@@ -179,23 +183,24 @@ def test_normalizer_orbit_cap(monkeypatch):
 
 
 def _quotient(G, N):
-    """G/N through `coset_action` on G's element table; N is a Subgroup."""
+    """G/N through `coset_action` on G's element table; N is a subgroup on
+    G's points."""
     et = element_table(G)
     return coset_action(et, et.generator_indices,
-                        frozenset(et.index[t] for t in N.element_set()))
+                        frozenset(et.index[t] for t in elements_of(N)))
 
 
 def test_coset_action_faithful():
     # modulo the trivial subgroup, the action is the regular representation
     S4 = named("Sym", 4)
-    image = _quotient(S4, Subgroup(S4, []))
+    image = _quotient(S4, PermGroup(4, []))
     assert image.degree == 24
     assert image.order == 24  # the kernel is trivial
 
 
 def test_coset_action_sign_map():
     S4 = named("Sym", 4)
-    A4 = Subgroup(S4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])
+    A4 = PermGroup(4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])
     image = _quotient(S4, A4)
     assert image.degree == 2
     assert image.order == 2
@@ -206,12 +211,12 @@ def _center(G):
     """The center of G, read off the oracle's multiplication table."""
     table = NaiveTable(elements_of(G))
     zidx = centralizer_naive(table, range(table.n))
-    return Subgroup(G, [Permutation(table.elems[i]) for i in sorted(zidx)])
+    return PermGroup(G.degree, [Permutation(table.elems[i]) for i in sorted(zidx)])
 
 
 def test_quotients():
     S4 = named("Sym", 4)
-    V = Subgroup(S4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])
+    V = PermGroup(4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])
     Q = _quotient(S4, V)
     assert Q.order == 6 and not Q.is_abelian()
     SL23 = named("SL", 2, 3)
@@ -220,7 +225,7 @@ def test_quotients():
     over_center = _quotient(Q8, _center(Q8))
     assert over_center.order == 4 and over_center.is_abelian()
     with pytest.raises(NotNormalError):
-        _quotient(S4, Subgroup(S4, [perm(4, (0, 1))]))
+        _quotient(S4, PermGroup(4, [perm(4, (0, 1))]))
 
 
 def test_coset_action_numbers_cosets_by_least_member():
@@ -228,14 +233,14 @@ def test_coset_action_numbers_cosets_by_least_member():
     the cosets numbered by their least members, and its generators are the
     cosets of G's generators outside N."""
     S4, SL23, SL25, Q8 = named("Sym", 4), named("SL", 2, 3), named("SL", 2, 5), quaternion()
-    cases = [(S4, Subgroup(S4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])),
-             (S4, Subgroup(S4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])),
+    cases = [(S4, PermGroup(4, [perm(4, (0, 1), (2, 3)), perm(4, (0, 2), (1, 3))])),
+             (S4, PermGroup(4, [perm(4, (0, 1, 2)), perm(4, (1, 2, 3))])),
              (SL23, _center(SL23)), (SL25, _center(SL25)), (Q8, _center(Q8))]
     for G, N in cases:
         quotient = element_table(_quotient(G, N))
         et, table = element_table(G), NaiveTable(elements_of(G))
         want, where = coset_table_naive(table, range(table.n),
-                                        [table.index[t] for t in N.element_set()])
+                                        [table.index[t] for t in elements_of(N)])
         assert quotient._mul_table.tolist() == want
         cosets = [where[table.index[et.tuples[g]]] for g in et.generator_indices]
         assert quotient.generator_indices == [c for c in cosets if c]

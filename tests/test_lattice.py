@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from csection import lattice
 from csection.catalog import build_group, builtin_battery
 from csection.gf import _prime_power
-from csection.groups import (CapExceededError, NotASubgroupError, PermGroup, Subgroup,
-                             is_normal, normalizer)
+from csection.groups import CapExceededError, NotASubgroupError, PermGroup, normalizer
 from csection.iso import identify
 from csection.lattice import (_conjugates, all_subgroups, certify_maximal, maximal_subgroups,
                               minimal_normal_subgroups, normal_subgroups,
@@ -112,7 +111,7 @@ def test_class_sizes_obey_orbit_stabilizer(make):
     et = element_table(G)
     for c in all_subgroups(G):
         assert c.class_size * c.normalizer_order() == G.order
-        rep = Subgroup(G, [et.permutation(i) for i in et.extract_generators(c.indices)])
+        rep = PermGroup(G.degree, [et.permutation(i) for i in et.extract_generators(c.indices)])
         assert normalizer(G, rep).order == c.normalizer_order()
 
 
@@ -135,7 +134,7 @@ def test_maximal_subgroup_classes(name, params, orders, sizes, group_ids):
     classes = maximal_subgroups(G)
     assert [c.order for c in classes] == orders
     assert [c.class_size for c in classes] == sizes
-    assert [str(identify(as_subgroup(G, c).group)) for c in classes] == group_ids
+    assert [str(identify(as_subgroup(G, c))) for c in classes] == group_ids
     assert all(c.verified_complete for c in classes)
     et = element_table(G)
     for c in classes:
@@ -172,7 +171,7 @@ def test_class_representatives_match_their_indices():
     et = element_table(G)
     for c in all_subgroups(G):
         rep = as_subgroup(G, c)
-        assert isinstance(rep, Subgroup)
+        assert isinstance(rep, PermGroup) and rep.degree == G.degree
         assert rep.order == len(c.indices) == c.order
         assert frozenset(et.index[g.images] for g in rep.elements()) == c.indices
         assert c.group is c.group and c.group.order == c.order
@@ -185,15 +184,15 @@ def test_certify_maximal_rejects_non_maximal():
     from csection.perms import Permutation
     a = Permutation.from_cycles(4, [(0, 1), (2, 3)])
     b = Permutation.from_cycles(4, [(0, 2), (1, 3)])
-    v4 = Subgroup(G, [a, b]).element_set()
+    v4 = elements_of(PermGroup(4, [a, b]))
     subset = frozenset(et.index[t] for t in v4)
     assert not certify_maximal(G, subset, et.extract_generators(subset), et)
     # the whole group is never maximal in itself
     everything = frozenset(range(et.n))
     assert not certify_maximal(G, everything, list(et.generator_indices), et)
     # A4 is maximal
-    a4 = Subgroup(G, [Permutation.from_cycles(4, [(0, 1, 2)]),
-                      Permutation.from_cycles(4, [(0, 1), (2, 3)])]).element_set()
+    a4 = elements_of(PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2)]),
+                                   Permutation.from_cycles(4, [(0, 1), (2, 3)])]))
     subset = frozenset(et.index[t] for t in a4)
     assert certify_maximal(G, subset, et.extract_generators(subset), et)
 
@@ -245,7 +244,8 @@ def test_normal_subgroups_match_oracle(make, count):
     table = NaiveTable(elements_of(G))
     want = {frozenset(table.elems[i] for i in s) for s in normal_subgroups_naive(table)}
     assert got == want
-    assert all(is_normal(G, as_subgroup(G, N)) for N in normals)
+    assert all(table.is_normal({table.index[t] for t in elements_of(as_subgroup(G, N))})
+               for N in normals)
 
 
 @pytest.mark.parametrize("make", [lambda: named("Sym", 4), lambda: named("PSL2", 7)],
@@ -258,7 +258,7 @@ def test_normal_subgroups_are_records_of_class_size_one(make):
         s = N.indices
         assert N.order == len(s)
         assert as_subgroup(G, N).order == len(s)
-        assert as_subgroup(G, N).index() == G.order // len(s)
+        assert G.order // as_subgroup(G, N).order == G.order // len(s)
         assert N.group.order == len(s)
 
 
@@ -345,7 +345,9 @@ def test_minimal_normal_subgroups():
     for G, orders in cases:
         atoms = minimal_normal_subgroups(G)
         assert sorted(N.order for N in atoms) == orders
-        assert all(is_normal(G, as_subgroup(G, N)) for N in atoms)
+        table = NaiveTable(elements_of(G))
+        assert all(table.is_normal({table.index[t] for t in elements_of(as_subgroup(G, N))})
+                   for N in atoms)
 
 
 def _klein_four_classes(G):
@@ -590,7 +592,7 @@ def test_classes_above_are_not_cached_and_need_a_normal_subgroup():
     assert V4.order == 4
     assert [c.order for c in all_subgroups(G, above=V4)] == [4, 8, 12, 24]
     assert "all_subgroups" not in G._cache
-    C2 = Subgroup(G, [Permutation.from_cycles(4, [(0, 1)])])
+    C2 = PermGroup(4, [Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(ValueError, match="normal"):
         all_subgroups(G, above=C2)
     assert [c.order for c in all_subgroups(G, above=as_subgroup(G, V4))] == [4, 8, 12, 24]
@@ -598,7 +600,7 @@ def test_classes_above_are_not_cached_and_need_a_normal_subgroup():
 
 def test_classes_above_refuse_a_subgroup_of_another_group():
     S4, S5 = named("Sym", 4), named("Sym", 5)
-    a4_in_s5 = Subgroup(S5, [Permutation.from_cycles(5, [(0, 1, 2)]),
+    a4_in_s5 = PermGroup(5, [Permutation.from_cycles(5, [(0, 1, 2)]),
                              Permutation.from_cycles(5, [(0, 1), (2, 3)])])
     assert issubclass(NotASubgroupError, ValueError)
     with pytest.raises(NotASubgroupError):

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 
 from csection import groups, sections
 from csection.catalog import build_group, builtin_battery, named_spec
-from csection.groups import CapExceededError, NotASubgroupError, PermGroup, Subgroup
+from csection.groups import CapExceededError, NotASubgroupError, PermGroup
 from csection.iso import GroupId
-from csection.lattice import SubgroupClass, maximal_subgroups, normal_subgroups
+from csection.lattice import SubgroupClass, all_subgroups, maximal_subgroups, normal_subgroups
 from csection.perms import Permutation
 from csection.sections import (ChiefPair, NoChiefPairError, NotAChiefPairError,
                                NotMaximalError, VerdictReport,
@@ -100,11 +100,11 @@ def test_sec_on_s4_and_s5():
 
 def test_sec_rejects_non_maximal():
     A5 = named("Alt", 5)
-    c2 = Subgroup(A5, [Permutation.from_cycles(5, [(0, 1), (2, 3)])])
+    c2 = PermGroup(5, [Permutation.from_cycles(5, [(0, 1), (2, 3)])])
     with pytest.raises(NotMaximalError):
         sec(A5, c2)
     with pytest.raises(NotMaximalError):
-        sec(A5, Subgroup(A5, A5.generators))
+        sec(A5, PermGroup(5, A5.generators))
 
 
 def test_chief_pairs_refuse_a_maximal_class_of_another_group():
@@ -116,7 +116,7 @@ def test_chief_pairs_refuse_a_maximal_class_of_another_group():
 
 def test_sec_refuses_a_subgroup_of_another_group():
     S4, S5 = named("Sym", 4), named("Sym", 5)
-    a4_in_s5 = Subgroup(S5, [Permutation.from_cycles(5, [(0, 1, 2)]),
+    a4_in_s5 = PermGroup(5, [Permutation.from_cycles(5, [(0, 1, 2)]),
                              Permutation.from_cycles(5, [(0, 1), (2, 3)])])
     with pytest.raises(NotASubgroupError):
         sec(S4, a4_in_s5)
@@ -128,13 +128,46 @@ def test_sec_refuses_a_subgroup_of_another_group():
         sec(named("Alt", 4), a4)
 
 
+def test_sec_reads_a_subgroup_of_a_table_group_off_its_columns():
+    """A table group's element i is column i of its table, so a caller's
+    subgroup of one is a PermGroup of columns; any other permutation is
+    refused as input.  Kt is PSL2(7), read off PGL2(7)'s table."""
+    Kt = normal_subgroups(named("PGL2", 7))[1].group
+    et = element_table(Kt)
+    c = next(c for c in maximal_subgroups(Kt) if c.order == 24)
+    H = PermGroup(Kt.degree, [et.permutation(i) for i in c.generator_indices])
+    got, want = sec(Kt, H), sec(Kt, c)
+    assert (got.order, str(got.identified)) == (want.order, str(want.identified)) == (24, "S4")
+    assert got.source_pair == want.source_pair
+    swap = Permutation([1, 0] + list(range(2, Kt.degree)))
+    for bad in (PermGroup(Kt.degree, [swap]), PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)])])):
+        with pytest.raises(NotASubgroupError):
+            sec(Kt, bad)
+
+
+def test_every_entry_refuses_a_callers_subgroup_outside_G():
+    """Each entry that takes a caller's subgroup reads it through
+    `lattice._as_class`, so a transposition given as a subgroup of A4 is an
+    input error everywhere, never a lost class or a program error."""
+    A4 = named("Alt", 4)
+    outside = PermGroup(4, [Permutation.from_cycles(4, [(0, 1)])])
+    M = maximal_subgroups(A4)[0]
+    entries = [lambda: sec(A4, outside), lambda: chief_pairs_for_maximal(A4, outside),
+               lambda: sec(A4, M, pair=ChiefPair(K=outside, L=normal_subgroups(A4)[0])),
+               lambda: all_subgroups(A4, above=outside),
+               lambda: unique_class_check(A4, outside)]
+    for entry in entries:
+        with pytest.raises(NotASubgroupError):
+            entry()
+
+
 def test_sec_reads_a_given_pairs_index_sets_off_K_and_L():
     """A pair built from K and L alone, with no index sets, gives the same
     section as the canonical pair; SL(2,5) over its centre is A4 in SL(2,3)."""
     G = named("SL", 2, 5)
     M = next(c for c in maximal_subgroups(G) if c.order == 24)
     z = next(g for g in G.elements() if g.order() == 2)  # -I, the only involution
-    s = sec(G, M, pair=ChiefPair(K=Subgroup(G, G.generators), L=Subgroup(G, [z])))
+    s = sec(G, M, pair=ChiefPair(K=PermGroup(G.degree, G.generators), L=PermGroup(G.degree, [z])))
     assert (s.order, str(s.identified)) == (12, "A4")
     assert s.source_pair in chief_pairs_for_maximal(G, M)
 
@@ -143,12 +176,12 @@ def test_sec_rejects_a_pair_that_does_not_separate_M():
     G = named("SL", 2, 5)
     M = next(c for c in maximal_subgroups(G) if c.order == 24)
     z = next(g for g in G.elements() if g.order() == 2)
-    centre = Subgroup(G, [z])
+    centre = PermGroup(G.degree, [z])
     assert issubclass(NotAChiefPairError, ValueError)  # exit 3 in the CLI
     with pytest.raises(NotAChiefPairError, match="orders \\(2, 2\\)"):
         sec(G, M, pair=ChiefPair(K=centre, L=centre))
     with pytest.raises(NotAChiefPairError):  # K/1 is not a chief factor
-        sec(G, M, pair=ChiefPair(K=Subgroup(G, G.generators), L=Subgroup(G, [])))
+        sec(G, M, pair=ChiefPair(K=PermGroup(G.degree, G.generators), L=PermGroup(G.degree, [])))
 
 
 def test_chief_pairs_exist_for_every_battery_maximal(battery200):
@@ -328,7 +361,7 @@ def test_section_identity_is_invariant_under_conjugating_M(G):
         want = sec(G, cls).identified
         assert sec(G, M).identified == want
         for g in G.generators:
-            conjugate = Subgroup(G, [h.conjugated_by(g) for h in M.generators], check=False)
+            conjugate = PermGroup(G.degree, [h.conjugated_by(g) for h in M.generators])
             assert sec(G, conjugate).identified == want
 
 
@@ -480,7 +513,7 @@ def test_a_dead_group_leaves_nothing_to_the_cycle_collector():
             verify_lemma1(G)
             del G
         gc.collect()
-        kinds = (ElementTable, TableGroup, PermGroup, Subgroup, SubgroupClass, memoryview)
+        kinds = (ElementTable, TableGroup, PermGroup, SubgroupClass, memoryview)
         left = Counter(type(o).__name__ for o in gc.garbage if isinstance(o, kinds))
     finally:
         gc.set_debug(0)
@@ -644,21 +677,21 @@ def test_example_p17_complete():
 
 def test_unique_class_check():
     S4 = named("Sym", 4)
-    c4 = Subgroup(S4, [Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    c4 = PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2, 3)])])
     r = unique_class_check(S4, c4)
     assert r.status == "pass"
     assert r.evidence == {"iso_class_count": 1, "class_sizes": [3],
                           "subgroup_order": 4, "hypothesis_status": "pass",
                           "supersolvable_under_hypothesis": True}
 
-    v4 = Subgroup(S4, [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+    v4 = PermGroup(4, [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
                        Permutation.from_cycles(4, [(0, 2), (1, 3)])])
     r = unique_class_check(S4, v4)
     assert r.status == "fail"
     assert r.evidence == {"iso_class_count": 2, "class_sizes": [3, 1],
                           "subgroup_order": 4}
 
-    a4 = Subgroup(S4, [Permutation.from_cycles(4, [(0, 1, 2)]),
+    a4 = PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2)]),
                        Permutation.from_cycles(4, [(0, 1), (2, 3)])])
     r = unique_class_check(S4, a4)
     assert r.status == "fail"
