@@ -1,18 +1,20 @@
 """Stabilizer chains, subgroups, and the orbit machinery, cross-checked
 against word-BFS closures and full-scan oracles."""
 
+import hashlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from csection import groups
+from csection.catalog import build_group, parse_group_spec
 from csection.gf import field_of_order
 from csection.groups import (CapExceededError, DegreeMismatchError, NotASubgroupError,
                              NotNormalError, PermGroup, coset_action, normalizer,
                              trivial_group)
 from csection.lattice import _as_class
-from csection.matgroups import triangular_instance
+from csection.matgroups import psl_group, sl_group, triangular_instance
 from csection.perms import Permutation
 from csection.tables import element_table
 from gtools import elements_of, named, product, quaternion
@@ -51,6 +53,39 @@ def test_elements_are_distinct_and_contained():
     assert len(els) == 24 and len(set(els)) == 24
     assert all(G.contains(g) for g in els)
     assert all(g in G for g in els)
+
+
+def _level_digest(level):
+    """A level's transversal images, by point, and the generators that first
+    appear at it, as a short sha256."""
+    data = (sorted((pt, u.images) for pt, u in level.transversal.items()),
+            [g.images for g in level.gens])
+    return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
+
+
+# Base and per-level digests of deterministic chains; a change that builds the
+# chain another way must reproduce them.
+PINNED_CHAINS = {
+    "S4_relabeled": ((2, 4, 5), ["615170393fd36523", "a702b6365120fbd0", "d9ea7fe3230c4389"]),
+    "PSL2_17": ((1, 0, 2), ["0c02eb6af0e3e67f", "8dbf2ba1d913a95d", "b2bad5713741e6b8"]),
+    "SL34_vectors": ((15, 3, 0), ["7306c19dda55315b", "6a90d812f8ba6d9f", "650d7325d981c47c"]),
+    "SL34_points": ((5, 1, 0, 2), ["3c6d00a52db7d78d", "c918422e7b7d605f",
+                                   "7b139acb043ebcff", "ceea0575721c79a2"]),
+}
+CHAIN_GROUPS = {
+    "S4_relabeled": lambda: build_group(parse_group_spec(
+        '{"kind":"perm","degree":8,"generators":[[[3,5,6,8]],[[3,5]]]}')),
+    "PSL2_17": lambda: named("PSL2", 17),
+    "SL34_vectors": lambda: sl_group(3, field_of_order(4)),
+    "SL34_points": lambda: psl_group(3, field_of_order(4)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_CHAINS))
+def test_stabilizer_chain_is_pinned(label):
+    G = CHAIN_GROUPS[label]()
+    assert (G.base, [_level_digest(lv) for lv in G._levels]) == \
+        (PINNED_CHAINS[label][0], PINNED_CHAINS[label][1])
 
 
 def test_contains_negative():

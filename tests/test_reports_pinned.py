@@ -1,8 +1,9 @@
 """Byte-identity of the JSON reports: sha256 digests of `csection ... --json`
 output for `theorem` and `verify lemma1` on every `builtin_battery(500)` group,
 `conclusion` on the five large groups of the benchmark and on SL(2,13) and
-SL(2,17), whose nonabelian chief factor lies over the center, and
-`verify example --p 7`.
+SL(2,17), whose nonabelian chief factor lies over the center, `verify lemma4`
+on the four SL(n, q) cases at seeds 0 and 11, `verify lemma3` for n = 5, 6
+and 7, and `verify example` at p = 7 and p = 17.
 
 A change that alters a verdict or its evidence on purpose regenerates the
 digests (`python tests/test_reports_pinned.py` prints the table) and names
@@ -38,7 +39,14 @@ def _commands() -> dict[str, list[str]]:
         spec = json.dumps(named_spec(name, *params).to_dict(), separators=(",", ":"))
         label = f"{name}({','.join(map(str, params))})"
         out[f"conclusion {label}"] = ["conclusion", "--group", spec]
+    for n, q in ((2, 4), (2, 8), (2, 9), (3, 4)):
+        for seed in (0, 11):
+            out[f"lemma4 SL({n},{q}) seed {seed}"] = [
+                "verify", "lemma4", "--n", str(n), "--q", str(q), "--seed", str(seed)]
+    for n in (5, 6, 7):
+        out[f"lemma3 {n}"] = ["verify", "lemma3", "--n", str(n)]
     out["example 7"] = ["verify", "example", "--p", "7"]
+    out["example 17"] = ["verify", "example", "--p", "17"]
     return out
 
 
@@ -200,6 +208,18 @@ PINNED = {
     'conclusion SL(2,13)': 'bc535255ad55d1bbcfc3b490a2b1d3109d6ea0d478ea26666f0d975e56b6d38e',
     'conclusion SL(2,17)': '411478b5472fa71347ed850363d86bfa3214eb246afeabed9471a85c9960c146',
     'example 7': 'c3f15261f00caa81da3ad9519012ac117c112ab18750591d216a3ca3977ce509',
+    'lemma4 SL(2,4) seed 0': 'afb1ddb8d93956762badc98d0fce502397e41604fb21a3f739dc164241271da3',
+    'lemma4 SL(2,4) seed 11': 'afb1ddb8d93956762badc98d0fce502397e41604fb21a3f739dc164241271da3',
+    'lemma4 SL(2,8) seed 0': '79364bd26a0a6fd7cc5c5d8f4236b9a3a1d523da692c2d60d2125a0def3d2580',
+    'lemma4 SL(2,8) seed 11': '79364bd26a0a6fd7cc5c5d8f4236b9a3a1d523da692c2d60d2125a0def3d2580',
+    'lemma4 SL(2,9) seed 0': 'a2b156559244f41693619f626ad62ead69a01b92d8d1b6d63d9af78685d9cc1b',
+    'lemma4 SL(2,9) seed 11': 'a2b156559244f41693619f626ad62ead69a01b92d8d1b6d63d9af78685d9cc1b',
+    'lemma4 SL(3,4) seed 0': 'cfda01348a9b4160a6df2ef6d981002fb6e0027d34b815843826274c4b826322',
+    'lemma4 SL(3,4) seed 11': 'cfda01348a9b4160a6df2ef6d981002fb6e0027d34b815843826274c4b826322',
+    'lemma3 5': 'bb2e72466f2ebfa705cf51f706298584040f473d13f41ca23ed4f3bbce00084f',
+    'lemma3 6': '347df51f93b7124d367165a7a3948c1782625bcbd1a450598294a82495999625',
+    'lemma3 7': '889951fd9354e934b442946e1547acaf643c5a5189ea48de99741167159c31e1',
+    'example 17': '824b8ba765055449800fb4743d59043b26edb33b366726ce56cea4c81f03b371',
 }
 
 
