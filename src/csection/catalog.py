@@ -11,10 +11,11 @@ filtered by a group-order bound at build time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .gf import _is_prime, field_of_order
+from .gf import _is_prime, _prime_power, field_of_order
 from .groups import CapExceededError, PermGroup, trivial_group
 from .perms import Permutation
 
@@ -198,8 +199,64 @@ _PARAM_COUNTS = {"Sym": 1, "Alt": 1, "Cyclic": 1, "Dihedral": 1,
                  "ElemAbelian": 2, "PSL2": 1, "PGL2": 1, "SL": 2}
 
 
+def _flat_size(name: str, params: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(degree, order) of a flat named group, from its closed form; None when
+    the parameters are invalid, which its builder then reports."""
+    if len(params) != _PARAM_COUNTS[name] or any(x < 1 for x in params):
+        return None
+    if name in ("Sym", "Alt", "Cyclic"):
+        n = params[0]
+        if name == "Cyclic":
+            return n, n
+        if name == "Alt" and n <= 2:
+            return n, 1
+        return n, math.factorial(n) // (2 if name == "Alt" else 1)
+    if name == "Dihedral":
+        return (params[0], 2 * params[0]) if params[0] >= 3 else None
+    if name == "ElemAbelian":
+        p, k = params
+        return (p * k, p ** k) if _is_prime(p) else None
+    q = params[-1]
+    if _prime_power(q) is None:
+        return None
+    if name == "SL":
+        n = params[0]
+        if n not in (2, 3):
+            return None
+        order = q ** (n * (n - 1) // 2)
+        for i in range(2, n + 1):
+            order *= q ** i - 1
+        return q ** n - 1, order
+    return q + 1, q * (q * q - 1) // (math.gcd(2, q - 1) if name == "PSL2" else 1)
+
+
+def _check_caps(spec: GroupSpec, max_order: Optional[int], degree_cap: Optional[int]) -> None:
+    """Refuses a named group past a cap from its closed form, before it is built."""
+    if spec.name == "DirectProduct":
+        sizes = [_flat_size(name, params) for name, params in spec.params]
+        if None in sizes:
+            return
+        (da, oa), (db, ob) = sizes
+        if degree_cap is not None and da + db > degree_cap:
+            raise CapExceededError("product degree exceeds cap")
+        degree, order = da + db, oa * ob
+    else:
+        size = _flat_size(spec.name, spec.params)
+        if size is None:
+            return
+        degree, order = size
+    if degree_cap is not None and degree > degree_cap:
+        raise CapExceededError(f"degree {degree} exceeds cap {degree_cap}")
+    if max_order is not None and order > max_order:
+        shown = order if order < 10 ** 20 else f"~10^{int(math.log10(order))}"  # Sym(4000) has 12,674 digits
+        raise CapExceededError(f"group order {shown} exceeds cap {max_order}")
+
+
 def build_group(spec: GroupSpec, *, max_order: Optional[int] = None,
                 degree_cap: Optional[int] = None) -> PermGroup:
+    """The group of a spec.  A named group's degree and order are checked
+    against the caps from their closed forms before it is built, and every
+    group's again once it is."""
     if spec.kind == "perm":
         if degree_cap is not None and spec.degree > degree_cap:
             raise CapExceededError(f"degree {spec.degree} exceeds cap {degree_cap}")
@@ -208,6 +265,7 @@ def build_group(spec: GroupSpec, *, max_order: Optional[int] = None,
                 for g in spec.generators]
         G = PermGroup(spec.degree, gens)
     else:
+        _check_caps(spec, max_order, degree_cap)
         if spec.name == "DirectProduct":
             (na, pa), (nb, pb) = spec.params
             A = _build_flat(na, pa)

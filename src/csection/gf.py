@@ -188,10 +188,16 @@ class FieldTable:
         self._neg_table: Optional[list[int]] = None
         self._mul_table: Optional[list[list[int]]] = None
         self._inv_table: Optional[list[int]] = None
+        # The addition, multiplication and inverse tables as arrays, for
+        # arithmetic on many elements at once.
+        self.arrays: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._primitive: Optional[int] = None
         if self.q <= _TABLE_MAX_Q:
-            self._add_table, self._neg_table = self._additive_tables()
-            self._mul_table, self._inv_table = self._multiplicative_tables()
+            add, neg = self._additive_tables()
+            mul, inv = self._multiplicative_tables()
+            self.arrays = (add, mul, inv)
+            self._add_table, self._neg_table = add.tolist(), neg.tolist()
+            self._mul_table, self._inv_table = mul.tolist(), inv.tolist()
 
     # -- encoding -----------------------------------------------------------
 
@@ -204,7 +210,7 @@ class FieldTable:
             total = total * self.p + (c % self.p)
         return total
 
-    def _additive_tables(self) -> tuple[list[list[int]], list[int]]:
+    def _additive_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Sum and negation of every element, digit-wise mod p over the whole
         field at once."""
         p, q = self.p, self.q
@@ -215,9 +221,9 @@ class FieldTable:
         for d in reversed(digits):  # Horner, most significant digit first
             add = add * p + (d[:, None] + d[None, :]) % p
             neg = neg * p + (-d) % p
-        return add.tolist(), neg.tolist()
+        return add, neg
 
-    def _multiplicative_tables(self) -> tuple[list[list[int]], list[int]]:
+    def _multiplicative_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Product and inverse of every element from one walk of the powers
         of the primitive element g, q-1 `_mul_raw` calls: a*b is
         g^((log a + log b) mod (q-1)), and the zero row and column are 0."""
@@ -231,7 +237,9 @@ class FieldTable:
         log[exp] = np.arange(q - 1)
         mul = np.zeros((q, q), dtype=np.int64)
         mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-        return mul.tolist(), [0] + exp[-log[1:] % (q - 1)].tolist()
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[-log[1:] % (q - 1)]
+        return mul, inv
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -3,12 +3,18 @@ operations built on sifting: membership and normalizers.  A caller's
 subgroup of G is a `PermGroup` on G's points, and so is a normalizer; the
 pipeline holds the subgroups it derives as index sets of G's element table
 (`lattice.SubgroupClass`).  Quotients D/L are read off an element table as
-table groups."""
+table groups.
+
+The chain is built on raw image tuples, a*b composed as `itemgetter(*a)(b)`,
+and wrapped in `Permutation`s once it is complete.  The elements of a group
+are enumerated as one numpy array of image rows, `element_images`, with no
+Python object per element."""
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -103,14 +109,13 @@ class PermGroup:
     # -- membership ---------------------------------------------------------
 
     def _sift(self, g: Permutation) -> Permutation:
-        h = g
+        h = g.images
         for lv in self._levels:
-            pt = h.images[lv.point]
-            rep_inv = lv.inverse_reps.get(pt)
+            rep_inv = lv.inverse_reps.get(h[lv.point])
             if rep_inv is None:
-                return h
-            h = h * rep_inv
-        return h
+                break
+            h = itemgetter(*h)(rep_inv.images)
+        return Permutation._unsafe(h)
 
     def contains(self, g: Permutation) -> bool:
         """Membership test by sifting through the stabilizer chain."""
@@ -156,93 +161,99 @@ class PermGroup:
                 out.append(orb)
         return out
 
-    def elements(self) -> Iterable[Permutation]:
-        """All elements via transversal products, deepest level first."""
-        levels = self._levels
-        if not levels:
-            yield self.identity()
-            return
-        rep_lists = [[lv.transversal[pt] for pt in sorted(lv.transversal)] for lv in levels]
-        for combo in itertools.product(*reversed(rep_lists)):
-            g = combo[0]
-            for u in combo[1:]:
-                g = g * u
-            yield g
+    def element_images(self) -> np.ndarray:
+        """Every element's images, one row each, in lexicographic order: the
+        (order x degree) array of transversal products, formed a level at a
+        time as one gather, deepest level first, then sorted as fixed-width
+        big-endian rows, whose byte order is their lexicographic order."""
+        out = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
+        for lv in reversed(self._levels):
+            reps = np.array([lv.transversal[pt].images for pt in sorted(lv.transversal)],
+                            dtype=out.dtype)
+            # row (j, i) is out_i * reps_j, whose image of x is reps_j[out_i[x]]
+            out = np.take(reps, out, axis=1).reshape(-1, self.degree)
+        big_endian = out.astype(out.dtype.newbyteorder(">"))
+        return out[np.argsort(_row_keys(big_endian))]
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
 def _schreier_sims(degree: int, gens: Sequence[Permutation]) -> list[_Level]:
-    """Deterministic Schreier-Sims: returns a complete stabilizer chain."""
-    levels: list[_Level] = []
+    """Deterministic Schreier-Sims: returns a complete stabilizer chain.
 
-    def strip(g: Permutation, start: int) -> tuple[Permutation, int]:
-        h = g
+    The build composes raw image tuples, `itemgetter(*a)(b)` for a*b, and
+    finds each new transversal element's inverse as s^-1 * rep^-1 from its
+    parent's; the finished chain is wrapped in `Permutation`s once."""
+    points: list[int] = []  # base point of each level
+    level_gens: list[list[tuple[int, ...]]] = []  # generators first appearing at each level
+    inverse_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # each generator's inverse
+    transversals: list[dict[int, tuple[int, ...]]] = []
+    inverses: list[dict[int, tuple[int, ...]]] = []
+    ident = tuple(range(degree))
+
+    def strip(h: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         idx = start
-        while idx < len(levels):
-            lv = levels[idx]
-            pt = h.images[lv.point]
-            rep_inv = lv.inverse_reps.get(pt)
+        while idx < len(points):
+            rep_inv = inverses[idx].get(h[points[idx]])
             if rep_inv is None:
                 return h, idx
-            h = h * rep_inv
+            h = itemgetter(*h)(rep_inv)
             idx += 1
         return h, idx
 
-    def effective_gens(i: int) -> list[Permutation]:
-        return list(itertools.chain.from_iterable(lv.gens for lv in levels[i:]))
+    def effective_gens(i: int) -> list[tuple[int, ...]]:
+        return list(itertools.chain.from_iterable(level_gens[i:]))
 
     def rebuild_orbit(i: int) -> None:
-        lv = levels[i]
-        gens_i = effective_gens(i)
-        ident = Permutation.identity(degree)
-        lv.transversal = {lv.point: ident}
-        lv.inverse_reps = {lv.point: ident}
-        queue = deque([lv.point])
+        gens_i = [(s, inverse_of[s]) for s in effective_gens(i)]
+        transversal = transversals[i] = {points[i]: ident}
+        inverse = inverses[i] = {points[i]: ident}
+        queue = deque([points[i]])
         while queue:
             pt = queue.popleft()
-            rep = lv.transversal[pt]
-            for s in gens_i:
-                q = s.images[pt]
-                if q not in lv.transversal:
-                    u = rep * s
-                    lv.transversal[q] = u
-                    lv.inverse_reps[q] = u.inverse()
+            rep, rep_inv = itemgetter(*transversal[pt]), inverse[pt]
+            for s, s_inv in gens_i:
+                q = s[pt]
+                if q not in transversal:
+                    transversal[q] = rep(s)
+                    inverse[q] = itemgetter(*s_inv)(rep_inv)
                     queue.append(q)
 
-    def add_generator(g: Permutation, level_idx: int) -> None:
-        if level_idx == len(levels):
-            levels.append(_Level(_choose_base_point(g)))
-        levels[level_idx].gens.append(g)
+    def add_generator(g: tuple[int, ...], level_idx: int) -> None:
+        if level_idx == len(points):
+            points.append(_choose_base_point(Permutation._unsafe(g)))
+            level_gens.append([])
+            transversals.append({})
+            inverses.append({})
+        level_gens[level_idx].append(g)
+        inverse_of[g] = Permutation._unsafe(g).inverse().images
 
     for g in gens:
         if g.is_identity():
             continue
         idx = 0
-        while idx < len(levels) and g.images[levels[idx].point] == levels[idx].point:
+        while idx < len(points) and g.images[points[idx]] == points[idx]:
             idx += 1
-        add_generator(g, idx)
+        add_generator(g.images, idx)
 
-    for i in range(len(levels)):
-        rebuild_orbit(i)
-
-    i = len(levels) - 1
+    # Each level's orbit is built when the walk reaches it, deepest first; a
+    # strip reads only the levels below, which the walk has built already.
+    i = len(points) - 1
     while i >= 0:
         rebuild_orbit(i)
-        lv = levels[i]
+        transversal, inverse = transversals[i], inverses[i]
         gens_i = effective_gens(i)
         restart_at = None
         # Orbit points in discovery-deterministic sorted order.
-        for pt in sorted(lv.transversal):
-            u = lv.transversal[pt]
+        for pt in sorted(transversal):
+            u = itemgetter(*transversal[pt])
             for s in gens_i:
-                target = s.images[pt]
-                schreier = u * s * lv.inverse_reps[target]
-                if schreier.is_identity():
+                schreier = itemgetter(*u(s))(inverse[s[pt]])
+                if schreier == ident:
                     continue
                 residue, at = strip(schreier, i + 1)
-                if not residue.is_identity():
+                if residue != ident:
                     add_generator(residue, at)
                     restart_at = at
                     break
@@ -252,6 +263,15 @@ def _schreier_sims(degree: int, gens: Sequence[Permutation]) -> list[_Level]:
             i = restart_at
         else:
             i -= 1
+
+    levels = []
+    wrap = Permutation._unsafe
+    for point, lv_gens, transversal, inverse in zip(points, level_gens, transversals, inverses):
+        lv = _Level(point)
+        lv.gens = [wrap(g) for g in lv_gens]
+        lv.transversal = {pt: wrap(u) for pt, u in transversal.items()}
+        lv.inverse_reps = {pt: wrap(u) for pt, u in inverse.items()}
+        levels.append(lv)
     return levels
 
 
@@ -268,54 +288,66 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
 
     Each conjugate of H is held as one numpy block, the (|H| x degree) array
     of its elements' images; conjugating by g is the gather
-    `gim[block[:, ginv]]`. Its orbit key is the block with its rows sorted
-    lexicographically by their images of G's base points, as bytes: those
-    images determine an element of G, so no two rows tie, and the sorted
-    block is a canonical form of the element set."""
+    `gim[block[:, ginv]]`.  Its orbit key is the set of the block's rows
+    restricted to G's base points, sorted as bytes: those images determine an
+    element of G, so they determine the conjugate.  A conjugate is keyed from
+    its base columns alone, `gim[block[:, ginv[base]]]`, and its whole block
+    is built only when it is new to the orbit.  Transversal elements and
+    Schreier generators are composed as image tuples."""
     for h in H.generators:
         if not G.contains(h):
             raise NotASubgroupError(f"generator {h!r} lies outside the group")
     if H.order > _NORMALIZER_SUBGROUP_CAP:
         raise CapExceededError(
             f"subgroup order {H.order} exceeds element cap {_NORMALIZER_SUBGROUP_CAP}")
-    dtype = np.uint16 if G.degree <= 1 << 16 else np.uint32
-    block = np.array(sorted(h.images for h in H.elements()), dtype=dtype)
+    block = H.element_images()
     base = list(G.base) or [0]  # a trivial G has no base; its blocks have one row
-    ident = Permutation.identity(G.degree)
-    # Orbit key -> (transversal element u, its inverse).
-    transversal: dict[bytes, tuple[Permutation, Permutation]] = {
-        _block_key(block, base): (ident, ident)}
-    queue = deque([(block, ident)])
-    stab: list[Permutation] = []
-    seen_stab: set[tuple[int, ...]] = set()
-    actions = [(g, np.array(g.inverse().images, dtype=np.intp), np.array(g.images, dtype=dtype))
-               for g in G.generators]
+    ident = tuple(range(G.degree))
+    # Orbit key -> the inverse of its transversal element.
+    transversal: dict[bytes, tuple[int, ...]] = {_block_key(block[:, base]): ident}
+    queue = deque([(block, ident, ident)])  # a conjugate, its transversal element u, u^-1
+    stab: set[tuple[int, ...]] = set()
+    actions = []
+    for g in G.generators:
+        ginv = g.inverse().images
+        cols = np.array(ginv, dtype=np.intp)
+        actions.append((g.images, ginv, cols, cols[base], np.array(g.images, dtype=block.dtype)))
     while queue:
-        s, u = queue.popleft()
-        for g, ginv, gim in actions:
-            t = gim[s[:, ginv]]
-            key = _block_key(t, base)
+        s, u, u_inv = queue.popleft()
+        then = itemgetter(*u)
+        for g, ginv, cols, base_cols, gim in actions:
+            key = _block_key(gim[s[:, base_cols]])
+            ug = then(g)
             entry = transversal.get(key)
             if entry is None:
                 if len(transversal) >= _NORMALIZER_ORBIT_CAP:
                     raise CapExceededError("conjugation orbit exceeded the normalizer cap")
-                ug = u * g
-                transversal[key] = (ug, ug.inverse())
-                queue.append((t, ug))
+                ug_inv = transversal[key] = itemgetter(*ginv)(u_inv)
+                queue.append((gim[s[:, cols]], ug, ug_inv))
             else:
-                sg = u * g * entry[1]
-                if not sg.is_identity() and sg.images not in seen_stab:
-                    seen_stab.add(sg.images)
-                    stab.append(sg)
-    result = _reduce_generating_set(G.degree, stab)
+                stab.add(itemgetter(*ug)(entry))
+    stab.discard(ident)
+    result = _reduce_generating_set(G.degree, [Permutation._unsafe(x) for x in stab])
     if result.order * len(transversal) != G.order:
         raise RuntimeError("orbit-stabilizer bookkeeping failed in normalizer")
     return result
 
 
-def _block_key(block: np.ndarray, base: list[int]) -> bytes:
-    """The block's rows in lexicographic order of their base images, as bytes."""
-    return block[np.lexsort(block[:, base].T[::-1])].tobytes()
+def _block_key(rows: np.ndarray) -> bytes:
+    """A block's base images as bytes, its rows in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])].tobytes()
+
+
+def _image_dtype(degree: int) -> type:
+    """The smallest unsigned dtype that holds the points 0..degree-1."""
+    return np.uint16 if degree <= 1 << 16 else np.uint32
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one fixed-width opaque scalar, so that a
+    sort or search compares whole rows bytewise."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).reshape(-1)
 
 
 def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> PermGroup:

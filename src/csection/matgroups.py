@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .gf import FieldTable
 from .groups import PermGroup
 from .perms import Permutation
@@ -162,17 +164,48 @@ def normalize_point(field: FieldTable, v: Sequence[int]) -> tuple[int, ...]:
 def _action_group(field: FieldTable, n: int, matrices: Sequence[Matrix],
                   points: list[tuple[int, ...]], projective: bool) -> PermGroup:
     """The matrices' action on the points (row vectors, normalized when
-    projective) as a permutation group of degree len(points)."""
-    index = {pt: i for i, pt in enumerate(points)}
+    projective) as a permutation group of degree len(points).
+
+    With the field's arrays, a matrix acts on all points at once: coordinate
+    j of v*m sums the products v_i * m_ij through the addition and
+    multiplication tables, a projective image is scaled by its leading
+    entry's inverse, and an image point is found by its base-q code.  A
+    field too large for tables takes one `vec_mat_mul` per point."""
+    if field.arrays is None:
+        index = {pt: i for i, pt in enumerate(points)}
+        perms = []
+        for m in matrices:
+            images = []
+            for pt in points:
+                w = vec_mat_mul(pt, m)
+                if projective and any(w):
+                    w = normalize_point(field, w)
+                if w not in index:
+                    raise ValueError(f"matrix image {w} lies outside the point set")
+                images.append(index[w])
+            perms.append(Permutation(images))
+        return PermGroup(len(points), perms)
+    add, mul, inv = field.arrays
+    vectors = np.array(points, dtype=np.intp).reshape(len(points), n)
+    radix = field.q ** np.arange(n - 1, -1, -1)
+    codes = vectors @ radix
+    by_code = np.argsort(codes)
+    codes = codes[by_code]
+    rows = np.arange(len(points))
     perms = []
     for m in matrices:
-        images = []
-        for pt in points:
-            w = vec_mat_mul(pt, m)
-            if projective:
-                w = normalize_point(field, w)
-            images.append(index[w])
-        perms.append(Permutation(images))
+        entries = np.array(m.rows, dtype=np.intp)
+        image = mul[vectors[:, :1], entries[0]]
+        for i in range(1, n):
+            image = add[image, mul[vectors[:, i:i + 1], entries[i]]]
+        if projective:
+            lead = image[rows, (image != 0).argmax(axis=1)]
+            image = mul[inv[lead][:, None], image]
+        code = image @ radix
+        at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        if (codes[at] != code).any():
+            raise ValueError("a matrix moved a point outside the point set")
+        perms.append(Permutation(by_code[at].tolist()))
     return PermGroup(len(points), perms)
 
 

@@ -15,10 +15,17 @@ The hot loops read the table a row at a time: `rows[i]` is a 1-D view of row
 i, so a whole left coset u*H is one C-level gather, `itemgetter(*H)(rows[u])`,
 and a conjugate g^-1*x*g is two cell reads.
 
-An input group's table is enumerated from its permutations.  A subgroup is
-held as a `lattice.SubgroupClass` record, its indices in the parent's table;
-a caller's subgroup, a `PermGroup` on the parent's points, is read into one
-by `index_of` on its generators.  Every group the pipeline derives, a quotient D/L or a subgroup (a record's
+An input group's elements are enumerated once, as one (n x degree) array of
+images, `PermGroup.element_images`, with no Python object per element; its
+rows are in lexicographic order, so element i is the i-th smallest image
+tuple.  An element is found by its images of the chain's base points: the
+table keeps those keys sorted and searches a whole array of them at once.
+Each generator row of the Cayley table is one gather of the image array and
+one such search, checked row for row; every other row is gathered from the
+table itself.  A subgroup is held as a `lattice.SubgroupClass` record, its
+indices in the parent's table; a caller's subgroup, a `PermGroup` on the
+parent's points, is read into one by `index_of` on its generators.  Every
+group the pipeline derives, a quotient D/L or a subgroup (a record's
 `group`), is a `TableGroup`: its table is read off the parent's table, and
 no element is enumerated.  A table does not refer back to its group, so a
 group, its caches and its tables hold no reference cycle, and they are freed
@@ -33,7 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import CapExceededError, NotASubgroupError, PermGroup
+from .groups import CapExceededError, NotASubgroupError, PermGroup, _row_keys
 from .perms import Permutation
 
 # Largest group order that gets an element table, the bound of every search.
@@ -54,17 +61,26 @@ class ElementTable:
     def __init__(self, group: PermGroup):
         if group.order > MAX_ORDER:
             raise CapExceededError(f"group order {group.order} exceeds element cap {MAX_ORDER}")
-        tuples = sorted(g.images for g in group.elements())
-        if len(tuples) != group.order:
+        images = group.element_images()
+        if len(images) != group.order or (images[1:] == images[:-1]).all(axis=1).any():
             raise RuntimeError("element enumeration disagrees with the group order")
-        # None for a table group, whose elements are its indices
-        self.tuples: Optional[list[tuple[int, ...]]] = tuples
-        self.index: Optional[dict[tuple[int, ...], int]] = {t: i for i, t in enumerate(tuples)}
-        self.n = len(tuples)
-        ident = tuple(range(group.degree))
-        if self.index[ident] != 0:
+        if (images[0] != np.arange(group.degree)).any():
             raise RuntimeError("identity did not sort first in the element table")
-        self.generator_indices: list[int] = [self.index[g.images] for g in group.generators]
+        # Row i holds element i's images; None for a table group, whose
+        # elements are its indices.
+        self.images: Optional[np.ndarray] = images
+        self.n = len(images)
+        # An element of the group is determined by its images of the base
+        # points, so those key the index: the keys sorted, with each one's row.
+        self._base = list(group.base) or [0]  # a trivial group has no base
+        keys = _row_keys(images[:, self._base])
+        self._key_rows = np.argsort(keys)
+        self._keys = keys[self._key_rows]
+        gens = np.array([g.images for g in group.generators], dtype=images.dtype)
+        found = self._indices(gens.reshape(-1, group.degree))
+        if found is None:
+            raise RuntimeError("a generator is not among the enumerated elements")
+        self.generator_indices: list[int] = found.tolist()
         self._build_table()
 
     @classmethod
@@ -72,7 +88,7 @@ class ElementTable:
         """The element table of a table group: its Cayley table, already read
         off a parent's table, and its generators by index."""
         et = cls.__new__(cls)
-        et.tuples = et.index = None
+        et.images = None
         et.n = len(table)
         et.generator_indices = generator_indices
         et._adopt(table)
@@ -81,25 +97,26 @@ class ElementTable:
     def _build_table(self) -> None:
         """Cayley table: row i, column j holds the index of element_i * element_j.
 
-        Only the generator rows are composed from image tuples.  Every other
-        row follows from (a*b)*j = a*(b*j): row a*b is row a gathered at row b.
+        Only the generator rows are composed from the image array, each
+        checked against it row for row.  Every other row follows from
+        (a*b)*j = a*(b*j): row a*b is row a gathered at row b.
         Rows are filled breadth-first from the generators, a layer at a time;
         each element b of a layer yields g*b for every generator g, and b*b,
         so a cyclic group is crossed in O(log n) layers.
         """
         n = self.n
-        tuples, index = self.tuples, self.index
+        images = self.images
         table = np.empty((n, n), dtype=np.uint16)
         table[0] = np.arange(n)
         seen = np.zeros(n, dtype=bool)
         seen[0] = True
         gens = np.array(sorted(set(self.generator_indices) - {0}), dtype=np.intp)
         for g in gens:
-            image = itemgetter(*tuples[g])
-            try:
-                table[g] = [index[image(t)] for t in tuples]
-            except KeyError:
-                raise RuntimeError("a generator's product fell outside the group's elements") from None
+            # Row j of `products` is element g * element j: element j's images at g's.
+            row = self._indices(np.take(images, images[g], axis=1))
+            if row is None:
+                raise RuntimeError("a generator's product fell outside the group's elements")
+            table[g] = row
         seen[gens] = True
         cells = table.reshape(-1)
         rows = max(1, _TABLE_CHUNK // n)
@@ -263,26 +280,36 @@ class ElementTable:
                 current = grown
         return gens
 
+    def _indices(self, rows: np.ndarray) -> Optional[np.ndarray]:
+        """The index of the element with each row of images, found by the
+        row's base images and then compared whole; None when some row is no
+        element's."""
+        at = np.searchsorted(self._keys, _row_keys(rows[:, self._base]))
+        found = self._key_rows[np.minimum(at, self.n - 1)]
+        return found if (self.images[found] == rows).all() else None
+
     def permutation(self, i: int) -> Permutation:
         """Element i as a permutation of the group's points.  A table group's
         points are its elements, and element i moves x to x*i: column i."""
-        if self.tuples is None:
+        if self.images is None:
             return Permutation._unsafe(tuple(self._mul_table[:, i].tolist()))
-        return Permutation._unsafe(self.tuples[i])
+        return Permutation._unsafe(tuple(self.images[i].tolist()))
 
     def index_of(self, p: Permutation) -> int:
         """The index of the element p, a permutation of the group's points:
         the inverse of `permutation`.  A table group's element i is column i,
-        which moves the identity, point 0, to i.  A permutation that is not
-        an element, one of another degree included, raises NotASubgroupError."""
-        if self.tuples is None:
+        which moves the identity, point 0, to i; an input group's element is
+        found by its base images and compared whole.  A permutation that is
+        not an element, one of another degree included, raises
+        NotASubgroupError."""
+        if self.images is None:
             i = p.images[0]
             if i < self.n and self.permutation(i) == p:
                 return i
-        else:
-            i = self.index.get(p.images)
-            if i is not None:
-                return i
+        elif p.degree == self.images.shape[1]:
+            found = self._indices(np.array([p.images], dtype=self.images.dtype))
+            if found is not None:
+                return int(found[0])
         raise NotASubgroupError(f"{p!r} is not an element of the group")
 
 

@@ -7,6 +7,7 @@ from csection.catalog import build_group, named_spec, product_spec
 from csection.groups import PermGroup
 from csection.lattice import _normal_covers, normal_subgroups
 from csection.perms import Permutation, parse_cycle_lists
+from csection.tables import TableGroup
 
 
 def named(name, *params):
@@ -38,7 +39,16 @@ def as_subgroup(G, c):
 
 
 def elements_of(G):
-    return [p.images for p in G.elements()]
+    """G's elements as image tuples: a permutation group's in lexicographic
+    order, a table group's in index order."""
+    if isinstance(G, TableGroup):
+        return [p.images for p in G.elements()]
+    return [tuple(row) for row in G.element_images().tolist()]
+
+
+def element_tuples(et):
+    """An element table's elements as image tuples, in index order."""
+    return [et.permutation(i).images for i in range(et.n)]
 
 
 def quaternion():

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
+from csection import catalog
 from csection.catalog import (BatteryEntry, GroupSpec, build_group, builtin_battery,
                               named_spec, parse_group_spec, product_spec,
                               spec_from_group)
 from csection.groups import CapExceededError
 
-from gtools import quaternion
+from gtools import elements_of, quaternion
 
 
 def test_parse_rejects_malformed_documents():
@@ -105,6 +106,44 @@ def test_build_caps():
     assert build_group(named_spec("Sym", 4), max_order=24, degree_cap=4).order == 24
 
 
+CLOSED_FORM_CASES = (
+    [("Sym", (n,)) for n in range(1, 8)] + [("Alt", (n,)) for n in range(1, 8)]
+    + [("Cyclic", (n,)) for n in (1, 2, 12)] + [("Dihedral", (m,)) for m in (3, 4, 8)]
+    + [("ElemAbelian", pk) for pk in ((2, 1), (2, 3), (3, 2))]
+    + [("PSL2", (q,)) for q in (2, 3, 4, 7, 8, 9, 11, 16, 17)]
+    + [("PGL2", (q,)) for q in (2, 3, 4, 7, 9, 11)]
+    + [("SL", nq) for nq in ((2, 2), (2, 5), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4))])
+
+
+@pytest.mark.parametrize("name,params", CLOSED_FORM_CASES,
+                         ids=[f"{n}{p}" for n, p in CLOSED_FORM_CASES])
+def test_closed_form_size_matches_the_built_group(name, params):
+    G = build_group(named_spec(name, *params))
+    assert catalog._flat_size(name, params) == (G.degree, G.order)
+
+
+def test_caps_refuse_a_named_group_before_it_is_built(monkeypatch):
+    def unbuildable(*args):
+        raise AssertionError("a group past its cap was built")
+
+    for builder in ("_sym", "_cyclic", "_psl2"):
+        monkeypatch.setattr(catalog, builder, unbuildable)
+    with pytest.raises(CapExceededError, match="degree 100000 exceeds cap 5000"):
+        build_group(named_spec("Cyclic", 100000), degree_cap=5000)
+    with pytest.raises(CapExceededError, match="group order ~10\\^12673 exceeds cap 10000"):
+        build_group(named_spec("Sym", 4000), max_order=10000, degree_cap=5000)
+    with pytest.raises(CapExceededError, match="group order 495512988 exceeds cap 10000"):
+        build_group(named_spec("PSL2", 997), max_order=10000)
+    # a direct product adds the degrees and multiplies the orders
+    with pytest.raises(CapExceededError, match="product degree exceeds cap"):
+        build_group(product_spec("Sym", [8], "Cyclic", [3]), degree_cap=10)
+    with pytest.raises(CapExceededError, match="group order 120960 exceeds cap 100000"):
+        build_group(product_spec("Sym", [8], "Cyclic", [3]), max_order=100_000)
+    # invalid parameters are left to the builder, which says why
+    with pytest.raises(ValueError, match="Alt needs n >= 1"):
+        build_group(named_spec("Alt", 0), max_order=10)
+
+
 @pytest.mark.parametrize("params,order,degree", [
     (("PGL2", 7), 336, 8),
     (("Alt", 6), 360, 6),
@@ -134,7 +173,7 @@ def test_spec_round_trips():
         spec = spec_from_group(G)
         rebuilt = build_group(parse_group_spec(spec.canonical()))
         assert rebuilt.order == G.order
-        assert {p.images for p in rebuilt.elements()} == {p.images for p in G.elements()}
+        assert set(elements_of(rebuilt)) == set(elements_of(G))
 
     for spec in (named_spec("Dihedral", 5),
                  product_spec("Cyclic", [3], "Sym", [4]),

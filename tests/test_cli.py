@@ -6,6 +6,9 @@ capsys and stores live under tmp_path.
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -114,6 +117,23 @@ def test_bad_group_inputs_exit_3(arg, capsys):
 def test_max_order_cap_enforced(capsys):
     assert main(["order", "--group", S5, "--max-order", "50"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind":"named","name":"Cyclic","params":[100000]}',
+    '{"kind":"named","name":"Sym","params":[4000]}',
+    '{"kind":"named","name":"PSL2","params":[997]}',
+], ids=["Cyclic100000", "Sym4000", "PSL2_997"])
+def test_an_oversized_named_group_exits_3_before_it_is_built(spec):
+    """Each of these took more than 15 s when the caps were checked only
+    after the build; the closed form refuses it at once."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "csection.cli", "order", "--group", spec],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 3
+    assert "exceeds cap" in proc.stderr
 
 
 @pytest.mark.parametrize("error,code", [

@@ -49,7 +49,7 @@ def test_quaternion_order():
 
 def test_elements_are_distinct_and_contained():
     G = named("Sym", 4)
-    els = list(G.elements())
+    els = [Permutation(t) for t in elements_of(G)]
     assert len(els) == 24 and len(set(els)) == 24
     assert all(G.contains(g) for g in els)
     assert all(g in G for g in els)
@@ -222,7 +222,7 @@ def _quotient(G, N):
     G's points."""
     et = element_table(G)
     return coset_action(et, et.generator_indices,
-                        frozenset(et.index[t] for t in elements_of(N)))
+                        frozenset(et.index_of(Permutation(t)) for t in elements_of(N)))
 
 
 def test_coset_action_faithful():
@@ -277,5 +277,5 @@ def test_coset_action_numbers_cosets_by_least_member():
         want, where = coset_table_naive(table, range(table.n),
                                         [table.index[t] for t in elements_of(N)])
         assert quotient._mul_table.tolist() == want
-        cosets = [where[table.index[et.tuples[g]]] for g in et.generator_indices]
+        cosets = [where[table.index[et.permutation(g).images]] for g in et.generator_indices]
         assert quotient.generator_indices == [c for c in cosets if c]

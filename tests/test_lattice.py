@@ -18,9 +18,9 @@ from csection.perms import Permutation
 from csection.series import is_nilpotent
 from csection.tables import ElementTable, element_table
 
-from gtools import (as_subgroup, elements_of, from_cycles, named, product, quaternion,
-                    small_groups)
-from oracles import (NaiveTable, all_subgroups_naive, all_subgroups_powerset,
+from gtools import (as_subgroup, element_tuples, elements_of, from_cycles, named, product,
+                    quaternion, small_groups)
+from oracles import (NaiveTable, all_subgroups_naive, all_subgroups_powerset, element_order,
                      normal_subgroups_naive)
 
 
@@ -35,7 +35,8 @@ def _expand_class(et, indices):
             if t not in orbit:
                 orbit.add(t)
                 queue.append(t)
-    return {frozenset(et.tuples[i] for i in s) for s in orbit}
+    tuples = element_tuples(et)
+    return {frozenset(tuples[i] for i in s) for s in orbit}
 
 
 def _oracle_subgroup_sets(G):
@@ -173,7 +174,7 @@ def test_class_representatives_match_their_indices():
         rep = as_subgroup(G, c)
         assert isinstance(rep, PermGroup) and rep.degree == G.degree
         assert rep.order == len(c.indices) == c.order
-        assert frozenset(et.index[g.images] for g in rep.elements()) == c.indices
+        assert frozenset(et.index_of(Permutation(t)) for t in elements_of(rep)) == c.indices
         assert c.group is c.group and c.group.order == c.order
 
 
@@ -185,7 +186,7 @@ def test_certify_maximal_rejects_non_maximal():
     a = Permutation.from_cycles(4, [(0, 1), (2, 3)])
     b = Permutation.from_cycles(4, [(0, 2), (1, 3)])
     v4 = elements_of(PermGroup(4, [a, b]))
-    subset = frozenset(et.index[t] for t in v4)
+    subset = frozenset(et.index_of(Permutation(t)) for t in v4)
     assert not certify_maximal(G, subset, et.extract_generators(subset), et)
     # the whole group is never maximal in itself
     everything = frozenset(range(et.n))
@@ -193,7 +194,7 @@ def test_certify_maximal_rejects_non_maximal():
     # A4 is maximal
     a4 = elements_of(PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2)]),
                                    Permutation.from_cycles(4, [(0, 1), (2, 3)])]))
-    subset = frozenset(et.index[t] for t in a4)
+    subset = frozenset(et.index_of(Permutation(t)) for t in a4)
     assert certify_maximal(G, subset, et.extract_generators(subset), et)
 
 
@@ -240,7 +241,7 @@ def test_normal_subgroups_match_oracle(make, count):
     G = make()
     normals = normal_subgroups(G)
     assert len(normals) == count
-    got = {frozenset(p.images for p in as_subgroup(G, N).elements()) for N in normals}
+    got = {frozenset(elements_of(as_subgroup(G, N))) for N in normals}
     table = NaiveTable(elements_of(G))
     want = {frozenset(table.elems[i] for i in s) for s in normal_subgroups_naive(table)}
     assert got == want
@@ -299,12 +300,13 @@ def _check_normal_subgroups(G):
     generators against the join walk; returns the number found."""
     et = element_table(G)
     normals = normal_subgroups(G)
-    got = [(N.indices, [et.index[g.images] for g in as_subgroup(G, N).generators])
+    got = [(N.indices, [et.index_of(g) for g in as_subgroup(G, N).generators])
            for N in normals]
     assert got == _normal_join_walk(G)
     table = NaiveTable(elements_of(G))
     want = {frozenset(table.elems[i] for i in s) for s in normal_subgroups_naive(table)}
-    assert {frozenset(et.tuples[i] for i in s) for s, _gens in got} == want
+    tuples = element_tuples(et)
+    assert {frozenset(tuples[i] for i in s) for s, _gens in got} == want
     return len(normals)
 
 
@@ -363,7 +365,7 @@ def test_klein_four_classes_s4():
     assert [(c.class_size, c.normalizer_order()) for c in classes] == [(3, 8), (1, 24)]
     for c in classes:
         assert as_subgroup(G, c).order == 4
-        orders = sorted(p.order() for p in as_subgroup(G, c).elements())
+        orders = sorted(element_order(t) for t in elements_of(as_subgroup(G, c)))
         assert orders == [1, 2, 2, 2]
 
 
@@ -382,13 +384,14 @@ def test_klein_classes_fuse_in_pgl2(p):
     # the projective constructions share their point ordering, so K < G literally
     assert all(G.contains(g) for g in K.generators)
     ket = element_table(K)
-    reps = [frozenset(ket.tuples[i] for i in c.indices) for c in _klein_four_classes(K)]
+    k_tuples = element_tuples(ket)
+    reps = [frozenset(k_tuples[i] for i in c.indices) for c in _klein_four_classes(K)]
     assert len(reps) == 2
 
     def fused(H):
         """Whether one conjugation orbit in H holds both representatives."""
         et = element_table(H)
-        first, second = (frozenset(et.index[t] for t in r) for r in reps)
+        first, second = (frozenset(et.index_of(Permutation(t)) for t in r) for r in reps)
         return second in _conjugates(et, first)[0]
 
     assert fused(G)
@@ -446,7 +449,7 @@ def _unpruned_walk(G):
         if s in seen:
             return
         orbit = _expand_class(et, s)
-        orbit = {frozenset(et.index[t] for t in conj) for conj in orbit}
+        orbit = {frozenset(et.index_of(Permutation(t)) for t in conj) for conj in orbit}
         canonical = min(orbit, key=sorted)
         seen.update((t, canonical) for t in orbit)
         reps[canonical] = len(orbit)
@@ -558,9 +561,10 @@ def test_complements_match_brute_force(battery500):
         et = element_table(G)
         table = NaiveTable(elements_of(G))
         naive = [frozenset(table.elems[i] for i in s) for s in all_subgroups_naive(table)]
+        tuples = element_tuples(et)
         for N in _abelian_minimal_normals(G):
             n_set = N.indices
-            n_tuples = frozenset(et.tuples[i] for i in n_set)
+            n_tuples = frozenset(tuples[i] for i in n_set)
             want = {U for U in naive if len(U) * len(n_set) == G.order and len(U & n_tuples) == 1}
             got = set()
             for c in lattice._complements(et, n_set):

@@ -6,7 +6,8 @@ import pytest
 
 from csection.gf import field_make
 from csection.groups import normalizer
-from csection.matgroups import (Matrix, conjugation_check, corner_subgroup_generators,
+from csection.matgroups import (Matrix, _action_group, conjugation_check,
+                                corner_subgroup_generators,
                                 gl_generators, lemma_conjugation_trial,
                                 lower_triangular_sl_generators,
                                 lower_unitriangular_generators, nonzero_vectors,
@@ -194,3 +195,26 @@ def test_sl34_sylow_normalizer(side):
     got = normalizer(G, sylow)
     assert set(elements_of(got)) == set(elements_of(want))
     assert [g.images for g in got.generators] == SL34_SYLOW_NORMALIZER_GENERATORS[side]
+
+
+@pytest.mark.parametrize("p,f,n", [(2, 2, 2), (3, 2, 2), (2, 2, 3)], ids=["GF4_2", "GF9_2", "GF4_3"])
+def test_action_without_field_tables_matches_the_table_path(p, f, n, monkeypatch):
+    """A field above the table bound acts one point at a time; with the
+    tables switched off, that path gives the same permutations, and both
+    refuse a matrix that moves a point off the point set."""
+    assert field_make(521, 1).arrays is None  # above the bound: no tables
+    F = field_make(p, f)
+    matrices = sl_generators(n, F) + lower_triangular_sl_generators(n, F) + gl_generators(n, F)
+    zero = Matrix(F, [[0] * n for _ in range(n)])
+    for projective in (False, True):
+        points = projective_points(F, n) if projective else nonzero_vectors(F, n)
+        tabled = _action_group(F, n, matrices, points, projective)
+        with pytest.raises(ValueError, match="outside the point set"):
+            _action_group(F, n, [zero], points, projective)
+        with monkeypatch.context() as m:
+            m.setattr(F, "arrays", None)
+            pointwise = _action_group(F, n, matrices, points, projective)
+            with pytest.raises(ValueError, match="outside the point set"):
+                _action_group(F, n, [zero], points, projective)
+        assert pointwise.generators == tabled.generators
+        assert pointwise.order == tabled.order

@@ -22,8 +22,9 @@ from csection.sections import (ChiefPair, NoChiefPairError, NotAChiefPairError,
                                verify_theorem_instance)
 from csection.tables import ElementTable, TableGroup, element_table
 
-from gtools import as_subgroup, elements_of, named, product, small_groups
-from oracles import NaiveTable, brute_isomorphic, coset_table_naive, normal_subgroups_naive
+from gtools import as_subgroup, element_tuples, elements_of, named, product, small_groups
+from oracles import (NaiveTable, brute_isomorphic, coset_table_naive, element_order,
+                     normal_subgroups_naive)
 
 
 def test_make_report_status_mapping():
@@ -166,7 +167,7 @@ def test_sec_reads_a_given_pairs_index_sets_off_K_and_L():
     section as the canonical pair; SL(2,5) over its centre is A4 in SL(2,3)."""
     G = named("SL", 2, 5)
     M = next(c for c in maximal_subgroups(G) if c.order == 24)
-    z = next(g for g in G.elements() if g.order() == 2)  # -I, the only involution
+    z = next(Permutation(t) for t in elements_of(G) if element_order(t) == 2)  # -I, the only involution
     s = sec(G, M, pair=ChiefPair(K=PermGroup(G.degree, G.generators), L=PermGroup(G.degree, [z])))
     assert (s.order, str(s.identified)) == (12, "A4")
     assert s.source_pair in chief_pairs_for_maximal(G, M)
@@ -175,7 +176,7 @@ def test_sec_reads_a_given_pairs_index_sets_off_K_and_L():
 def test_sec_rejects_a_pair_that_does_not_separate_M():
     G = named("SL", 2, 5)
     M = next(c for c in maximal_subgroups(G) if c.order == 24)
-    z = next(g for g in G.elements() if g.order() == 2)
+    z = next(Permutation(t) for t in elements_of(G) if element_order(t) == 2)
     centre = PermGroup(G.degree, [z])
     assert issubclass(NotAChiefPairError, ValueError)  # exit 3 in the CLI
     with pytest.raises(NotAChiefPairError, match="orders \\(2, 2\\)"):
@@ -205,9 +206,9 @@ def test_chief_pairs_match_brute_force_covers(battery200):
         normals = normal_subgroups_naive(table)
         covers = [(K, L) for L in normals for K in normals
                   if L < K and not any(L < T < K for T in normals)]
-        et = element_table(G)
+        tuples = element_tuples(element_table(G))
         def naive(indices):
-            return frozenset(table.index[et.tuples[i]] for i in indices)
+            return frozenset(table.index[tuples[i]] for i in indices)
 
         for cls in maximal_subgroups(G):
             m = naive(cls.indices)
@@ -236,10 +237,10 @@ def test_sections_match_the_naive_quotient(battery200):
         if G.order > 120:
             continue
         table = NaiveTable(elements_of(G))
-        et = element_table(G)
+        tuples = element_tuples(element_table(G))
 
         def naive(indices):
-            return frozenset(table.index[et.tuples[i]] for i in indices)
+            return frozenset(table.index[tuples[i]] for i in indices)
 
         for cls in maximal_subgroups(G):
             for pair in chief_pairs_for_maximal(G, cls):

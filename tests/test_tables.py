@@ -5,12 +5,13 @@ import random
 import pytest
 
 from csection.catalog import build_group, parse_group_spec
-from csection.groups import CapExceededError, PermGroup
-from csection.lattice import all_subgroups
-from csection.tables import ElementTable, element_table
+from csection.groups import CapExceededError, NotASubgroupError, PermGroup
+from csection.lattice import all_subgroups, normal_subgroups
+from csection.perms import Permutation
+from csection.tables import ElementTable, TableGroup, element_table
 
-from gtools import elements_of, from_cycles, named, product
-from oracles import NaiveTable, all_subgroups_naive, compose, element_order, invert
+from gtools import element_tuples, elements_of, from_cycles, named, product
+from oracles import NaiveTable, all_subgroups_naive, compose, element_order, generated, invert
 
 # S4 on the points 3, 5, 6, 8 of eight; its base avoids the first points.
 RELABELED_S4 = '{"kind":"perm","degree":8,"generators":[[[3,5,6,8]],[[3,5]]]}'
@@ -35,7 +36,7 @@ def test_cayley_table_matches_oracle(make):
     et = ElementTable(G)
     assert et._mul_table is not None
     oracle = NaiveTable(elements_of(G))
-    to_oracle = [oracle.index[t] for t in et.tuples]
+    to_oracle = [oracle.index[t] for t in element_tuples(et)]
     got = [[to_oracle[et.mul(i, j)] for j in range(et.n)] for i in range(et.n)]
     want = [[oracle.mul[to_oracle[i]][to_oracle[j]] for j in range(et.n)] for i in range(et.n)]
     assert got == want
@@ -61,7 +62,8 @@ def test_whole_table_is_tuple_composition(make):
     G = make()
     et = ElementTable(G)
     assert et.n == G.order
-    tuples, index = et.tuples, et.index
+    tuples = element_tuples(et)
+    index = {t: i for i, t in enumerate(tuples)}
     for i in range(et.n):
         assert list(et.rows[i]) == [index[compose(tuples[i], t)] for t in tuples]
 
@@ -82,10 +84,62 @@ def test_generators_of_a_proper_subgroup_raise():
         et._build_table()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: named("SL", 2, 17),
+    lambda: PermGroup(1, []),
+    lambda: PermGroup(3, []),
+], ids=["SL2_17_on_vectors", "trivial_degree_1", "trivial_degree_3"])
+def test_an_elements_index_is_the_rank_of_its_image_tuple(make):
+    G = make()
+    et = ElementTable(G)
+    want = sorted(generated(G.degree, [g.images for g in G.generators]))
+    assert len(want) == G.order
+    assert element_tuples(et) == want
+    assert [et.index_of(Permutation(t)) for t in want] == list(range(len(want)))
+    assert et.generator_indices == [want.index(g.images) for g in G.generators]
+
+
+def test_index_of_refuses_a_non_element():
+    A4 = named("Alt", 4)
+    et = element_table(A4)
+    with pytest.raises(NotASubgroupError):
+        et.index_of(Permutation.from_cycles(4, [(0, 1)]))
+    with pytest.raises(NotASubgroupError):
+        et.index_of(Permutation.from_cycles(5, [(0, 1, 2)]))
+    # An element is found by its base images; an odd permutation that agrees
+    # with an element there is still refused, as its whole row differs.
+    x = et.permutation(1)
+    rest = [pt for pt in range(4) if pt not in A4.base]
+    images = list(x.images)
+    images[rest[0]], images[rest[1]] = images[rest[1]], images[rest[0]]
+    odd = Permutation(images)
+    assert all(odd.images[b] == x.images[b] for b in A4.base)
+    with pytest.raises(NotASubgroupError):
+        et.index_of(odd)
+    # a table group's element i is column i of its table
+    v4 = next(N.group for N in normal_subgroups(named("Sym", 4)) if N.order == 4)
+    assert isinstance(v4, TableGroup)
+    tet = element_table(v4)
+    assert [tet.index_of(tet.permutation(i)) for i in range(tet.n)] == [0, 1, 2, 3]
+    with pytest.raises(NotASubgroupError):
+        tet.index_of(Permutation.from_cycles(4, [(1, 2)]))
+    with pytest.raises(NotASubgroupError):
+        tet.index_of(Permutation.from_cycles(5, [(0, 1)]))
+
+
+def test_a_repeated_element_row_raises():
+    G = named("Sym", 4)
+    level = G._levels[0]
+    first, second = sorted(level.transversal)[:2]
+    level.transversal[second] = level.transversal[first]  # the order is unchanged
+    with pytest.raises(RuntimeError, match="element enumeration disagrees with the group order"):
+        ElementTable(G)
+
+
 def test_generator_leaving_the_elements_raises():
     et = ElementTable(from_cycles(4, [[[1, 2, 3, 4]]]))  # C4
     g = et.generator_indices[0]
-    et.tuples[g] = (1, 0, 2, 3)  # a transposition: its products leave C4
+    et.images[g] = (1, 0, 2, 3)  # a transposition: its products leave C4
     with pytest.raises(RuntimeError, match="outside the group's elements"):
         et._build_table()
 
@@ -95,18 +149,19 @@ def test_mul_spot_check_against_tuple_composition(name, order):
     et = element_table(named(name, 17))
     assert et.n == order
     assert et._mul_table is not None
+    tuples = element_tuples(et)
     rng = random.Random(17)
     for _ in range(10_000):
         i, j = rng.randrange(et.n), rng.randrange(et.n)
-        assert et.tuples[et.mul(i, j)] == compose(et.tuples[i], et.tuples[j])
+        assert tuples[et.mul(i, j)] == compose(tuples[i], tuples[j])
     pairs = [(rng.randrange(et.n), rng.randrange(et.n)) for _ in range(2_000)]
     for x, g in pairs:
-        t = et.tuples[g]
-        assert et.tuples[et.conj(x, g)] == compose(compose(invert(t), et.tuples[x]), t)
+        t = tuples[g]
+        assert tuples[et.conj(x, g)] == compose(compose(invert(t), tuples[x]), t)
     xs = [x for x, _g in pairs]
     for _x, g in pairs[:10]:
-        t = et.tuples[g]
-        want = {et.index[compose(compose(invert(t), et.tuples[x]), t)] for x in xs}
+        t = tuples[g]
+        want = {et.index_of(Permutation(compose(compose(invert(t), tuples[x]), t))) for x in xs}
         assert et.conj_set(xs, g) == want
 
 
@@ -129,7 +184,7 @@ def test_closure_aborts_exactly_above_the_bound():
     G = named("Sym", 4)
     et = element_table(G)
     oracle = NaiveTable(elements_of(G))
-    to_oracle = [oracle.index[t] for t in et.tuples]
+    to_oracle = [oracle.index[t] for t in element_tuples(et)]
     for x in range(1, et.n):
         for y in range(x, et.n):
             size = len(oracle.span({to_oracle[x], to_oracle[y]}))
@@ -148,7 +203,7 @@ def test_closure_over_every_subgroup_matches_oracle():
     G = named("Sym", 4)
     et = ElementTable(G)
     oracle = NaiveTable(elements_of(G))
-    to_et = [et.index[t] for t in oracle.elems]
+    to_et = [et.index_of(Permutation(t)) for t in oracle.elems]
     for H in all_subgroups_naive(oracle):
         base = frozenset(to_et[h] for h in H)
         gens = et.extract_generators(base)
@@ -167,7 +222,7 @@ def test_element_cap_holds_on_a_memo_hit(monkeypatch):
         raise AssertionError("elements enumerated for a group above the cap")
 
     # the cap is checked before a single element is enumerated
-    monkeypatch.setattr(PermGroup, "elements", no_elements)
+    monkeypatch.setattr(PermGroup, "element_images", no_elements)
     with pytest.raises(CapExceededError, match="group order 40320 exceeds element cap 10000"):
         ElementTable(S8)
     with pytest.raises(CapExceededError, match="exceeds element cap 10000"):
@@ -188,7 +243,7 @@ def test_element_orders_match_oracle(battery500):
         et = element_table(G)
         assert et._mul_table is not None, label
         assert [et.element_order(i) for i in range(et.n)] == \
-            [element_order(t) for t in et.tuples], label
+            [element_order(t) for t in element_tuples(et)], label
 
 
 def test_element_orders_without_a_table():
@@ -197,4 +252,4 @@ def test_element_orders_without_a_table():
     et = element_table(named("PGL2", 17))
     assert et._mul_table is not None
     assert [et.element_order(i) for i in range(et.n)] == \
-        [element_order(t) for t in et.tuples]
+        [element_order(t) for t in element_tuples(et)]
