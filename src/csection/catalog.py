@@ -202,6 +202,7 @@ _PARAM_COUNTS = {"Sym": 1, "Alt": 1, "Cyclic": 1, "Dihedral": 1,
 def _flat_size(name: str, params: Sequence[int]) -> Optional[tuple[int, int]]:
     """(degree, order) of a flat named group, from its closed form; None when
     the parameters are invalid, which its builder then reports."""
+    from .matgroups import psl_order, sl_order
     if len(params) != _PARAM_COUNTS[name] or any(x < 1 for x in params):
         return None
     if name in ("Sym", "Alt", "Cyclic"):
@@ -216,39 +217,29 @@ def _flat_size(name: str, params: Sequence[int]) -> Optional[tuple[int, int]]:
     if name == "ElemAbelian":
         p, k = params
         return (p * k, p ** k) if _is_prime(p) else None
-    q = params[-1]
-    if _prime_power(q) is None:
+    n, q = (params[0] if name == "SL" else 2), params[-1]
+    if n not in (2, 3) or _prime_power(q) is None:
         return None
+    field = field_of_order(q)
     if name == "SL":
-        n = params[0]
-        if n not in (2, 3):
-            return None
-        order = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            order *= q ** i - 1
-        return q ** n - 1, order
-    return q + 1, q * (q * q - 1) // (math.gcd(2, q - 1) if name == "PSL2" else 1)
+        return q ** n - 1, sl_order(n, field)
+    return q + 1, psl_order(2, field) if name == "PSL2" else q * (q * q - 1)
 
 
 def _check_caps(spec: GroupSpec, max_order: Optional[int], degree_cap: Optional[int]) -> None:
-    """Refuses a named group past a cap from its closed form, before it is built."""
-    if spec.name == "DirectProduct":
-        sizes = [_flat_size(name, params) for name, params in spec.params]
-        if None in sizes:
-            return
-        (da, oa), (db, ob) = sizes
-        if degree_cap is not None and da + db > degree_cap:
-            raise CapExceededError("product degree exceeds cap")
-        degree, order = da + db, oa * ob
-    else:
-        size = _flat_size(spec.name, spec.params)
-        if size is None:
-            return
-        degree, order = size
+    """Refuses a named group past a cap from its closed form, before it is
+    built; a direct product adds its factors' degrees and multiplies their
+    orders."""
+    factors = spec.params if spec.name == "DirectProduct" else [(spec.name, spec.params)]
+    sizes = [_flat_size(name, params) for name, params in factors]
+    if None in sizes:
+        return
+    degree, order = sum(d for d, _ in sizes), math.prod(o for _, o in sizes)
     if degree_cap is not None and degree > degree_cap:
         raise CapExceededError(f"degree {degree} exceeds cap {degree_cap}")
     if max_order is not None and order > max_order:
-        shown = order if order < 10 ** 20 else f"~10^{int(math.log10(order))}"  # Sym(4000) has 12,674 digits
+        # Sym(4000)'s order has 12,674 digits, too many for str()
+        shown = order if order < 10 ** 20 else f"~10^{int(math.log10(order))}"
         raise CapExceededError(f"group order {shown} exceeds cap {max_order}")
 
 

@@ -180,11 +180,9 @@ class PermGroup:
 
 
 def _schreier_sims(degree: int, gens: Sequence[Permutation]) -> list[_Level]:
-    """Deterministic Schreier-Sims: returns a complete stabilizer chain.
-
-    The build composes raw image tuples, `itemgetter(*a)(b)` for a*b, and
-    finds each new transversal element's inverse as s^-1 * rep^-1 from its
-    parent's; the finished chain is wrapped in `Permutation`s once."""
+    """Deterministic Schreier-Sims: returns a complete stabilizer chain.  A
+    transversal element rep*s gets its inverse as s^-1 * rep^-1, composed
+    from its parent's."""
     points: list[int] = []  # base point of each level
     level_gens: list[list[tuple[int, ...]]] = []  # generators first appearing at each level
     inverse_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # each generator's inverse

@@ -135,7 +135,7 @@ def test_caps_refuse_a_named_group_before_it_is_built(monkeypatch):
     with pytest.raises(CapExceededError, match="group order 495512988 exceeds cap 10000"):
         build_group(named_spec("PSL2", 997), max_order=10000)
     # a direct product adds the degrees and multiplies the orders
-    with pytest.raises(CapExceededError, match="product degree exceeds cap"):
+    with pytest.raises(CapExceededError, match="degree 11 exceeds cap 10"):
         build_group(product_spec("Sym", [8], "Cyclic", [3]), degree_cap=10)
     with pytest.raises(CapExceededError, match="group order 120960 exceeds cap 100000"):
         build_group(product_spec("Sym", [8], "Cyclic", [3]), max_order=100_000)

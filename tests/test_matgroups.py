@@ -197,7 +197,8 @@ def test_sl34_sylow_normalizer(side):
     assert [g.images for g in got.generators] == SL34_SYLOW_NORMALIZER_GENERATORS[side]
 
 
-@pytest.mark.parametrize("p,f,n", [(2, 2, 2), (3, 2, 2), (2, 2, 3)], ids=["GF4_2", "GF9_2", "GF4_3"])
+@pytest.mark.parametrize("p,f,n", [(2, 2, 2), (3, 2, 2), (2, 2, 3)],
+                         ids=["GF4_2", "GF9_2", "GF4_3"])
 def test_action_without_field_tables_matches_the_table_path(p, f, n, monkeypatch):
     """A field above the table bound acts one point at a time; with the
     tables switched off, that path gives the same permutations, and both

@@ -167,7 +167,8 @@ def test_sec_reads_a_given_pairs_index_sets_off_K_and_L():
     section as the canonical pair; SL(2,5) over its centre is A4 in SL(2,3)."""
     G = named("SL", 2, 5)
     M = next(c for c in maximal_subgroups(G) if c.order == 24)
-    z = next(Permutation(t) for t in elements_of(G) if element_order(t) == 2)  # -I, the only involution
+    # -I, the only involution
+    z = next(Permutation(t) for t in elements_of(G) if element_order(t) == 2)
     s = sec(G, M, pair=ChiefPair(K=PermGroup(G.degree, G.generators), L=PermGroup(G.degree, [z])))
     assert (s.order, str(s.identified)) == (12, "A4")
     assert s.source_pair in chief_pairs_for_maximal(G, M)
