@@ -345,7 +345,7 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row of a 2-D array as one fixed-width opaque scalar, so that a
     sort or search compares whole rows bytewise."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).reshape(-1)
+    return rows.view(f"V{rows.dtype.itemsize * rows.shape[1]}").reshape(-1)
 
 
 def _reduce_generating_set(degree: int, elems: Sequence[Permutation]) -> PermGroup:

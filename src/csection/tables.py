@@ -284,8 +284,8 @@ class ElementTable:
         """The index of the element with each row of images, found by the
         row's base images and then compared whole; None when some row is no
         element's."""
-        at = np.searchsorted(self._keys, _row_keys(rows[:, self._base]))
-        found = self._key_rows[np.minimum(at, self.n - 1)]
+        at = self._keys.searchsorted(_row_keys(rows[:, self._base]))
+        found = self._key_rows.take(at, mode="clip")  # past the last key: some row
         return found if (self.images[found] == rows).all() else None
 
     def permutation(self, i: int) -> Permutation:
