@@ -220,10 +220,9 @@ def _flat_size(name: str, params: Sequence[int]) -> Optional[tuple[int, int]]:
     n, q = (params[0] if name == "SL" else 2), params[-1]
     if n not in (2, 3) or _prime_power(q) is None:
         return None
-    field = field_of_order(q)
     if name == "SL":
-        return q ** n - 1, sl_order(n, field)
-    return q + 1, psl_order(2, field) if name == "PSL2" else q * (q * q - 1)
+        return q ** n - 1, sl_order(n, q)
+    return q + 1, psl_order(2, q) if name == "PSL2" else q * (q * q - 1)
 
 
 def _check_caps(spec: GroupSpec, max_order: Optional[int], degree_cap: Optional[int]) -> None:

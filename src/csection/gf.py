@@ -4,17 +4,21 @@ An element is the integer whose base-p digits, little-endian, are the
 coefficients of its polynomial representative.  The moduli for the fields
 used by the triangular-group constructions are pinned explicitly; every other
 field gets the smallest monic irreducible polynomial in this integer encoding.
+
+Every field up to `MAX_FIELD_SIZE` gets the same arithmetic: discrete-log,
+power and add-one tables of O(q) entries, built once by walking the powers of
+the primitive element with polynomial products.  After that, every
+operation, on one element or on a numpy array of them, is a table read.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
-# Largest field that gets addition, negation, multiplication and inverse tables.
-_TABLE_MAX_Q = 512
 
 # Pinned moduli, encoded little-endian base p (constant term first).
 _PINNED_MODULI = {
@@ -166,7 +170,15 @@ def _digits(n: int, p: int, width: int) -> list[int]:
 
 
 class FieldTable:
-    """GF(p^f) with elements encoded as integers 0..p^f-1."""
+    """GF(p^f) with elements encoded as integers 0..p^f-1.
+
+    Every operation reads three tables of O(q) entries, built once from a
+    walk of the powers of the primitive element g: `log[g^k] = k`, with
+    log[0] = 2(q-1); `exp`, the powers twice and then 2(q-1)+1 zeros, so that
+    a*b = exp[log a + log b] holds for zero too; and `one_plus[c] = 1 + c`.
+    Addition is Zech's identity a + b = a * (1 + b/a) for a != 0 (Lidl &
+    Niederreiter, *Finite Fields*, 2nd ed., 1997).  Scalar calls read lists;
+    the `*_array` forms read numpy copies of the same tables."""
 
     def __init__(self, p: int, f: int, modulus: Optional[tuple[int, ...]] = None):
         if not _is_prime(p):
@@ -184,20 +196,10 @@ class FieldTable:
         if f > 1 and not _is_irreducible(list(modulus), p):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
-        self._add_table: Optional[list[list[int]]] = None
-        self._neg_table: Optional[list[int]] = None
-        self._mul_table: Optional[list[list[int]]] = None
-        self._inv_table: Optional[list[int]] = None
-        # The addition, multiplication and inverse tables as arrays, for
-        # arithmetic on many elements at once.
-        self.arrays: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._primitive: Optional[int] = None
-        if self.q <= _TABLE_MAX_Q:
-            add, neg = self._additive_tables()
-            mul, inv = self._multiplicative_tables()
-            self.arrays = (add, mul, inv)
-            self._add_table, self._neg_table = add.tolist(), neg.tolist()
-            self._mul_table, self._inv_table = mul.tolist(), inv.tolist()
+        self._primitive = self._find_primitive()
+        self._log, self._exp, self._one_plus = self._tables()
+        self._arrays = tuple(np.array(t, dtype=np.intp)
+                             for t in (self._log, self._exp, self._one_plus))
 
     # -- encoding -----------------------------------------------------------
 
@@ -210,105 +212,104 @@ class FieldTable:
             total = total * self.p + (c % self.p)
         return total
 
-    def _additive_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sum and negation of every element, digit-wise mod p over the whole
-        field at once."""
-        p, q = self.p, self.q
-        # int32 holds every partial sum: each stays below max(q, 2p).
-        digits = [(np.arange(q, dtype=np.int32) // p ** k) % p for k in range(self.f)]
-        add = np.zeros((q, q), dtype=np.int32)
-        neg = np.zeros(q, dtype=np.int32)
-        for d in reversed(digits):  # Horner, most significant digit first
-            add = add * p + (d[:, None] + d[None, :]) % p
-            neg = neg * p + (-d) % p
-        return add, neg
-
-    def _multiplicative_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Product and inverse of every element from one walk of the powers
-        of the primitive element g, q-1 `_mul_raw` calls: a*b is
-        g^((log a + log b) mod (q-1)), and the zero row and column are 0."""
-        q, g = self.q, self.primitive_element()
-        powers = [1]
-        for _ in range(q - 2):
-            powers.append(self._mul_raw(powers[-1], g))
-        if self._mul_raw(powers[-1], g) != 1 or len(set(powers)) != q - 1:
-            raise RuntimeError("the powers of the primitive element miss the unit group")
-        exp, log = np.array(powers), np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[-log[1:] % (q - 1)]
-        return mul, inv
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def neg(self, a: int) -> int:
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        return self._encode([(-x) % self.p for x in self._decode(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def _mul_raw(self, a: int, b: int) -> int:
+        """a*b as a polynomial product reduced by the modulus."""
         if a == 0 or b == 0:
             return 0
         prod = _poly_mulmod(self._decode(a), self._decode(b), list(self.modulus), self.p)
         return self._encode(prod + [0] * (self.f - len(prod)))
 
+    def _find_primitive(self) -> int:
+        """Smallest generator of the multiplicative group: a unit whose
+        (q-1)/r-th power is not 1 for any prime r dividing q-1, with powers
+        taken by polynomial products."""
+        n = self.q - 1
+        for a in range(1, self.q):
+            if all(self._pow_raw(a, n // r) != 1 for r in _prime_factors(n)):
+                return a
+        raise RuntimeError("no primitive element found")
+
+    def _pow_raw(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._mul_raw(result, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return result
+
+    def _tables(self) -> tuple[list[int], list[int], list[int]]:
+        """log, exp and one_plus from one walk of the q-1 powers of g."""
+        p, q, g = self.p, self.q, self._primitive
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(self._mul_raw(powers[-1], g))
+        if self._mul_raw(powers[-1], g) != 1 or len(set(powers)) != q - 1:
+            raise RuntimeError("the powers of the primitive element miss the unit group")
+        log = [2 * (q - 1)] * q
+        for k, x in enumerate(powers):
+            log[x] = k
+        exp = powers + powers + [0] * (2 * (q - 1) + 1)
+        # adding 1 changes only the constant coefficient, the lowest digit
+        one_plus = [c - c % p + (c % p + 1) % p for c in range(q)]
+        return log, exp, one_plus
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if a == 0:
+            return b
+        log, exp = self._log, self._exp
+        la = log[a]
+        return exp[la + log[self._one_plus[exp[log[b] + self.q - 1 - la]]]]
+
+    def neg(self, a: int) -> int:
+        return self.mul(a, self.p - 1)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        b = a
-        while e:
-            if e & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("field inverse of zero")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def multiplicative_order(self, a: int) -> int:
         if a == 0:
             raise ValueError("zero has no multiplicative order")
-        k = 1
-        x = a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
 
     def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group: a unit whose
-        (q-1)/r-th power is not 1 for any prime r dividing q-1."""
-        if self._primitive is None:
-            n = self.q - 1
-            for a in range(1, self.q):
-                if all(self.pow(a, n // r) != 1 for r in _prime_factors(n)):
-                    self._primitive = a
-                    break
-            else:
-                raise RuntimeError("no primitive element found")
+        """Smallest generator of the multiplicative group."""
         return self._primitive
+
+    # -- arithmetic on numpy arrays of elements -----------------------------
+    # A negative index below reads the zero tail of exp; it arises only where
+    # an operand is zero, and there it gives 0 or is discarded.
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        log, exp, _ = self._arrays
+        return exp[log[a] + log[b]]
+
+    def add_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        log, exp, one_plus = self._arrays
+        la = log[a]
+        return np.where(a == 0, b, exp[la + log[one_plus[exp[log[b] + self.q - 1 - la]]]])
+
+    def inv_array(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise inverse, with 0 for 0."""
+        log, exp, _ = self._arrays
+        return exp[self.q - 1 - log[a]]
 
     def elements(self) -> range:
         return range(self.q)

@@ -5,17 +5,16 @@ pipeline holds the subgroups it derives as index sets of G's element table
 (`lattice.SubgroupClass`).  Quotients D/L are read off an element table as
 table groups.
 
-The chain is built on raw image tuples, a*b composed as `itemgetter(*a)(b)`,
-and wrapped in `Permutation`s once it is complete.  The elements of a group
-are enumerated as one numpy array of image rows, `element_images`, with no
-Python object per element."""
+The chain is built and kept on raw image tuples, a*b composed as
+`itemgetter(*a)(b)`.  The elements of a group are enumerated as one numpy
+array of image rows, `element_images`, with no Python object per element."""
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,16 +42,15 @@ class NotNormalError(ValueError):
     """Raised when an operation requires a normal subgroup."""
 
 
-class _Level:
-    """One level of a stabilizer chain: a base point with its transversal."""
+class _Level(NamedTuple):
+    """One level of a stabilizer chain, every element an image tuple: a base
+    point, the generators first appearing at it, and its transversal with
+    each element's inverse, by orbit point."""
 
-    __slots__ = ("point", "gens", "transversal", "inverse_reps")
-
-    def __init__(self, point: int):
-        self.point = point
-        self.gens: list[Permutation] = []  # generators first appearing at this level
-        self.transversal: dict[int, Permutation] = {}
-        self.inverse_reps: dict[int, Permutation] = {}
+    point: int
+    gens: list[tuple[int, ...]]
+    transversal: dict[int, tuple[int, ...]]
+    inverse_reps: dict[int, tuple[int, ...]]
 
 
 def _choose_base_point(g: Permutation) -> int:
@@ -114,7 +112,7 @@ class PermGroup:
             rep_inv = lv.inverse_reps.get(h[lv.point])
             if rep_inv is None:
                 break
-            h = itemgetter(*h)(rep_inv.images)
+            h = itemgetter(*h)(rep_inv)
         return Permutation._unsafe(h)
 
     def contains(self, g: Permutation) -> bool:
@@ -168,7 +166,7 @@ class PermGroup:
         big-endian rows, whose byte order is their lexicographic order."""
         out = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
         for lv in reversed(self._levels):
-            reps = np.array([lv.transversal[pt].images for pt in sorted(lv.transversal)],
+            reps = np.array([lv.transversal[pt] for pt in sorted(lv.transversal)],
                             dtype=out.dtype)
             # row (j, i) is out_i * reps_j, whose image of x is reps_j[out_i[x]]
             out = np.take(reps, out, axis=1).reshape(-1, self.degree)
@@ -262,15 +260,7 @@ def _schreier_sims(degree: int, gens: Sequence[Permutation]) -> list[_Level]:
         else:
             i -= 1
 
-    levels = []
-    wrap = Permutation._unsafe
-    for point, lv_gens, transversal, inverse in zip(points, level_gens, transversals, inverses):
-        lv = _Level(point)
-        lv.gens = [wrap(g) for g in lv_gens]
-        lv.transversal = {pt: wrap(u) for pt, u in transversal.items()}
-        lv.inverse_reps = {pt: wrap(u) for pt, u in inverse.items()}
-        levels.append(lv)
-    return levels
+    return [_Level(*level) for level in zip(points, level_gens, transversals, inverses)]
 
 
 def trivial_group(degree: int) -> PermGroup:

@@ -3,7 +3,9 @@
 Provides SL(n, q) via transvection-plus-cycle generators, projective and
 vector actions as permutation groups, and the triangular-subgroup
 constructions (Sylow p-subgroup, its lower-triangular normalizer, and the
-one-parameter corner subgroup) used by the Sylow-normalizer checks.
+one-parameter corner subgroup) used by the Sylow-normalizer checks.  A
+matrix acts on every point at once, through the field's table arithmetic on
+numpy arrays, the same way over every field.
 """
 
 from __future__ import annotations
@@ -129,36 +131,16 @@ class Matrix:
         return f"Matrix({self.rows})"
 
 
-def vec_mat_mul(v: Sequence[int], m: Matrix) -> tuple[int, ...]:
-    """Row vector times matrix."""
-    F = m.field
-    n = m.n
-    out = []
-    for j in range(n):
-        acc = 0
-        for i in range(n):
-            if v[i]:
-                acc = F.add(acc, F.mul(v[i], m.rows[i][j]))
-        out.append(acc)
-    return tuple(out)
-
-
 def nonzero_vectors(field: FieldTable, n: int) -> list[tuple[int, ...]]:
     return [v for v in itertools.product(range(field.q), repeat=n) if any(v)]
 
 
 def projective_points(field: FieldTable, n: int) -> list[tuple[int, ...]]:
-    """Normalized representatives (first nonzero coordinate 1), sorted."""
-    pts = set()
-    for v in nonzero_vectors(field, n):
-        pts.add(normalize_point(field, v))
-    return sorted(pts)
-
-
-def normalize_point(field: FieldTable, v: Sequence[int]) -> tuple[int, ...]:
-    lead = next(x for x in v if x)
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, x) for x in v)
+    """Normalized representatives (first nonzero coordinate 1), sorted: k
+    zeros, a 1, then any coordinates, with the points of more leading zeros
+    first."""
+    return [(0,) * k + (1,) + rest for k in range(n - 1, -1, -1)
+            for rest in itertools.product(range(field.q), repeat=n - 1 - k)]
 
 
 def _action_group(field: FieldTable, n: int, matrices: Sequence[Matrix],
@@ -166,26 +148,10 @@ def _action_group(field: FieldTable, n: int, matrices: Sequence[Matrix],
     """The matrices' action on the points (row vectors, normalized when
     projective) as a permutation group of degree len(points).
 
-    With the field's arrays, a matrix acts on all points at once: coordinate
-    j of v*m sums the products v_i * m_ij through the addition and
-    multiplication tables, a projective image is scaled by its leading
-    entry's inverse, and an image point is found by its base-q code.  A
-    field too large for tables takes one `vec_mat_mul` per point."""
-    if field.arrays is None:
-        index = {pt: i for i, pt in enumerate(points)}
-        perms = []
-        for m in matrices:
-            images = []
-            for pt in points:
-                w = vec_mat_mul(pt, m)
-                if projective and any(w):
-                    w = normalize_point(field, w)
-                if w not in index:
-                    raise ValueError(f"matrix image {w} lies outside the point set")
-                images.append(index[w])
-            perms.append(Permutation(images))
-        return PermGroup(len(points), perms)
-    add, mul, inv = field.arrays
+    A matrix acts on all points at once through the field's array
+    arithmetic: coordinate j of v*m sums the products v_i * m_ij, a
+    projective image is scaled by its leading entry's inverse, and an image
+    point is found by its base-q code."""
     vectors = np.array(points, dtype=np.intp).reshape(len(points), n)
     radix = field.q ** np.arange(n - 1, -1, -1)
     codes = vectors @ radix
@@ -195,12 +161,12 @@ def _action_group(field: FieldTable, n: int, matrices: Sequence[Matrix],
     perms = []
     for m in matrices:
         entries = np.array(m.rows, dtype=np.intp)
-        image = mul[vectors[:, :1], entries[0]]
+        image = field.mul_array(vectors[:, :1], entries[0])
         for i in range(1, n):
-            image = add[image, mul[vectors[:, i:i + 1], entries[i]]]
+            image = field.add_array(image, field.mul_array(vectors[:, i:i + 1], entries[i]))
         if projective:
             lead = image[rows, (image != 0).argmax(axis=1)]
-            image = mul[inv[lead][:, None], image]
+            image = field.mul_array(field.inv_array(lead)[:, None], image)
         code = image @ radix
         at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
         if (codes[at] != code).any():
@@ -248,22 +214,21 @@ def gl_generators(n: int, field: FieldTable) -> list[Matrix]:
     return sl_generators(n, field) + [Matrix.diagonal(field, [zeta] + [1] * (n - 1))]
 
 
-def sl_order(n: int, field: FieldTable) -> int:
-    q = field.q
+def sl_order(n: int, q: int) -> int:
     order = q ** (n * (n - 1) // 2)
     for i in range(2, n + 1):
         order *= q ** i - 1
     return order
 
 
-def psl_order(n: int, field: FieldTable) -> int:
-    return sl_order(n, field) // math.gcd(n, field.q - 1)
+def psl_order(n: int, q: int) -> int:
+    return sl_order(n, q) // math.gcd(n, q - 1)
 
 
 def sl_group(n: int, field: FieldTable) -> PermGroup:
     """SL(n, q) as a faithful permutation group on nonzero row vectors."""
     group = vector_perm_group(n, field, sl_generators(n, field))
-    if group.order != sl_order(n, field):
+    if group.order != sl_order(n, field.q):
         raise RuntimeError("SL generator set produced the wrong order")
     return group
 
@@ -271,7 +236,7 @@ def sl_group(n: int, field: FieldTable) -> PermGroup:
 def psl_group(n: int, field: FieldTable) -> PermGroup:
     """PSL(n, q) on projective points."""
     group = projective_perm_group(n, field, sl_generators(n, field))
-    if group.order != psl_order(n, field):
+    if group.order != psl_order(n, field.q):
         raise RuntimeError("projective SL image has the wrong order")
     return group
 
@@ -315,9 +280,8 @@ def corner_subgroup_generators(n: int, field: FieldTable) -> list[Matrix]:
     return [Matrix.elementary(field, n, n - 1, 0, field.pow(zeta, k)) for k in range(field.f)]
 
 
-def triangular_count(n: int, field: FieldTable) -> int:
+def triangular_count(n: int, q: int) -> int:
     """Matrix count of the lower triangular determinant-one group."""
-    q = field.q
     return q ** (n * (n - 1) // 2) * (q - 1) ** (n - 1)
 
 
@@ -329,7 +293,7 @@ def triangular_group(n: int, field: FieldTable, projective: bool) -> PermGroup:
     points = projective_points(field, n) if projective else nonzero_vectors(field, n)
     group = _action_group(field, n, lower_triangular_sl_generators(n, field), points, projective)
     kernel = math.gcd(n, field.q - 1) if projective else 1
-    if group.order != triangular_count(n, field) // kernel:
+    if group.order != triangular_count(n, field.q) // kernel:
         raise RuntimeError("triangular image has the wrong order")
     return group
 
@@ -364,7 +328,7 @@ def triangular_instance(n: int, field: FieldTable) -> TriangularInstance:
     proj_pts = projective_points(field, n)
     vec_group = _action_group(field, n, slgens, vec_pts, False)
     proj_group = _action_group(field, n, slgens, proj_pts, True)
-    if vec_group.order != sl_order(n, field):
+    if vec_group.order != sl_order(n, field.q):
         raise RuntimeError("vector action is not faithful for SL")
 
     syl = lower_unitriangular_generators(n, field)

@@ -384,8 +384,7 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
         raise CapExceededError(f"group order {order} exceeds element cap {MAX_ORDER}")
     from .matgroups import pgl_group, psl_order
 
-    fld = field_make(p)
-    G = pgl_group(fld)
+    G = pgl_group(field_make(p))
     subs: list[dict] = []
     ok = True
 
@@ -393,7 +392,7 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     normals = normal_subgroups(G)
     orders = [nn.order for nn in normals]
     chain_ok = (len(normals) == 3 and orders == sorted(orders)
-                and orders[1] == psl_order(2, fld) and orders[2] == G.order)
+                and orders[1] == psl_order(2, p) and orders[2] == G.order)
     K = normals[1] if len(normals) == 3 else None
     subs.append({"name": "unique_chief_series", "status": "pass" if chain_ok else "fail",
                  "normal_orders": orders})

@@ -103,3 +103,13 @@ def small_groups(draw):
         start += size
     count = draw(st.integers(1, 3))
     return PermGroup(len(points), [block_permutation(draw, blocks) for _ in range(count)])
+
+
+@st.composite
+def relabeled(draw):
+    """A group from `small_groups` and a copy of it with its points relabeled
+    and its generators shuffled."""
+    G = draw(small_groups())
+    sigma = Permutation(draw(st.permutations(range(G.degree))))
+    gens = [g.conjugated_by(sigma) for g in draw(st.permutations(G.generators))]
+    return G, PermGroup(G.degree, gens)

@@ -292,6 +292,62 @@ def det_cofactor(F, rows):
     return total
 
 
+def matrix_action_naive(p, f, modulus, matrices, points, projective):
+    """Each matrix's action on the points, one point at a time: the list of
+    image indices per matrix.  Elements of GF(p^f) are integers whose base-p
+    digits, little-endian, are polynomial coefficients; sums are digit-wise,
+    products are polynomial products reduced by the monic `modulus`
+    (coefficients little-endian), and an inverse is a power a^(q-2).  A
+    projective image is scaled to leading coordinate 1.  ValueError when an
+    image is not one of the points."""
+    q = p ** f
+
+    def digits(a):
+        return [(a // p ** k) % p for k in range(f)]
+
+    def number(coeffs):
+        return sum(c * p ** k for k, c in enumerate(coeffs))
+
+    def add(a, b):
+        return number([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def mul(a, b):
+        prod = [0] * (2 * f - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for top in range(2 * f - 2, f - 1, -1):
+            c = prod[top]
+            for k, m in enumerate(modulus):
+                prod[top - f + k] = (prod[top - f + k] - c * m) % p
+        return number(prod[:f])
+
+    def inv(a):
+        result, e = 1, q - 2
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a, e = mul(a, a), e >> 1
+        return result
+
+    index = {tuple(pt): i for i, pt in enumerate(points)}
+    out = []
+    for rows in matrices:
+        images = []
+        for v in points:
+            w = [0] * len(v)
+            for i, vi in enumerate(v):
+                w = [add(x, mul(vi, m)) for x, m in zip(w, rows[i])]
+            lead = next((x for x in w if x), 0)
+            if projective and lead:
+                w = [mul(inv(lead), x) for x in w]
+            if tuple(w) not in index:
+                raise ValueError(f"matrix image {w} lies outside the point set")
+            images.append(index[tuple(w)])
+        out.append(images)
+    return out
+
+
 # Generators of the Sylow 2-normalizer of SL(3, 4), in the vector action (on
 # the 63 nonzero vectors, `triangular_instance(3, GF(4)).vec_group`) and in the
 # projective action (21 points), as image tuples. They were recorded from

@@ -127,13 +127,29 @@ def test_max_order_cap_enforced(capsys):
 def test_an_oversized_named_group_exits_3_before_it_is_built(spec):
     """Each of these took more than 15 s when the caps were checked only
     after the build; the closed form refuses it at once."""
+    proc = _cli_process("order", "--group", spec)
+    assert proc.returncode == 3
+    assert "exceeds cap" in proc.stderr
+
+
+def test_order_of_psl2_521_over_a_large_field():
+    """GF(521) is tabled like every other field, so PSL2(521), past the
+    default cap, is built on the 522 points of its projective line well
+    inside the timeout."""
+    proc = _cli_process("order", "--group", '{"kind":"named","name":"PSL2","params":[521]}',
+                        "--max-order", "1000000000", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["evidence"] == {"order": 70_710_120, "degree": 522}
+
+
+def _cli_process(*args):
+    """`python -m csection.cli` on this checkout's src/, in a fresh process
+    with a 10 s timeout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "csection.cli", "order", "--group", spec],
+    return subprocess.run([sys.executable, "-m", "csection.cli", *args],
                           capture_output=True, text=True, timeout=10, env=env)
-    assert proc.returncode == 3
-    assert "exceeds cap" in proc.stderr
 
 
 @pytest.mark.parametrize("error,code", [

@@ -5,6 +5,7 @@ independent irreducibility check for the modulus search."""
 import json
 import random
 
+import numpy as np
 import pytest
 
 from csection.cli import main
@@ -47,29 +48,38 @@ def _number(coeffs, p):
     return sum(c * p ** k for k, c in enumerate(coeffs))
 
 
-@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (13, 1), (23, 2)],
-                         ids=["GF4", "GF8", "GF9", "GF25", "GF27", "GF13", "GF529"])
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (13, 1), (23, 2),
+                                 (521, 1), (2, 10), (3, 7), (65521, 1)],
+                         ids=["GF4", "GF8", "GF9", "GF25", "GF27", "GF13", "GF529",
+                              "GF521", "GF1024", "GF2187", "GF65521"])
 def test_additive_arithmetic_is_digitwise(p, f):
+    """Zech-logarithm addition against digit-wise sums mod p: every cell up
+    to q = 529, and a seeded sample of 3,000 rows of 8 cells above."""
     F = field_make(p, f)
     q = p ** f
-    # GF(529) is above the table bound, so it checks the digit path
-    assert (F._add_table is None) is (q > 512)
-    coeffs = [_coeffs(n, p, f) for n in range(q)]
-    neg = [_number([-c % p for c in ca], p) for ca in coeffs]
-    assert [F.neg(a) for a in range(q)] == neg
-    for a, ca in enumerate(coeffs):
-        add = [_number([(x + y) % p for x, y in zip(ca, cb)], p) for cb in coeffs]
-        assert [F.add(a, b) for b in range(q)] == add, a
-        assert [F.sub(add[b], b) for b in range(q)] == [a] * q, a
+    if q <= 529:
+        rows, cols = range(q), list(range(q))
+    else:
+        rng = random.Random(q)
+        rows, cols = [rng.randrange(q) for _ in range(3_000)], [rng.randrange(q) for _ in range(8)]
+        cols[0] = 0
+    assert [F.neg(a) for a in rows] == [_number([-c % p for c in _coeffs(a, p, f)], p)
+                                        for a in rows]
+    col_coeffs = [_coeffs(b, p, f) for b in cols]
+    for a in rows:
+        ca = _coeffs(a, p, f)
+        add = [_number([(x + y) % p for x, y in zip(ca, cb)], p) for cb in col_coeffs]
+        assert [F.add(a, b) for b in cols] == add, a
+        assert [F.sub(x, b) for x, b in zip(add, cols)] == [a] * len(cols), a
 
 
-@pytest.mark.parametrize("q", [q for q in range(2, 65) if _prime_power(q)] + [509, 512])
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if _prime_power(q)]
+                         + [509, 512, 521, 529, 1024, 2187, 65521])
 def test_multiplicative_tables_match_polynomial_products(q):
     """The log/exp tables against `_mul_raw`, a polynomial product and
     reduction: every cell up to q = 64, and a seeded sample of 20,000 cells
-    for GF(509) and GF(512)."""
+    above."""
     F = field_of_order(q)
-    assert F._mul_table is not None
     if q <= 64:
         cells = [(a, b) for a in range(q) for b in range(q)]
     else:
@@ -77,6 +87,24 @@ def test_multiplicative_tables_match_polynomial_products(q):
         cells = [(rng.randrange(q), rng.randrange(q)) for _ in range(20_000)]
     assert [F.mul(a, b) for a, b in cells] == [F._mul_raw(a, b) for a, b in cells]
     assert all(F._mul_raw(a, F.inv(a)) == 1 for a in range(1, q))
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 27, 521, 1024])
+def test_array_arithmetic_matches_the_scalar_calls(q):
+    """mul_array, add_array and inv_array against the scalar calls, on every
+    pair up to q = 27 and on a seeded sample above, zeros included; the
+    array inverse of 0 is 0."""
+    F = field_of_order(q)
+    if q <= 27:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(0, 0), (0, 5), (5, 0)] + [(rng.randrange(q), rng.randrange(q))
+                                            for _ in range(5_000)]
+    a, b = (np.array(column, dtype=np.intp) for column in zip(*pairs))
+    assert F.mul_array(a, b).tolist() == [F.mul(x, y) for x, y in pairs]
+    assert F.add_array(a, b).tolist() == [F.add(x, y) for x, y in pairs]
+    assert F.inv_array(a).tolist() == [F.inv(x) if x else 0 for x, _ in pairs]
 
 
 # lemma 4's matrix work runs on these tables; its evidence at seed 1

@@ -58,8 +58,7 @@ def test_elements_are_distinct_and_contained():
 def _level_digest(level):
     """A level's transversal images, by point, and the generators that first
     appear at it, as a short sha256."""
-    data = (sorted((pt, u.images) for pt, u in level.transversal.items()),
-            [g.images for g in level.gens])
+    data = (sorted(level.transversal.items()), list(level.gens))
     return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
 
 

@@ -2,13 +2,14 @@
 search on small orders and frozen labels on the scan battery."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from csection.iso import (GroupId, abelian_invariants, fingerprint, identify,
                           is_isomorphic, l2_parameters)
 from csection.series import is_supersolvable
 from csection.tables import ElementTable
 
-from gtools import elements_of, named, product, quaternion, sympy_group
+from gtools import elements_of, named, product, quaternion, relabeled, sympy_group
 from oracles import abelian_order_counts_match, brute_isomorphic
 
 SMALL = [
@@ -79,6 +80,16 @@ def test_relabeled_copy_is_isomorphic():
     assert shifted.order == 24
     assert is_isomorphic(named("Sym", 4), shifted)
     assert is_isomorphic(quaternion(), quaternion())  # two separate builds
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(relabeled())
+def test_identification_does_not_depend_on_labels(pair):
+    """Relabeling the points and shuffling the generators leaves the
+    identification and the fingerprint unchanged."""
+    G, H = pair
+    assert identify(H) == identify(G)
+    assert fingerprint(H) == fingerprint(G)
 
 
 def test_abelian_invariants():

@@ -4,7 +4,6 @@ from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
 
 from csection import lattice
 from csection.catalog import build_group, builtin_battery
@@ -19,7 +18,7 @@ from csection.series import is_nilpotent
 from csection.tables import ElementTable, element_table
 
 from gtools import (as_subgroup, element_tuples, elements_of, from_cycles, named, product,
-                    quaternion, small_groups)
+                    quaternion, relabeled, small_groups)
 from oracles import (NaiveTable, all_subgroups_naive, all_subgroups_powerset, element_order,
                      normal_subgroups_naive)
 
@@ -675,18 +674,8 @@ def test_maximal_subgroups_off_the_normal_structure(make, nilpotent):
     assert found == _maximal_key(_lattice_maximal(G))
 
 
-@st.composite
-def _relabeled(draw):
-    """A small group and a copy of it with its points relabeled and its
-    generators shuffled."""
-    G = draw(small_groups())
-    sigma = Permutation(draw(st.permutations(range(G.degree))))
-    gens = [g.conjugated_by(sigma) for g in draw(st.permutations(G.generators))]
-    return G, PermGroup(G.degree, gens)
-
-
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_relabeled())
+@given(relabeled())
 def test_maximal_classes_survive_relabeling(pair):
     G, H = pair
     assume(G.order <= 500)
