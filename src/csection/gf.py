@@ -239,11 +239,22 @@ class FieldTable:
         return result
 
     def _tables(self) -> tuple[list[int], list[int], list[int]]:
-        """log, exp and one_plus from one walk of the q-1 powers of g."""
-        p, q, g = self.p, self.q, self._primitive
-        powers = [1]
-        for _ in range(q - 2):
-            powers.append(self._mul_raw(powers[-1], g))
+        """log, exp and one_plus from one walk of the q-1 powers of g.
+
+        Multiplying by g is a linear map A on the f base-p digits: column i
+        of A holds the digits of x^i * g, one polynomial product each.  The
+        walk doubles a block of powers at a time: the first m powers, as
+        digit rows, times A^m (mod p) are the next m, and A^m squares for the
+        next round.  For f = 1, A is g itself and a step is a product mod p."""
+        p, f, q, g = self.p, self.f, self.q, self._primitive
+        step = np.array([_digits(self._mul_raw(p ** i, g), p, f) for i in range(f)],
+                        dtype=np.int64)  # row i: the digits of x^i * g, so a digit row times it
+        digits = np.zeros((1, f), dtype=np.int64)
+        digits[0, 0] = 1
+        while len(digits) < q - 1:
+            digits = np.concatenate([digits, digits @ step % p])
+            step = step @ step % p
+        powers = (digits[:q - 1] @ p ** np.arange(f, dtype=np.int64)).tolist()
         if self._mul_raw(powers[-1], g) != 1 or len(set(powers)) != q - 1:
             raise RuntimeError("the powers of the primitive element miss the unit group")
         log = [2 * (q - 1)] * q

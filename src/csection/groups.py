@@ -368,10 +368,16 @@ def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]):
     is D's indices in order.  The quotient's Cayley table is G's table at
     those least members, read through the coset-label array, a block of rows
     at a time, so no temporary exceeds about `_TABLE_CHUNK` cells."""
+    return _coset_quotient(et, d_gens, l_set)[0]
+
+
+def _coset_quotient(et, d_gens: Sequence[int], l_set: frozenset[int]):
+    """`coset_action`'s D/L, and the least member of each coset of L, in the
+    quotient's index order."""
     from .tables import _TABLE_CHUNK, TableGroup, coset_gather  # tables imports this module
 
     if all(d in l_set for d in d_gens):
-        return TRIVIAL_QUOTIENT
+        return TRIVIAL_QUOTIENT, [0]
     if any(et.conj(x, d) not in l_set for d in d_gens for x in l_set):
         raise NotNormalError("quotient requires a normal subgroup")
     rows = et.rows
@@ -395,5 +401,5 @@ def coset_action(et, d_gens: Sequence[int], l_set: frozenset[int]):
     step = max(1, _TABLE_CHUNK // m)
     for start in range(0, m, step):
         table[start:start + step] = label[et._mul_table[np.ix_(reps[start:start + step], reps)]]
-    return TableGroup(table, [int(label[d]) for d in d_gens if d not in l_set])
+    return TableGroup(table, [int(label[d]) for d in d_gens if d not in l_set]), reps.tolist()
 

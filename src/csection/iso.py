@@ -8,12 +8,18 @@ size as the subgroup generated on the source side (a subgroup of G x H is the
 graph of a homomorphism exactly when projecting to G is injective).  The
 first generator only ranges over conjugacy class representatives, since any
 isomorphism can be composed with an inner automorphism.
+
+The search returns the isomorphism it finds, as the images of that
+generating sequence.  A group's isomorphism onto the reference group of its
+order is memoized on the group (`reference_match`): `identify` reads it, and
+`lattice` carries the reference's subgroup lattice through its index map,
+which is built only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .catalog import _alt, _psl2, _sym
 from .gf import _is_p_power, _is_prime, _prime_factors
@@ -153,6 +159,8 @@ def _is_graph(etG: ElementTable, etH: ElementTable, src: Sequence[int],
 
 
 def is_isomorphic(G: PermGroup, H: PermGroup) -> bool:
+    """Whether G and H are isomorphic.  Against a reference H, G's memoized
+    `reference_match` answers."""
     if G is H:
         return True
     if G.order != H.order:
@@ -164,12 +172,28 @@ def is_isomorphic(G: PermGroup, H: PermGroup) -> bool:
         return False
     if a_ab:
         return abelian_invariants(G) == abelian_invariants(H)
-    if fingerprint(G) != fingerprint(H):
-        return False
-    return _backtrack_iso(G, H)
+    if H is _REFERENCES.get(_REFERENCE_OF_ORDER.get(G.order)):
+        return reference_match(G) is not None
+    return fingerprint(G) == fingerprint(H) and _backtrack_iso(G, H) is not None
 
 
-def _backtrack_iso(G: PermGroup, H: PermGroup) -> bool:
+def _element_stats(G: PermGroup) -> list[tuple[int, int]]:
+    """(order, conjugacy class size) of every element, by index, memoized."""
+    cached = G._cache.get("element_stats")
+    if cached is None:
+        et = element_table(G)
+        size = [0] * et.n
+        for c in et.conjugacy_classes():
+            for x in c:
+                size[x] = len(c)
+        cached = G._cache["element_stats"] = [(et.element_order(i), size[i])
+                                              for i in range(et.n)]
+    return cached
+
+
+def _backtrack_iso(G: PermGroup, H: PermGroup) -> Optional[tuple[list[int], list[int]]]:
+    """An isomorphism from G onto H, as a generating sequence of G and the
+    images in H of its elements, by index; None when there is none."""
     etG = element_table(G)
     etH = element_table(H)
     src = _generating_sequence(etG)
@@ -184,28 +208,20 @@ def _backtrack_iso(G: PermGroup, H: PermGroup) -> bool:
         current = grown
         prefix_orders.append(len(current))
 
-    classesH = etH.conjugacy_classes()
-    classesG = etG.conjugacy_classes()
-
-    def h_stats(i: int) -> tuple[int, int]:
-        return (etH.element_order(i), len(classesH[etH.class_of(i)]))
-
-    def g_stats(i: int) -> tuple[int, int]:
-        return (etG.element_order(i), len(classesG[etG.class_of(i)]))
-
+    statsG, statsH = _element_stats(G), _element_stats(H)
     buckets: dict[tuple[int, int], list[int]] = {}
     for i in range(1, etH.n):
-        buckets.setdefault(h_stats(i), []).append(i)
-    first_reps = [c[0] for c in classesH]
+        buckets.setdefault(statsH[i], []).append(i)
+    first_reps = [c[0] for c in etH.conjugacy_classes()]
 
     def extend(depth: int, images: list[int]) -> bool:
         if depth == k:
             if len(etH.closure(None, [], images)) != etH.n:
                 return False
             return _is_graph(etG, etH, src, images, G.order)
-        want = g_stats(src[depth])
+        want = statsG[src[depth]]
         if depth == 0:
-            cands = [r for r in first_reps if r and h_stats(r) == want]
+            cands = [r for r in first_reps if r and statsH[r] == want]
         else:
             cands = buckets.get(want, [])
         for cand in cands:
@@ -227,8 +243,9 @@ def _backtrack_iso(G: PermGroup, H: PermGroup) -> bool:
             images.pop()
         return False
 
+    images: list[int] = []
     try:
-        return extend(0, [])
+        return (src, images) if extend(0, images) else None
     finally:
         del extend  # a recursive closure holds itself: break that cycle, and free the tables
 
@@ -278,9 +295,67 @@ def _reference(kind: str, n: int) -> PermGroup:
     return g
 
 
-_ALT_ORDERS = {4: 12, 5: 60, 6: 360, 7: 2520}
-_SYM_ORDERS = {4: 24, 5: 120, 6: 720, 7: 5040}
-_PSL2_ORDERS = {7: 168, 8: 504, 11: 660, 13: 1092}
+# The reference of each order that `identify` tries: one per order.
+_REFERENCE_OF_ORDER = {12: ("alt", 4), 60: ("alt", 5), 360: ("alt", 6), 2520: ("alt", 7),
+                       24: ("sym", 4), 120: ("sym", 5), 720: ("sym", 6), 5040: ("sym", 7),
+                       168: ("psl2", 7), 504: ("psl2", 8), 660: ("psl2", 11),
+                       1092: ("psl2", 13)}
+_KIND_NAMES = {"alt": "alternating", "sym": "symmetric", "psl2": "psl2"}
+
+
+class ReferenceMatch(NamedTuple):
+    """An isomorphism from a group G onto the reference of its order: the
+    reference `group`, the catalog's `kind` ("alt", "sym" or "psl2") with
+    parameter `k`, and the images there of a generating sequence `source` of
+    G, all by index."""
+
+    kind: str
+    k: int
+    group: PermGroup
+    source: list[int]
+    images: list[int]
+
+    def from_reference(self, et: ElementTable) -> list[int]:
+        """The inverse isomorphism as an index map into et, G's element
+        table: entry t is the element of G sent to the reference's element
+        t.  It is walked breadth-first from the identity by the images and
+        their sources, and checked to be a bijection."""
+        etT = element_table(self.group)
+        into = [-1] * etT.n
+        into[0] = 0
+        pairs = list(zip(self.images, self.source))
+        queue = [0]
+        for t in queue:  # grows as elements are reached
+            row, image_row = etT.rows[t], et.rows[into[t]]
+            for a, b in pairs:
+                u = row[a]
+                if into[u] < 0:
+                    into[u] = image_row[b]
+                    queue.append(u)
+        if len(queue) != etT.n or etT.n != et.n or len(set(into)) != et.n:
+            raise RuntimeError("the isomorphism from the reference is not a bijection")
+        return into
+
+
+def reference_match(G: PermGroup) -> Optional[ReferenceMatch]:
+    """G's isomorphism onto the reference of its order (the identity on the
+    reference itself), found once and memoized on G; None when G has no
+    isomorphic reference."""
+    if "reference_match" in G._cache:
+        return G._cache["reference_match"]
+    match = None
+    ref = _REFERENCE_OF_ORDER.get(G.order)
+    if ref is not None and not G.is_abelian():
+        T = _reference(*ref)
+        if G is T:
+            gens = [g for g in element_table(T).generator_indices if g]
+            found: Optional[tuple[list[int], list[int]]] = (gens, gens)
+        else:
+            found = _backtrack_iso(G, T) if fingerprint(G) == fingerprint(T) else None
+        if found is not None:
+            match = ReferenceMatch(*ref, T, *found)
+    G._cache["reference_match"] = match
+    return match
 
 
 def _try_dihedral(G: PermGroup) -> Optional[int]:
@@ -303,6 +378,10 @@ def _try_dihedral(G: PermGroup) -> Optional[int]:
 
 
 def identify(G: PermGroup) -> GroupId:
+    """G's label, memoized on G.  Against the reference of G's order it reads
+    G's `reference_match`, the isomorphism through which `lattice` may
+    already have carried the reference's subgroup lattice into G, so no
+    isomorphism is searched twice."""
     cached = G._cache.get("group_id")
     if cached is not None:
         return cached
@@ -327,15 +406,9 @@ def _identify(G: PermGroup) -> GroupId:
     m = _try_dihedral(G)
     if m is not None:
         return GroupId("dihedral", (m,), n)
-    for k, want in _ALT_ORDERS.items():
-        if n == want and is_isomorphic(G, _reference("alt", k)):
-            return GroupId("alternating", (k,), n)
-    for k, want in _SYM_ORDERS.items():
-        if n == want and is_isomorphic(G, _reference("sym", k)):
-            return GroupId("symmetric", (k,), n)
-    for q in (7, 8, 11, 13):
-        if n == _PSL2_ORDERS[q] and is_isomorphic(G, _reference("psl2", q)):
-            return GroupId("psl2", (q,), n)
+    ref = _REFERENCE_OF_ORDER.get(n)
+    if ref is not None and is_isomorphic(G, _reference(*ref)):
+        return GroupId(_KIND_NAMES[ref[0]], (ref[1],), n)
     from .series import is_simple
     if n <= MAX_ORDER and is_simple(G):
         return GroupId("unknown_simple", (n,), n)

@@ -45,12 +45,12 @@ read off `normal_subgroups`, each a class of size one, and no lattice is
 walked.
 
 Otherwise let N be a minimal normal subgroup of G and M a maximal subgroup.
-MN is a subgroup containing M, so either N <= M, or MN = G.  The maximal
-subgroups that contain N are read off the walk seeded at N
-(`all_subgroups(G, above=N)`), which reaches every subgroup above N: the
-cyclic extension argument above runs unchanged from N instead of from 1.
-When |G : N| is prime no walk is needed: by Lagrange N is the only one.
-For the others, MN = G:
+MN is a subgroup containing M, so either N <= M, or MN = G.  The subgroups
+that contain N are the preimages of the subgroups of G/N, class for class
+and with the same class sizes, and M is maximal in G exactly when M/N is
+maximal in G/N; so the maximal subgroups that contain N are read off the
+lattice of G/N (`all_subgroups(G, above=N)`).  When |G : N| is prime no
+lattice is needed: by Lagrange N is the only one.  For the others, MN = G:
 
 N abelian (the first such N is taken).  The others are exactly the
 complements of N:
@@ -71,25 +71,41 @@ one, so N < G).  Let U = M cap N.
 So M is a complement of N, or N_G(U) for a subgroup 1 < U < N whose G-class
 is its N-class; U is N-conjugate to a class representative U^n of N's own
 lattice, and N_G(U^n) = M^n.  Complements are found exactly by
-`_complements`; N's classes come from `all_subgroups` on N's table group
+`_complements`; N's classes come from N's table group
 (`SubgroupClass.group`), and each G-class is walked on G's table.
 Complements and normalizers of a nonabelian N need not be maximal.  A
 normalizer that lies properly inside a conjugate of another is dropped at
 once, and the certificate drops the others that are not maximal.
 
-So G's whole lattice is walked only when G is simple.
+So G's whole lattice is needed only when G is simple; otherwise the
+lattices read are those of G/N and of a nonabelian N.
+
+Lattices carried from a reference.  An isomorphism carries subgroups to
+subgroups, conjugates to conjugates and maximal ones to maximal ones.  When
+a lattice is needed of a group H isomorphic to one of the reference groups
+that `iso.identify` keeps (`iso.reference_match`: a matching fingerprint,
+then an isomorphism found and checked to be a bijection), the reference's
+own lattice, walked once per process, is carried into H through the
+isomorphism, and H's lattice is not walked: for a simple G, for G/N and for
+the nonabelian N above.  A class carried into G, or pulled back from G/N,
+then gets the record the walk would give it: its least conjugate by sorted
+indices, and generators extracted from that.  Only the classes used get
+one: the maximal ones, or all of them for `all_subgroups(G, above=N)`.
+Each reference itself, and a group with no isomorphic reference, walks its
+own lattice.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .gf import _is_prime, _largest_proper_divisor, _prime_power
-from .groups import NotASubgroupError, PermGroup, coset_action
-from .tables import ClosureBase, ElementTable, TableGroup, element_table
+from .groups import NotASubgroupError, PermGroup, _coset_quotient, coset_action
+from .tables import ClosureBase, ElementTable, TableGroup, coset_gather, element_table
 
 
 @dataclass
@@ -207,13 +223,10 @@ def _cyclic_subgroups(et: ElementTable, target: int
     return cyclics, [-1 if s is None else position[s] for s in owner]
 
 
-def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None,
-                       above: Optional[frozenset[int]] = None
+def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None
                        ) -> tuple[list[int], _Registry, set[int]]:
     """Class ids found, the registry holding them, and the ids of the classes
-    that some extension grew into a subgroup within the closure bound.  With
-    `above`, a normal subgroup's indices, the walk is seeded at it alone and
-    finds the classes of the subgroups that contain it."""
+    that some extension grew into a subgroup within the closure bound."""
     et = element_table(G)
     n = et.n
     target = divisor_target if divisor_target is not None else n
@@ -227,8 +240,7 @@ def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None,
 
     queue: deque[int] = deque()
     found: set[int] = set()
-    seeds = [frozenset([0])] + [s for s, _gen in cyclics] if above is None else [above]
-    for s in seeds:
+    for s in [frozenset([0])] + [s for s, _gen in cyclics]:
         cid, new = registry.register(s)
         if new:
             found.add(cid)
@@ -293,12 +305,28 @@ def _enumerate_classes(G: PermGroup, *, divisor_target: Optional[int] = None,
 
 def _class_from_registry(registry: _Registry, cid: int,
                          lattice_maximal: bool = False) -> SubgroupClass:
-    et = registry.et
-    indices = registry.reps[cid]
-    gens = registry.gens[cid]
+    return _checked_class(registry.et, registry.reps[cid], registry.gens[cid],
+                          registry.sizes[cid], lattice_maximal)
+
+
+def _checked_class(et: ElementTable, indices: frozenset[int], gens: list[int],
+                   class_size: int, lattice_maximal: bool) -> SubgroupClass:
     if et.closure(None, [], gens) != indices:
         raise RuntimeError("extracted generators do not span their subgroup")
-    return SubgroupClass(et, indices, gens, registry.sizes[cid], True, lattice_maximal)
+    return SubgroupClass(et, indices, gens, class_size, True, lattice_maximal)
+
+
+def _canonical_class(et: ElementTable, subset: frozenset[int], class_size: int,
+                     lattice_maximal: bool) -> SubgroupClass:
+    """The record the lattice walk gives the class of the subgroup `subset`,
+    of `class_size` conjugates: the least conjugate by sorted indices, and
+    generators extracted from it."""
+    orbit = _conjugates(et, subset)[0]
+    if len(orbit) != class_size:
+        raise RuntimeError("a carried class has the wrong number of conjugates")
+    canonical = min(orbit, key=sorted)
+    return _checked_class(et, canonical, et.extract_generators(canonical), class_size,
+                          lattice_maximal)
 
 
 def all_subgroups(G: PermGroup | TableGroup,
@@ -306,13 +334,14 @@ def all_subgroups(G: PermGroup | TableGroup,
     """All conjugacy classes of subgroups, sorted by order then lexicographically.
 
     With `above`, a normal subgroup N of G, only the classes of the subgroups
-    that contain N, found by a walk seeded at N; that list is not cached.
+    that contain N: the preimages of the classes of G/N, which are not
+    cached.
     """
     if above is not None:
         N = _as_class(G, above)
         if N.class_size != 1:
             raise ValueError("`above` must be a normal subgroup")
-        return _lattice_classes(G, *_enumerate_classes(G, above=N.indices))
+        return _classes_above(G, N, maximal_only=False)
     cached = G._cache.get("all_subgroups")
     if cached is None:
         cached = G._cache["all_subgroups"] = _lattice_classes(G, *_enumerate_classes(G))
@@ -324,6 +353,50 @@ def _lattice_classes(G: PermGroup, ids: list[int], registry: _Registry,
     # With the whole group as target, a class that grew has a proper overgroup.
     classes = [_class_from_registry(registry, cid, len(registry.reps[cid]) < G.order
                                     and cid not in grew) for cid in ids]
+    classes.sort(key=lambda c: (c.order, sorted(c.indices)))
+    return classes
+
+
+def _carried_lattice(H: PermGroup | TableGroup) -> Optional[list[SubgroupClass]]:
+    """H's subgroup classes carried from the lattice of the reference group
+    isomorphic to H (`iso.reference_match`), walked once per process; None
+    when H has no such reference or is one.  Each representative and its
+    generators are the images of the reference's, not H's canonical ones;
+    the class sizes and the flags carry over unchanged."""
+    from .iso import reference_match  # iso imports this module
+
+    match = reference_match(H)
+    if match is None or match.group is H:
+        return None
+    et = element_table(H)
+    into = match.from_reference(et)
+    return [SubgroupClass(et, frozenset(into[i] for i in c.indices),
+                          [into[i] for i in c.generator_indices], c.class_size, True,
+                          c.lattice_maximal)
+            for c in all_subgroups(match.group)]
+
+
+def _lattice_of(H: PermGroup | TableGroup) -> list[SubgroupClass]:
+    """H's subgroup classes, carried from a reference or walked."""
+    carried = _carried_lattice(H)
+    return all_subgroups(H) if carried is None else carried
+
+
+def _classes_above(G: PermGroup | TableGroup, N: SubgroupClass,
+                   maximal_only: bool) -> list[SubgroupClass]:
+    """The classes of the subgroups of G that contain the normal subgroup N,
+    or only the maximal ones, in `all_subgroups` order: the preimages of
+    the classes of G/N.  A subgroup of G/N is a set of cosets of N, each
+    the gather of N from the row of its least member; the preimage keeps
+    the class size and the flag, and gets the walk's record in G."""
+    et = element_table(G)
+    quotient, least = _coset_quotient(et, et.generator_indices, N.indices)
+    coset = coset_gather(sorted(N.indices))
+    rows = et.rows
+    classes = [_canonical_class(et, frozenset(chain.from_iterable(
+                                    coset(rows[least[q]]) for q in c.indices)),
+                                c.class_size, c.lattice_maximal)
+               for c in _lattice_of(quotient) if c.lattice_maximal or not maximal_only]
     classes.sort(key=lambda c: (c.order, sorted(c.indices)))
     return classes
 
@@ -379,13 +452,15 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     The candidates come from the normal structure (module docstring):
     - when G is nilpotent, its normal subgroups of prime index;
     - when G has an abelian minimal normal subgroup N (the first one), the
-      classes above N that no extension grew (N alone when |G : N| is
+      preimages of the maximal classes of G/N (N alone when |G : N| is
       prime), and the complements of N;
     - when G is not simple and N, its first minimal normal subgroup, is
       nonabelian, the same classes above N, the complements of N, and
       N_G(U) for the subgroups 1 < U < N whose G-class is their N-class;
     - otherwise (G simple) the classes of the whole lattice that no
       extension grew.
+    The lattices of G/N, of N and of a simple G are carried from an
+    isomorphic reference group's where there is one.
     Each is then certified directly rather than trusted from the search.  The
     complements and normalizers of the nonabelian case need not be maximal,
     and those that fail the certificate are dropped; any other candidate
@@ -404,11 +479,14 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
         minimal = minimal_normal_subgroups(G)
         N = next((K for K in minimal if _prime_power(K.order) is not None), minimal[0])
         if N.order == G.order:  # G is simple
-            candidates = [c for c in all_subgroups(G) if c.lattice_maximal]
+            carried = _carried_lattice(G)
+            candidates = ([c for c in all_subgroups(G) if c.lattice_maximal] if carried is None
+                          else [_canonical_class(et, c.indices, c.class_size, True)
+                                for c in carried if c.lattice_maximal])
         else:
             # by Lagrange, N is the one maximal subgroup above N when |G : N| is prime
             candidates = ([N] if _is_prime(G.order // N.order) else
-                          [c for c in all_subgroups(G, above=N) if c.lattice_maximal])
+                          _classes_above(G, N, maximal_only=True))
             complements = _complements(et, N.indices)
             if _prime_power(N.order) is not None:
                 candidates += complements
@@ -429,13 +507,14 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
 
 def _normalizers_in(et: ElementTable, N: SubgroupClass) -> list[SubgroupClass]:
     """The classes of N_G(U), for the classes 1 < U < N of N's own lattice
-    whose G-class is their N-class.  N's lattice is walked on N's table
-    group, U's G-class on G's table, and N_G(U) is spanned by the walk's
-    Schreier generators up to its order |G| / |G-class|."""
+    whose G-class is their N-class.  N's lattice is read on N's table group
+    (carried from a reference, or walked), U's G-class is walked on G's
+    table, and N_G(U) is spanned by the walk's Schreier generators up to
+    its order |G| / |G-class|."""
     into_g = sorted(N.indices)  # N's index i is into_g[i] in G's
     registry = _Registry(et, 0)  # no normalizers: nothing extends a candidate
     found: list[int] = []
-    for c in all_subgroups(N.group):
+    for c in _lattice_of(N.group):
         if c.order in (1, N.order):
             continue
         u = frozenset(into_g[i] for i in c.indices)

@@ -4,10 +4,12 @@ search on small orders and frozen labels on the scan battery."""
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from csection import iso
 from csection.iso import (GroupId, abelian_invariants, fingerprint, identify,
-                          is_isomorphic, l2_parameters)
+                          is_isomorphic, l2_parameters, reference_match)
+from csection.lattice import maximal_subgroups
 from csection.series import is_supersolvable
-from csection.tables import ElementTable
+from csection.tables import ElementTable, element_table
 
 from gtools import elements_of, named, product, quaternion, relabeled, sympy_group
 from oracles import abelian_order_counts_match, brute_isomorphic
@@ -86,10 +88,36 @@ def test_relabeled_copy_is_isomorphic():
 @given(relabeled())
 def test_identification_does_not_depend_on_labels(pair):
     """Relabeling the points and shuffling the generators leaves the
-    identification and the fingerprint unchanged."""
+    identification, the fingerprint, the reference match and the orders
+    and sizes of the maximal classes unchanged."""
     G, H = pair
     assert identify(H) == identify(G)
     assert fingerprint(H) == fingerprint(G)
+    match_g, match_h = reference_match(G), reference_match(H)
+    assert (match_g is None) is (match_h is None)
+    if match_g is not None:
+        assert match_h[:3] == match_g[:3]
+    if G.order <= 500:
+        assert sorted((c.order, c.class_size) for c in maximal_subgroups(G)) == \
+            sorted((c.order, c.class_size) for c in maximal_subgroups(H))
+
+
+def test_identify_reads_the_reference_match(monkeypatch):
+    """A match found while the lattice carries a reference's classes is
+    memoized on the group; identify reads it and searches no isomorphism
+    again.  A reference matches itself by the identity."""
+    G = named("PSL2", 9)
+    maximal_subgroups(G)
+    match = G._cache["reference_match"]
+    assert (match.kind, match.k) == ("alt", 6)
+    searches = []
+    backtrack = iso._backtrack_iso
+    monkeypatch.setattr(iso, "_backtrack_iso", lambda *a: searches.append(a) or backtrack(*a))
+    assert identify(G) == GroupId("alternating", (6,), 360)
+    assert searches == []
+    T = match.group
+    assert reference_match(T).from_reference(element_table(T)) == list(range(360))
+    assert reference_match(named("Dihedral", 6)) is None  # A4's order, another fingerprint
 
 
 def test_abelian_invariants():

@@ -1,15 +1,18 @@
 """Subgroup lattice enumeration against independent extension oracles."""
 
+import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from csection import lattice
 from csection.catalog import build_group, builtin_battery
 from csection.gf import _prime_power
-from csection.groups import CapExceededError, NotASubgroupError, PermGroup, normalizer
-from csection.iso import identify
+from csection.groups import (CapExceededError, NotASubgroupError, PermGroup, coset_action,
+                             normalizer)
+from csection.iso import identify, reference_match
 from csection.lattice import (_conjugates, all_subgroups, certify_maximal, maximal_subgroups,
                               minimal_normal_subgroups, normal_subgroups,
                               subgroup_count, subgroups_of_index)
@@ -18,7 +21,7 @@ from csection.series import is_nilpotent
 from csection.tables import ElementTable, element_table
 
 from gtools import (as_subgroup, element_tuples, elements_of, from_cycles, named, product,
-                    quaternion, relabeled, small_groups)
+                    quaternion, small_groups)
 from oracles import (NaiveTable, all_subgroups_naive, all_subgroups_powerset, element_order,
                      normal_subgroups_naive)
 
@@ -674,11 +677,87 @@ def test_maximal_subgroups_off_the_normal_structure(make, nilpotent):
     assert found == _maximal_key(_lattice_maximal(G))
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(relabeled())
-def test_maximal_classes_survive_relabeling(pair):
-    G, H = pair
-    assume(G.order <= 500)
-    assert H.order == G.order
-    assert sorted((c.order, c.class_size) for c in maximal_subgroups(G)) == \
-        sorted((c.order, c.class_size) for c in maximal_subgroups(H))
+def _relabeled_copy(G, seed):
+    """G with its points relabeled and its generators shuffled, seeded."""
+    rng = random.Random(seed)
+    images = list(range(G.degree))
+    rng.shuffle(images)
+    sigma = Permutation(images)
+    gens = [g.conjugated_by(sigma) for g in G.generators]
+    rng.shuffle(gens)
+    return PermGroup(G.degree, gens)
+
+
+def _record_key(c):
+    return (c.order, c.indices, c.generator_indices, c.class_size, c.verified_complete,
+            c.lattice_maximal)
+
+
+CARRIED_CASES = [
+    ("A5", lambda: named("Alt", 5)),
+    ("L2_7", lambda: named("PSL2", 7)),
+    ("A6", lambda: named("Alt", 6)),
+    ("L2_8", lambda: named("PSL2", 8)),
+    ("SL2_7", lambda: named("SL", 2, 7)),
+    ("C2xL2_7", lambda: product("Cyclic", [2], "PSL2", [7])),
+    ("PGL2_7", lambda: named("PGL2", 7)),
+    ("S5", lambda: named("Sym", 5)),
+    ("SL2_5", lambda: named("SL", 2, 5)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _label, m in CARRIED_CASES],
+                         ids=[label for label, _m in CARRIED_CASES])
+def test_carried_lattices_give_the_walk_records(make, monkeypatch):
+    """On relabeled copies of groups that reach a reference group, simple or
+    through G/N or a nonabelian minimal normal N, maximal_subgroups and
+    all_subgroups(G, above=N) give, field for field, the records of G's own
+    whole-lattice walk.  Each carried isomorphism is checked on every
+    product of both tables."""
+    G = _relabeled_copy(make(), 7)
+    carried = []
+    carry = lattice._carried_lattice
+
+    def recording(H):
+        found = carry(H)
+        if found is not None:
+            carried.append(H)
+        return found
+
+    monkeypatch.setattr(lattice, "_carried_lattice", recording)
+    found = maximal_subgroups(G)
+    for N in normal_subgroups(G):
+        above = all_subgroups(G, above=N)
+        walk = lattice._lattice_classes(G, *lattice._enumerate_classes(G))
+        assert [_record_key(c) for c in above] == \
+            [_record_key(c) for c in walk if N.indices <= c.indices], N.order
+    walk = sorted((c for c in walk if c.lattice_maximal),
+                  key=lambda c: (-c.order, sorted(c.indices)))
+    # A normal subgroup of prime index comes as normal_subgroups' record, which
+    # the lattice flag does not mark; the certificate does.
+    assert [_record_key(c)[:-1] for c in found] == [_record_key(c)[:-1] for c in walk]
+    assert all(c.certified_maximal for c in found)
+    assert carried
+    for H in carried:
+        match = reference_match(H)
+        into = np.array(match.from_reference(element_table(H)))
+        mul_t = element_table(match.group)._mul_table
+        mul_h = element_table(H)._mul_table
+        assert (into[mul_t] == mul_h[into[:, None], into[None, :]]).all()
+
+
+def test_a_reference_order_with_another_fingerprint_walks():
+    """S3 x S3 over its first minimal normal C3 has the quotient C2 x S3, of
+    A4's order but not isomorphic to it: that quotient's lattice is walked,
+    and the records are the walk's."""
+    G = _relabeled_copy(product("Sym", [3], "Sym", [3]), 3)
+    N = minimal_normal_subgroups(G)[0]
+    quotient = coset_action(element_table(G), element_table(G).generator_indices, N.indices)
+    assert quotient.order == 12 and identify(quotient) == identify(named("Dihedral", 6))
+    assert reference_match(quotient) is None
+    assert lattice._carried_lattice(quotient) is None
+    walk = lattice._lattice_classes(G, *lattice._enumerate_classes(G))
+    assert [_record_key(c) for c in all_subgroups(G, above=N)] == \
+        [_record_key(c) for c in walk if N.indices <= c.indices]
+    assert _maximal_key(maximal_subgroups(G)) == _maximal_key(
+        sorted((c for c in walk if c.lattice_maximal), key=lambda c: (-c.order, sorted(c.indices))))
