@@ -88,8 +88,7 @@ def test_relabeled_copy_is_isomorphic():
 @given(relabeled())
 def test_identification_does_not_depend_on_labels(pair):
     """Relabeling the points and shuffling the generators leaves the
-    identification, the fingerprint, the reference match and the orders
-    and sizes of the maximal classes unchanged."""
+    identification, the fingerprint and the reference match unchanged."""
     G, H = pair
     assert identify(H) == identify(G)
     assert fingerprint(H) == fingerprint(G)
@@ -97,9 +96,6 @@ def test_identification_does_not_depend_on_labels(pair):
     assert (match_g is None) is (match_h is None)
     if match_g is not None:
         assert match_h[:3] == match_g[:3]
-    if G.order <= 500:
-        assert sorted((c.order, c.class_size) for c in maximal_subgroups(G)) == \
-            sorted((c.order, c.class_size) for c in maximal_subgroups(H))
 
 
 def test_identify_reads_the_reference_match(monkeypatch):

@@ -21,7 +21,7 @@ from csection.series import is_nilpotent
 from csection.tables import ElementTable, element_table
 
 from gtools import (as_subgroup, element_tuples, elements_of, from_cycles, named, product,
-                    quaternion, small_groups)
+                    quaternion, relabeled, small_groups)
 from oracles import (NaiveTable, all_subgroups_naive, all_subgroups_powerset, element_order,
                      normal_subgroups_naive)
 
@@ -675,6 +675,16 @@ def test_maximal_subgroups_off_the_normal_structure(make, nilpotent):
     found = _maximal_key(maximal_subgroups(G))
     assert "all_subgroups" not in G._cache
     assert found == _maximal_key(_lattice_maximal(G))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(relabeled())
+def test_maximal_classes_survive_relabeling(pair):
+    G, H = pair
+    assume(G.order <= 500)
+    assert H.order == G.order
+    assert sorted((c.order, c.class_size) for c in maximal_subgroups(G)) == \
+        sorted((c.order, c.class_size) for c in maximal_subgroups(H))
 
 
 def _relabeled_copy(G, seed):
