@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage or input error,
-4 internal error (a broken invariant, never a verdict).
+4 internal error (a broken invariant or any other unexpected exception, never
+a verdict).
 Informational commands (order, maximals, sec) exit 0 on success.  The scan
 command folds its battery of theorem checks into the worst verdict seen and
 can persist line-delimited records to an append-only store; identical records
@@ -46,13 +47,6 @@ def report_to_dict(report: VerdictReport) -> dict:
 
 def emit_report(report: VerdictReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True)
-
-
-def parse_report(text: str) -> VerdictReport:
-    doc = json.loads(text)
-    return VerdictReport(subject=doc["subject"], check=doc["check"],
-                         status=doc["status"], evidence=doc["evidence"],
-                         completeness=doc["completeness"])
 
 
 def _print_report(report: VerdictReport, as_json: bool) -> None:
@@ -307,7 +301,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, CapExceededError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (RuntimeError, AssertionError) as e:
+    except Exception as e:  # MemoryError included: a bug must never read as `fail`
         message = " ".join(f"{type(e).__name__}: {e}".split())
         print(f"internal error: {message}", file=sys.stderr)
         return INTERNAL_ERROR

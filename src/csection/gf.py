@@ -13,7 +13,6 @@ operation, on one element or on a numpy array of them, is a table read.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -294,11 +293,6 @@ class FieldTable:
                 raise ZeroDivisionError("field inverse of zero")
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.q - 1)]
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
 
     def primitive_element(self) -> int:
         """Smallest generator of the multiplicative group."""

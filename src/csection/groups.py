@@ -132,33 +132,6 @@ class PermGroup:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
 
-    def orbit(self, point: int) -> list[int]:
-        """Orbit of a point under the group, in BFS discovery order."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range")
-        seen = {point}
-        queue = deque([point])
-        out = [point]
-        while queue:
-            p = queue.popleft()
-            for g in self.generators:
-                q = g.images[p]
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-                    queue.append(q)
-        return out
-
-    def orbits(self) -> list[list[int]]:
-        seen: set[int] = set()
-        out = []
-        for p in range(self.degree):
-            if p not in seen:
-                orb = self.orbit(p)
-                seen.update(orb)
-                out.append(orb)
-        return out
-
     def element_images(self) -> np.ndarray:
         """Every element's images, one row each, in lexicographic order: the
         (order x degree) array of transversal products, formed a level at a

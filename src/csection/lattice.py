@@ -48,9 +48,10 @@ Otherwise let N be a minimal normal subgroup of G and M a maximal subgroup.
 MN is a subgroup containing M, so either N <= M, or MN = G.  The subgroups
 that contain N are the preimages of the subgroups of G/N, class for class
 and with the same class sizes, and M is maximal in G exactly when M/N is
-maximal in G/N; so the maximal subgroups that contain N are read off the
-lattice of G/N (`all_subgroups(G, above=N)`).  When |G : N| is prime no
-lattice is needed: by Lagrange N is the only one.  For the others, MN = G:
+maximal in G/N; so the maximal subgroups that contain N are one pull-back of
+G/N's maximal classes, for every N (`_maximal_above`; when |G : N| is prime
+that is N alone, the preimage of G/N's trivial subgroup).  Every other
+maximal M has MN = G:
 
 N abelian (the first such N is taken).  The others are exactly the
 complements of N:
@@ -90,7 +91,7 @@ isomorphism, and H's lattice is not walked: for a simple G, for G/N and for
 the nonabelian N above.  A class carried into G, or pulled back from G/N,
 then gets the record the walk would give it: its least conjugate by sorted
 indices, and generators extracted from that.  Only the classes used get
-one: the maximal ones, or all of them for `all_subgroups(G, above=N)`.
+one: the maximal ones.
 Each reference itself, and a group with no isomorphic reference, walks its
 own lattice.
 """
@@ -98,7 +99,7 @@ own lattice.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -122,7 +123,8 @@ class SubgroupClass:
     generator_indices: list[int] = field(repr=False)
     class_size: int
     verified_complete: bool
-    # Set by all_subgroups: no extension of the class gave a proper subgroup.
+    # Set by the lattice walk when no extension of the class gave a proper
+    # subgroup, and on every class maximal_subgroups returns.
     lattice_maximal: bool = field(default=False, repr=False)
     # Set once certify_maximal has confirmed the class.
     certified_maximal: bool = field(default=False, init=False, repr=False)
@@ -329,19 +331,8 @@ def _canonical_class(et: ElementTable, subset: frozenset[int], class_size: int,
                           lattice_maximal)
 
 
-def all_subgroups(G: PermGroup | TableGroup,
-                  above: Optional[SubgroupClass | PermGroup] = None) -> list[SubgroupClass]:
-    """All conjugacy classes of subgroups, sorted by order then lexicographically.
-
-    With `above`, a normal subgroup N of G, only the classes of the subgroups
-    that contain N: the preimages of the classes of G/N, which are not
-    cached.
-    """
-    if above is not None:
-        N = _as_class(G, above)
-        if N.class_size != 1:
-            raise ValueError("`above` must be a normal subgroup")
-        return _classes_above(G, N, maximal_only=False)
+def all_subgroups(G: PermGroup | TableGroup) -> list[SubgroupClass]:
+    """All conjugacy classes of subgroups, sorted by order then lexicographically."""
     cached = G._cache.get("all_subgroups")
     if cached is None:
         cached = G._cache["all_subgroups"] = _lattice_classes(G, *_enumerate_classes(G))
@@ -382,23 +373,19 @@ def _lattice_of(H: PermGroup | TableGroup) -> list[SubgroupClass]:
     return all_subgroups(H) if carried is None else carried
 
 
-def _classes_above(G: PermGroup | TableGroup, N: SubgroupClass,
-                   maximal_only: bool) -> list[SubgroupClass]:
-    """The classes of the subgroups of G that contain the normal subgroup N,
-    or only the maximal ones, in `all_subgroups` order: the preimages of
-    the classes of G/N.  A subgroup of G/N is a set of cosets of N, each
-    the gather of N from the row of its least member; the preimage keeps
-    the class size and the flag, and gets the walk's record in G."""
+def _maximal_above(G: PermGroup, N: SubgroupClass) -> list[SubgroupClass]:
+    """The maximal classes of G that contain the normal subgroup N: the
+    preimages of the lattice-maximal classes of G/N.  A subgroup of G/N is a
+    set of cosets of N, each the gather of N from the row of its least
+    member; the preimage keeps the class size and gets the walk's record in
+    G."""
     et = element_table(G)
     quotient, least = _coset_quotient(et, et.generator_indices, N.indices)
     coset = coset_gather(sorted(N.indices))
     rows = et.rows
-    classes = [_canonical_class(et, frozenset(chain.from_iterable(
-                                    coset(rows[least[q]]) for q in c.indices)),
-                                c.class_size, c.lattice_maximal)
-               for c in _lattice_of(quotient) if c.lattice_maximal or not maximal_only]
-    classes.sort(key=lambda c: (c.order, sorted(c.indices)))
-    return classes
+    return [_canonical_class(et, frozenset(chain.from_iterable(
+                coset(rows[least[q]]) for q in c.indices)), c.class_size, True)
+            for c in _lattice_of(quotient) if c.lattice_maximal]
 
 
 def subgroup_count(G: PermGroup) -> int:
@@ -452,8 +439,7 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     The candidates come from the normal structure (module docstring):
     - when G is nilpotent, its normal subgroups of prime index;
     - when G has an abelian minimal normal subgroup N (the first one), the
-      preimages of the maximal classes of G/N (N alone when |G : N| is
-      prime), and the complements of N;
+      preimages of the maximal classes of G/N, and the complements of N;
     - when G is not simple and N, its first minimal normal subgroup, is
       nonabelian, the same classes above N, the complements of N, and
       N_G(U) for the subgroups 1 < U < N whose G-class is their N-class;
@@ -474,7 +460,9 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
     et = element_table(G)
     possible: list[SubgroupClass] = []
     if is_nilpotent(G):
-        candidates = [N for N in normal_subgroups(G) if _is_prime(G.order // N.order)]
+        # copies, so that normal_subgroups' cached records keep their flags
+        candidates = [replace(N, lattice_maximal=True) for N in normal_subgroups(G)
+                      if _is_prime(G.order // N.order)]
     else:
         minimal = minimal_normal_subgroups(G)
         N = next((K for K in minimal if _prime_power(K.order) is not None), minimal[0])
@@ -484,9 +472,7 @@ def maximal_subgroups(G: PermGroup) -> list[SubgroupClass]:
                           else [_canonical_class(et, c.indices, c.class_size, True)
                                 for c in carried if c.lattice_maximal])
         else:
-            # by Lagrange, N is the one maximal subgroup above N when |G : N| is prime
-            candidates = ([N] if _is_prime(G.order // N.order) else
-                          _classes_above(G, N, maximal_only=True))
+            candidates = _maximal_above(G, N)
             complements = _complements(et, N.indices)
             if _prime_power(N.order) is not None:
                 candidates += complements

@@ -116,11 +116,6 @@ class Matrix:
                     m[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(m[r], m[col])]
         return Matrix(F, [row[n:] for row in m])
 
-    def is_scalar(self) -> bool:
-        d = self.rows[0][0]
-        return all(self.rows[i][j] == (d if i == j else 0)
-                   for i in range(self.n) for j in range(self.n))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows and self.field is other.field
 

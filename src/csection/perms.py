@@ -109,9 +109,6 @@ class Permutation:
             ident = _IDENTITIES[len(images)] = tuple(range(len(images)))
         return images == ident
 
-    def moved_points(self) -> list[int]:
-        return [i for i, x in enumerate(self.images) if i != x]
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its smallest point."""
         seen = [False] * len(self.images)

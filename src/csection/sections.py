@@ -21,7 +21,7 @@ from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
 from .lattice import (SubgroupClass, _as_class, _conjugates, _normal_covers, all_subgroups,
                       certify_maximal, maximal_subgroups, minimal_normal_subgroups,
                       normal_subgroups, subgroups_of_index)
-from .series import _nonabelian_factors, chief_series, is_supersolvable
+from .series import composition_factors, is_supersolvable
 from .tables import MAX_ORDER, TableGroup, element_table
 
 
@@ -232,14 +232,7 @@ def _conclusion_factor_ok(gid: GroupId) -> Optional[bool]:
 def check_conclusion(G: PermGroup, *, subject: Optional[str] = None) -> VerdictReport:
     """Every composition factor is cyclic of prime order, or a projective
     special linear group over a prime field with that prime +-1 mod 8."""
-    ids: list[GroupId] = []
-    series = chief_series(G)
-    for K, L, f in zip(series.terms, series.terms[1:], series.factors):
-        if f.abelian:  # p^k gives k factors C_p, with no group built
-            p, k = f.prime_power
-            ids.extend([GroupId("cyclic", (p,), p)] * k)
-        else:
-            ids.extend(identify(s) for s in _nonabelian_factors(G, K, L, f))
+    ids = composition_factors(G)
     verdicts = [_conclusion_factor_ok(g) for g in ids]
     witnesses = [str(g) for g, v in zip(ids, verdicts) if v is False]
     if witnesses:

@@ -5,7 +5,8 @@ A chief series steps up the covering relation of the normal subgroup lattice,
 always to the first normal subgroup directly above the current term.  Every
 chief series has the same factor orders, which the tests check over all of
 them.  A factor is described by its order; `_nonabelian_factors` builds a
-nonabelian factor as a group where its simple factors must be identified.
+nonabelian factor as a group only where its simple factors must be
+identified, and an abelian one is never built.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .catalog import _cyclic
 from .gf import _is_prime, _prime_factors, _prime_power
 from .groups import PermGroup, coset_action
+from .iso import GroupId, identify
 from .lattice import SubgroupClass, _normal_covers, minimal_normal_subgroups, normal_subgroups
 from .tables import TableGroup, element_table
 
@@ -114,29 +115,25 @@ def _p_part(n: int, p: int) -> int:
     return part
 
 
-def composition_factors(G: PermGroup) -> list[PermGroup | TableGroup]:
-    """Simple factors of any composition series, as groups, refined from a
-    chief series.  Abelian chief factors of order p^k contribute k cyclic
-    groups of order p; a nonabelian chief factor is a power of one simple
-    group, read off a minimal normal subgroup.  A nonabelian factor is a
-    table group read off G's table, except G itself when G is simple."""
-    out: list[PermGroup | TableGroup] = []
-    cyclic: dict[int, PermGroup] = {}  # one C_p per prime, shared by its factors
+def composition_factors(G: PermGroup) -> list[GroupId]:
+    """The simple factors of any composition series, identified, refined
+    from a chief series in its order.  An abelian chief factor of order p^k
+    gives k factors C_p, with no group built; a nonabelian chief factor is a
+    power of one simple group, read off a minimal normal subgroup."""
+    ids: list[GroupId] = []
     series = chief_series(G)
     for K, L, f in zip(series.terms, series.terms[1:], series.factors):
         if f.abelian:
             p, k = f.prime_power
-            if p not in cyclic:
-                cyclic[p] = _cyclic(p)
-            out.extend([cyclic[p]] * k)
+            ids.extend([GroupId("cyclic", (p,), p)] * k)
         else:
-            out.extend(_nonabelian_factors(G, K, L, f))
+            ids.extend(identify(s) for s in _nonabelian_factors(G, K, L, f))
     total = 1
-    for s in out:
-        total *= s.order
+    for g in ids:
+        total *= g.order
     if total != G.order:
         raise RuntimeError("composition factor orders do not multiply to the group order")
-    return out
+    return ids
 
 
 def _nonabelian_factors(G: PermGroup, K: SubgroupClass, L: SubgroupClass,

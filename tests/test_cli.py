@@ -16,9 +16,9 @@ import pytest
 
 from csection import __version__, cli
 from csection.catalog import build_group, builtin_battery, parse_group_spec
-from csection.cli import emit_report, main, parse_report
+from csection.cli import emit_report, main
 from csection.groups import CapExceededError
-from csection.sections import check_hypothesis
+from csection.sections import VerdictReport, check_hypothesis
 
 S4 = '{"kind":"named","name":"Sym","params":[4]}'
 S5 = '{"kind":"named","name":"Sym","params":[5]}'
@@ -156,12 +156,32 @@ def _cli_process(*args):
     (RuntimeError("chain broke\nat level 2"), 4),
     (AssertionError("class map is stale"), 4),
     (CapExceededError("element cap 10 exceeded"), 3),  # a RuntimeError, still input-sized
+    (KeyError("frozenset({0, 3})"), 4),
+    (TypeError("'NoneType' object is not subscriptable"), 4),
+    (IndexError("list index out of range"), 4),
+    (MemoryError("Cayley table of 4896 x 4896 cells"), 4),  # raised, not allocated
 ])
 def test_internal_errors_get_their_own_exit_code(error, code, monkeypatch, capsys):
     def broken(G, subject):
         raise error
     monkeypatch.setattr(cli, "check_hypothesis", broken)
     assert main(["hypothesis", "--group", S4]) == code
+    _assert_one_error_line(capsys, error, code)
+
+
+def test_a_scan_workers_error_is_an_internal_error(monkeypatch, capsys):
+    """A worker's exception is re-raised in the parent by the pool, and
+    exits 4 like any other.  The workers fork, so they inherit the patch."""
+    error = KeyError("lost class")
+
+    def broken(G, subject):
+        raise error
+    monkeypatch.setattr(cli, "verify_theorem_instance", broken)
+    assert main(["scan", "--max-order", "12", "--workers", "2"]) == 4
+    _assert_one_error_line(capsys, error, 4)
+
+
+def _assert_one_error_line(capsys, error, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
@@ -311,7 +331,10 @@ def test_verify_example_rejects_bad_p(capsys):
 def test_report_round_trip():
     G = build_group(parse_group_spec(S4))
     report = check_hypothesis(G, subject="S4")
-    assert parse_report(emit_report(report)) == report
+    doc = json.loads(emit_report(report))
+    fields = ("subject", "check", "status", "evidence", "completeness")
+    assert VerdictReport(**{k: doc[k] for k in fields}) == report
+    assert doc["version"] == __version__
 
 
 def test_store_appends_once(tmp_path, capsys):

@@ -163,16 +163,25 @@ def test_pow_matches_repeated_multiplication(p, f):
         assert F.pow(a, F.q - 1) == 1
 
 
+def _order(F, a):
+    """The multiplicative order of a != 0, by repeated multiplication."""
+    order, power = 1, a
+    while power != 1:
+        power = F.mul(power, a)
+        order += 1
+    return order
+
+
 @pytest.mark.parametrize("p,f,phi", [(2, 3, 6), (3, 2, 4), (7, 1, 2), (2, 4, 8)])
 def test_multiplicative_structure(p, f, phi):
     F = field_make(p, f)
     q = F.q
-    orders = [F.multiplicative_order(a) for a in range(1, q)]
+    orders = [_order(F, a) for a in range(1, q)]
     assert all((q - 1) % o == 0 for o in orders)
     # primitive element count is Euler phi of q-1
     assert sum(1 for o in orders if o == q - 1) == phi
     g = F.primitive_element()
-    assert F.multiplicative_order(g) == q - 1
+    assert _order(F, g) == q - 1
     powers = {F.pow(g, e) for e in range(q - 1)}
     assert powers == set(range(1, q))
 
@@ -180,8 +189,6 @@ def test_multiplicative_structure(p, f, phi):
 def test_error_paths():
     with pytest.raises(ZeroDivisionError):
         field_make(5).inv(0)
-    with pytest.raises(ValueError):
-        field_make(5).multiplicative_order(0)
     with pytest.raises(ValueError, match="not prime"):
         FieldTable(4, 1)
     with pytest.raises(ValueError, match="field size"):

@@ -53,7 +53,7 @@ def test_det_is_multiplicative():
 def test_matrix_constructors_and_inverse():
     F = field_make(5)
     I = Matrix.identity(F, 3)
-    assert I.det() == 1 and I.is_scalar()
+    assert I.det() == 1 and I == Matrix.diagonal(F, [1, 1, 1])
     E = Matrix.elementary(F, 3, 2, 0, 4)
     assert E.rows[2][0] == 4 and E.det() == 1
     D = Matrix.diagonal(F, [2, 3, 1])

@@ -7,11 +7,11 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from csection import groups, sections
+from csection import groups, sections, series
 from csection.catalog import build_group, builtin_battery, named_spec
 from csection.groups import CapExceededError, NotASubgroupError, PermGroup
 from csection.iso import GroupId
-from csection.lattice import SubgroupClass, all_subgroups, maximal_subgroups, normal_subgroups
+from csection.lattice import SubgroupClass, maximal_subgroups, normal_subgroups
 from csection.perms import Permutation
 from csection.sections import (ChiefPair, NoChiefPairError, NotAChiefPairError,
                                NotMaximalError, VerdictReport,
@@ -155,7 +155,6 @@ def test_every_entry_refuses_a_callers_subgroup_outside_G():
     M = maximal_subgroups(A4)[0]
     entries = [lambda: sec(A4, outside), lambda: chief_pairs_for_maximal(A4, outside),
                lambda: sec(A4, M, pair=ChiefPair(K=outside, L=normal_subgroups(A4)[0])),
-               lambda: all_subgroups(A4, above=outside),
                lambda: unique_class_check(A4, outside)]
     for entry in entries:
         with pytest.raises(NotASubgroupError):
@@ -466,7 +465,7 @@ def test_unidentified_factor_is_inconclusive_not_fail():
 
 def test_check_conclusion_opaque_factor_is_inconclusive(monkeypatch):
     # An opaque factor needs order above the element cap; patch identify to reach the branch.
-    monkeypatch.setattr(sections, "identify", lambda f: GroupId("opaque", (f.order,), f.order))
+    monkeypatch.setattr(series, "identify", lambda f: GroupId("opaque", (f.order,), f.order))
     r = check_conclusion(named("PSL2", 7))
     assert r.status == "inconclusive"
     assert r.evidence["witnesses"] == []

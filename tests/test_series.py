@@ -4,12 +4,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from csection import groups, series as series_module
+from csection.gf import _is_prime
 from csection.groups import CapExceededError
-from csection.iso import identify
 from csection.lattice import normal_subgroups
 from csection.sections import check_conclusion
 from csection.series import (chief_series, composition_factors, is_nilpotent, is_simple,
                              is_supersolvable)
+from csection.tables import TableGroup
 
 from gtools import (as_subgroup, elements_of, every_chief_series_orders, named, product, quaternion,
                     small_groups, sympy_group)
@@ -86,20 +87,20 @@ def test_composition_factors():
 
     a5_factors = composition_factors(named("Alt", 5))
     assert [g.order for g in a5_factors] == [60]
-    assert str(identify(a5_factors[0])) == "A5"
+    assert str(a5_factors[0]) == "A5"
 
     G = product("Cyclic", [2], "PSL2", [7])
     factors = composition_factors(G)
     assert sorted(g.order for g in factors) == [2, 168]
     big = max(factors, key=lambda g: g.order)
-    assert str(identify(big)) == "L2(7)"
+    assert str(big) == "L2(7)"
 
     assert sorted(g.order for g in composition_factors(product("Alt", [4], "Alt", [4]))) \
         == [2, 2, 2, 2, 3, 3]
 
     # the chief factor A5 x A5 gives two copies of its socle factor A5
     factors = composition_factors(product("Alt", [5], "Alt", [5]))
-    assert [str(identify(g)) for g in factors] == ["A5", "A5"]
+    assert [str(g) for g in factors] == ["A5", "A5"]
 
 
 @pytest.mark.parametrize("make", [
@@ -145,17 +146,26 @@ def test_composition_factors_build_only_the_nonabelian_factor(monkeypatch):
 
 
 def test_conclusion_builds_no_cyclic_group(monkeypatch):
+    """An abelian chief factor of order p^k gives k factors C_p by its order
+    alone: no group of prime order is built, as a permutation group or a
+    table group."""
     expected = {}
     for make in (lambda: named("Sym", 4), lambda: product("Cyclic", [2], "Alt", [5])):
         factors = composition_factors(make())
-        expected[make().order] = ([str(identify(f)) for f in factors], [f.order for f in factors])
+        expected[make().order] = ([str(f) for f in factors], [f.order for f in factors])
     assert expected == {24: (["C2", "C3", "C2", "C2"], [2, 3, 2, 2]),
                         120: (["A5", "C2"], [60, 2])}
-    monkeypatch.setattr(series_module, "_cyclic", None)  # any call would raise
-    for make in (lambda: named("Sym", 4), lambda: product("Cyclic", [2], "Alt", [5])):
-        G = make()
+    subjects = [named("Sym", 4), product("Cyclic", [2], "Alt", [5])]
+    built = []
+    for cls in (groups.PermGroup, TableGroup):
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self.order)
+        monkeypatch.setattr(cls, "__init__", recording)
+    for G in subjects:
         evidence = check_conclusion(G).evidence
         assert (evidence["factor_ids"], evidence["factor_orders"]) == expected[G.order]
+    assert not [n for n in built if _is_prime(n)]
 
 
 SUPERSOLVABLE_CASES = [
