@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .gf import _is_prime, _prime_power, field_of_order
-from .groups import CapExceededError, PermGroup, trivial_group
+from .gf import FieldTable, _is_prime, _prime_power, field_of_order
+from .groups import CapExceededError, InputError, PermGroup, trivial_group
 from .perms import Permutation
 
 NAMED = ("Sym", "Alt", "Cyclic", "Dihedral", "ElemAbelian", "PSL2", "PGL2", "SL",
@@ -47,69 +47,69 @@ class GroupSpec:
 def parse_group_spec(source: Union[str, dict]) -> GroupSpec:
     """Validate a JSON document (or dict) into a GroupSpec.
 
-    Raises ValueError with a distinct message per malformation class.
+    Raises InputError with a distinct message per malformation class.
     """
     if isinstance(source, str):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"spec is not valid JSON: {e}") from None
+        except (json.JSONDecodeError, RecursionError) as e:  # nested past the parser's depth
+            raise InputError(f"spec is not valid JSON: {e}") from None
     else:
         obj = source
     if not isinstance(obj, dict):
-        raise ValueError("spec must be a JSON object")
+        raise InputError("spec must be a JSON object")
     kind = obj.get("kind")
     if kind == "perm":
         degree = obj.get("degree")
         if not isinstance(degree, int) or degree < 1:
-            raise ValueError("perm spec needs a positive integer degree")
+            raise InputError("perm spec needs a positive integer degree")
         gens = obj.get("generators")
         if not isinstance(gens, list):
-            raise ValueError("perm spec needs a list of generators")
+            raise InputError("perm spec needs a list of generators")
         out = []
         for g in gens:
             if not isinstance(g, list):
-                raise ValueError("each generator must be a list of cycles")
+                raise InputError("each generator must be a list of cycles")
             cycles = []
             for c in g:
                 if (not isinstance(c, list) or not c
                         or any(not isinstance(x, int) for x in c)):
-                    raise ValueError("each cycle must be a nonempty list of integers")
+                    raise InputError("each cycle must be a nonempty list of integers")
                 if any(x < 1 or x > degree for x in c):
-                    raise ValueError(f"cycle point out of range 1..{degree}: {c}")
+                    raise InputError(f"cycle point out of range 1..{degree}: {c}")
                 cycles.append(tuple(c))
             out.append(tuple(cycles))
         return GroupSpec(kind="perm", degree=degree, generators=tuple(out))
     if kind == "named":
         name = obj.get("name")
         if name not in NAMED:
-            raise ValueError(f"unknown constructor name {name!r}; expected one of {NAMED}")
+            raise InputError(f"unknown constructor name {name!r}; expected one of {NAMED}")
         params = obj.get("params")
         if not isinstance(params, list):
-            raise ValueError("named spec needs a params list")
+            raise InputError("named spec needs a params list")
         if name == "DirectProduct":
             if len(params) != 2:
-                raise ValueError("DirectProduct takes exactly two factors")
+                raise InputError("DirectProduct takes exactly two factors")
             factors = []
             for f in params:
                 if (not isinstance(f, dict) or f.get("name") not in NAMED
                         or f.get("name") == "DirectProduct"
                         or not isinstance(f.get("params"), list)
                         or any(not isinstance(x, int) for x in f["params"])):
-                    raise ValueError("DirectProduct factors must be flat named specs")
+                    raise InputError("DirectProduct factors must be flat named specs")
                 factors.append((f["name"], tuple(f["params"])))
             return GroupSpec(kind="named", name=name, params=tuple(factors))
         if any(not isinstance(x, int) for x in params):
-            raise ValueError("named spec params must be integers")
+            raise InputError("named spec params must be integers")
         return GroupSpec(kind="named", name=name, params=tuple(params))
-    raise ValueError(f"unknown spec kind {kind!r}; expected 'perm' or 'named'")
+    raise InputError(f"unknown spec kind {kind!r}; expected 'perm' or 'named'")
 
 
 # -- named constructors --------------------------------------------------------
 
 def _sym(n: int) -> PermGroup:
     if n < 1:
-        raise ValueError("Sym needs n >= 1")
+        raise InputError("Sym needs n >= 1")
     if n == 1:
         return trivial_group(1)
     gens = [Permutation.from_cycles(n, [(0, 1)])]
@@ -120,7 +120,7 @@ def _sym(n: int) -> PermGroup:
 
 def _alt(n: int) -> PermGroup:
     if n < 1:
-        raise ValueError("Alt needs n >= 1")
+        raise InputError("Alt needs n >= 1")
     if n <= 2:
         return trivial_group(max(n, 1))
     gens = [Permutation.from_cycles(n, [(0, 1, 2)])]
@@ -132,7 +132,7 @@ def _alt(n: int) -> PermGroup:
 
 def _cyclic(n: int) -> PermGroup:
     if n < 1:
-        raise ValueError("Cyclic needs n >= 1")
+        raise InputError("Cyclic needs n >= 1")
     if n == 1:
         return trivial_group(1)
     return PermGroup(n, [Permutation.from_cycles(n, [tuple(range(n))])])
@@ -140,7 +140,7 @@ def _cyclic(n: int) -> PermGroup:
 
 def _dihedral(m: int) -> PermGroup:
     if m < 3:
-        raise ValueError("Dihedral needs m >= 3 (group order 2m)")
+        raise InputError("Dihedral needs m >= 3 (group order 2m)")
     rot = Permutation.from_cycles(m, [tuple(range(m))])
     flip = Permutation(tuple((m - i) % m for i in range(m)))
     return PermGroup(m, [rot, flip])
@@ -148,30 +148,39 @@ def _dihedral(m: int) -> PermGroup:
 
 def _elem_abelian(p: int, k: int) -> PermGroup:
     if not _is_prime(p):
-        raise ValueError("ElemAbelian needs a prime p")
+        raise InputError("ElemAbelian needs a prime p")
     if k < 1:
-        raise ValueError("ElemAbelian needs k >= 1")
+        raise InputError("ElemAbelian needs k >= 1")
     degree = p * k
     gens = [Permutation.from_cycles(degree, [tuple(range(i * p, (i + 1) * p))])
             for i in range(k)]
     return PermGroup(degree, gens)
 
 
+def _field(q: int) -> FieldTable:
+    """GF(q) for a named group's parameter q; a q that names no field the
+    package tables is an input error."""
+    try:
+        return field_of_order(q)
+    except ValueError as e:
+        raise InputError(str(e)) from None
+
+
 def _psl2(q: int) -> PermGroup:
     from .matgroups import psl_group
-    return psl_group(2, field_of_order(q))
+    return psl_group(2, _field(q))
 
 
 def _pgl2(q: int) -> PermGroup:
     from .matgroups import pgl_group
-    return pgl_group(field_of_order(q))
+    return pgl_group(_field(q))
 
 
 def _sl(n: int, q: int) -> PermGroup:
     from .matgroups import sl_group
     if n < 2 or n > 3:
-        raise ValueError("SL supports dimensions 2 and 3")
-    return sl_group(n, field_of_order(q))
+        raise InputError("SL supports dimensions 2 and 3")
+    return sl_group(n, _field(q))
 
 
 def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
@@ -250,9 +259,12 @@ def build_group(spec: GroupSpec, *, max_order: Optional[int] = None,
     if spec.kind == "perm":
         if degree_cap is not None and spec.degree > degree_cap:
             raise CapExceededError(f"degree {spec.degree} exceeds cap {degree_cap}")
-        gens = [Permutation.from_cycles(spec.degree,
-                                        [tuple(x - 1 for x in c) for c in g])
-                for g in spec.generators]
+        try:
+            gens = [Permutation.from_cycles(spec.degree,
+                                            [tuple(x - 1 for x in c) for c in g])
+                    for g in spec.generators]
+        except ValueError as e:  # a point repeated across one generator's cycles
+            raise InputError(str(e)) from None
         G = PermGroup(spec.degree, gens)
     else:
         _check_caps(spec, max_order, degree_cap)
@@ -275,7 +287,7 @@ def build_group(spec: GroupSpec, *, max_order: Optional[int] = None,
 def _build_flat(name: str, params: Sequence[int]) -> PermGroup:
     want = _PARAM_COUNTS[name]
     if len(params) != want:
-        raise ValueError(f"{name} takes {want} parameter(s), got {len(params)}")
+        raise InputError(f"{name} takes {want} parameter(s), got {len(params)}")
     return _FLAT_BUILDERS[name](tuple(params))
 
 

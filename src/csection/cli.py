@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage or input error,
-4 internal error (a broken invariant or any other unexpected exception, never
-a verdict).
+Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage or input error (a
+malformed spec or argument, an unreadable file, or a size cap exceeded),
+4 internal error (a broken invariant or any other unexpected exception, a
+`ValueError` raised past the input stage included; never a verdict).
 Informational commands (order, maximals, sec) exit 0 on success.  The scan
 command folds its battery of theorem checks into the worst verdict seen and
 can persist line-delimited records to an append-only store; identical records
@@ -22,7 +23,7 @@ from typing import Optional
 
 from . import __version__
 from .catalog import build_group, builtin_battery, parse_group_spec
-from .groups import CapExceededError
+from .groups import CapExceededError, InputError
 from .sections import (VerdictReport, check_conclusion, check_hypothesis, sec,
                        verify_example, verify_lemma1, verify_lemma2a, verify_lemma3,
                        verify_lemma4, verify_theorem_instance)
@@ -62,8 +63,11 @@ def _print_report(report: VerdictReport, as_json: bool) -> None:
 def _load_group(arg: str, max_order: int, degree_cap: int):
     text = arg
     if not arg.lstrip().startswith("{"):
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            raise InputError(f"spec file {arg} is not UTF-8 text") from None
     spec = parse_group_spec(text)
     return spec, build_group(spec, max_order=max_order, degree_cap=degree_cap)
 
@@ -298,7 +302,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, CapExceededError, OSError) as e:
+    except (InputError, CapExceededError, OSError) as e:  # a cap is a size limit, not a bug
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as e:  # MemoryError included: a bug must never read as `fail`
@@ -335,7 +339,7 @@ def _dispatch(args) -> int:
         spec, G = _load_group(args.group, args.max_order, args.degree_cap)
         classes = maximal_subgroups(G)
         if not 0 <= args.maximal_index < len(classes):
-            raise ValueError(f"maximal-index out of range 0..{len(classes) - 1}")
+            raise InputError(f"maximal-index out of range 0..{len(classes) - 1}")
         cls = classes[args.maximal_index]
         s = sec(G, cls, verify=args.verify)
         report = VerdictReport(
@@ -384,7 +388,7 @@ def _dispatch(args) -> int:
 
 def _run_scan(args) -> int:
     if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        raise InputError(f"--workers must be at least 1, got {args.workers}")
     battery = builtin_battery(args.max_order)
     payloads = [(b.label, b.spec.canonical(), args.max_order, args.degree_cap)
                 for b in battery]

@@ -30,6 +30,11 @@ class DegreeMismatchError(ValueError):
     """Raised when permutations of different degrees are mixed."""
 
 
+class InputError(ValueError):
+    """Raised when input read from outside the program is malformed or out of
+    range: a group spec, a named group's parameters or a command's arguments."""
+
+
 class CapExceededError(RuntimeError):
     """Raised when an operation would exceed its configured size cap."""
 

@@ -2,18 +2,19 @@
 
 Abelian groups are classified completely by their invariant factors.  For
 nonabelian pairs the test maps a short generating sequence of one group onto
-candidate tuples in the other; a partial assignment survives only while the
-subgroup of the direct product generated by the matched pairs stays the same
-size as the subgroup generated on the source side (a subgroup of G x H is the
-graph of a homomorphism exactly when projecting to G is injective).  The
-first generator only ranges over conjugacy class representatives, since any
-isomorphism can be composed with an inner automorphism.
+candidate tuples in the other.  Each partial assignment is walked once,
+breadth-first over the subgroup its sources generate (`_graph_map`): a
+source element a*x goes to the image of a times the image of x, and the
+assignment dies as soon as some element is reached with two different
+images, since the matched pairs generate the graph of a homomorphism exactly
+when that never happens.  The first generator only ranges over conjugacy
+class representatives, since any isomorphism can be composed with an inner
+automorphism.
 
-The search returns the isomorphism it finds, as the images of that
-generating sequence.  A group's isomorphism onto the reference group of its
-order is memoized on the group (`reference_match`): `identify` reads it, and
-`lattice` carries the reference's subgroup lattice through its index map,
-which is built only on request.
+The search returns the isomorphism it finds, as an index map from one table
+into the other.  A group's isomorphism onto the reference group of its order
+is memoized on the group (`reference_match`): `identify` reads it, and
+`lattice` carries the reference's subgroup lattice through its inverse.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from .tables import MAX_ORDER, ElementTable, element_table
 
 def fingerprint(G: PermGroup) -> tuple:
     """Cheap iso-invariant: order statistics, class sizes, center, derived.
-    Everything is read off G's element table; |G'| is the size of the normal
-    closure of the generators' commutators, the `_normal_join` of the
-    commutators onto the trivial subgroup."""
+    Everything is read off G's element table; Z(G) is the union of the
+    singleton conjugacy classes, and |G'| is the size of the normal closure
+    of the generators' commutators, the `_normal_join` of the commutators
+    onto the trivial subgroup."""
     cached = G._cache.get("fingerprint")
     if cached is not None:
         return cached
@@ -45,9 +47,8 @@ def fingerprint(G: PermGroup) -> tuple:
         o = et.element_order(i)
         order_counts[o] = order_counts.get(o, 0) + 1
     class_sizes = tuple(sorted(len(c) for c in et.conjugacy_classes()))
+    center = class_sizes.count(1)
     gens = et.generator_indices
-    center = sum(1 for i in range(et.n)
-                 if all(et.mul(i, g) == et.mul(g, i) for g in gens))
     commutators = [mul(mul(inv[a], inv[b]), mul(a, b)) for i, a in enumerate(gens)
                    for b in gens[i + 1:]]
     derived = _normal_join(et, frozenset([0]), [], commutators)
@@ -113,49 +114,31 @@ def abelian_invariants(G: PermGroup) -> tuple[int, ...]:
 
 # -- the backtracking isomorphism test ---------------------------------------
 
-def _generating_sequence(et: ElementTable) -> list[int]:
-    """Short generating sequence, preferring elements of high order."""
-    idxs = sorted(range(1, et.n), key=lambda i: (-et.element_order(i), i))
-    gens: list[int] = []
-    current: frozenset[int] = frozenset([0])
-    for i in idxs:
-        if i in current:
-            continue
-        grown = et.closure(current, gens, [i])
-        assert grown is not None
-        gens.append(i)
-        current = grown
-        if len(current) == et.n:
-            break
-    return gens
+def _graph_map(etG: ElementTable, etH: ElementTable, src: Sequence[int],
+               images: Sequence[int]) -> Optional[list[int]]:
+    """The homomorphism from <src> into H that sends src_i to images_i, by
+    G's index (-1 outside <src>); None when there is none.
 
-
-def _is_graph(etG: ElementTable, etH: ElementTable, src: Sequence[int],
-              images: Sequence[int], bound: int) -> bool:
-    """Whether the subgroup of G x H generated by the pairs (src_i, images_i)
-    has at most `bound` elements.
-
-    With `bound` the order of <src>, onto which that subgroup projects, this
-    holds exactly when the subgroup is the graph of a homomorphism.  The walk
-    runs on the two element tables, keys a pair (a, b) as a * |H| + b, and
-    stops once it passes the bound.
+    The walk runs breadth-first from the identity and sends a*src_i to
+    phi(a)*images_i.  It returns None as soon as an element is reached with
+    two different images: the pairs (src_i, images_i) generate the graph of
+    a homomorphism exactly when that never happens.
     """
-    nH = etH.n
-    mulG, mulH = etG.mul, etH.mul
+    rowsG, rowsH = etG.rows, etH.rows
     pairs = list(zip(src, images))
-    seen = {0}
-    stack = [(0, 0)]
-    while stack:
-        a, b = stack.pop()
+    phi = [-1] * etG.n
+    phi[0] = 0
+    queue = [0]
+    for a in queue:  # grows as elements are reached
+        row, image_row = rowsG[a], rowsH[phi[a]]
         for x, y in pairs:
-            u, v = mulG(a, x), mulH(b, y)
-            key = u * nH + v
-            if key not in seen:
-                seen.add(key)
-                if len(seen) > bound:
-                    return False
-                stack.append((u, v))
-    return True
+            u, v = row[x], image_row[y]
+            if phi[u] < 0:
+                phi[u] = v
+                queue.append(u)
+            elif phi[u] != v:
+                return None
+    return phi
 
 
 def is_isomorphic(G: PermGroup, H: PermGroup) -> bool:
@@ -191,22 +174,22 @@ def _element_stats(G: PermGroup) -> list[tuple[int, int]]:
     return cached
 
 
-def _backtrack_iso(G: PermGroup, H: PermGroup) -> Optional[tuple[list[int], list[int]]]:
-    """An isomorphism from G onto H, as a generating sequence of G and the
-    images in H of its elements, by index; None when there is none."""
+def _backtrack_iso(G: PermGroup, H: PermGroup) -> Optional[list[int]]:
+    """An isomorphism from G onto H, a group of the same order, as an index
+    map from G's element table into H's; None when there is none.
+
+    A short generating sequence of G, elements of high order first, is
+    assigned images in H one at a time; each partial assignment is kept only
+    while it extends to a homomorphism (`_graph_map`).  Once every generator
+    has an image the map is defined on all of G, and it is accepted when it
+    is a bijection.
+    """
     etG = element_table(G)
     etH = element_table(H)
-    src = _generating_sequence(etG)
+    if etG.n != etH.n:
+        return None
+    src = etG.extract_generators(range(etG.n), key=lambda i: (-etG.element_order(i), i))
     k = len(src)
-
-    # source prefix subgroup orders, for the graph-size prune
-    prefix_orders = []
-    current: frozenset[int] = frozenset([0])
-    for i, g in enumerate(src):
-        grown = etG.closure(current, src[:i], [g])
-        assert grown is not None
-        current = grown
-        prefix_orders.append(len(current))
 
     statsG, statsH = _element_stats(G), _element_stats(H)
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -214,11 +197,9 @@ def _backtrack_iso(G: PermGroup, H: PermGroup) -> Optional[tuple[list[int], list
         buckets.setdefault(statsH[i], []).append(i)
     first_reps = [c[0] for c in etH.conjugacy_classes()]
 
-    def extend(depth: int, images: list[int]) -> bool:
+    def extend(depth: int, images: list[int], phi: list[int]) -> Optional[list[int]]:
         if depth == k:
-            if len(etH.closure(None, [], images)) != etH.n:
-                return False
-            return _is_graph(etG, etH, src, images, G.order)
+            return phi if len(set(phi)) == etH.n else None
         want = statsG[src[depth]]
         if depth == 0:
             cands = [r for r in first_reps if r and statsH[r] == want]
@@ -234,18 +215,16 @@ def _backtrack_iso(G: PermGroup, H: PermGroup) -> Optional[tuple[list[int], list
                     break
             if not ok:
                 continue
-            if depth >= 1 and not _is_graph(etG, etH, src[:depth + 1], images + [cand],
-                                            prefix_orders[depth]):
-                continue
             images.append(cand)
-            if extend(depth + 1, images):
-                return True
+            grown = _graph_map(etG, etH, src, images)
+            found = None if grown is None else extend(depth + 1, images, grown)
+            if found is not None:
+                return found
             images.pop()
-        return False
+        return None
 
-    images: list[int] = []
     try:
-        return (src, images) if extend(0, images) else None
+        return extend(0, [], _graph_map(etG, etH, [], []))
     finally:
         del extend  # a recursive closure holds itself: break that cycle, and free the tables
 
@@ -306,34 +285,24 @@ _KIND_NAMES = {"alt": "alternating", "sym": "symmetric", "psl2": "psl2"}
 class ReferenceMatch(NamedTuple):
     """An isomorphism from a group G onto the reference of its order: the
     reference `group`, the catalog's `kind` ("alt", "sym" or "psl2") with
-    parameter `k`, and the images there of a generating sequence `source` of
-    G, all by index."""
+    parameter `k`, and the map itself, `to_reference`: entry g is the
+    reference's index of the image of G's element g."""
 
     kind: str
     k: int
     group: PermGroup
-    source: list[int]
-    images: list[int]
+    to_reference: list[int]
 
     def from_reference(self, et: ElementTable) -> list[int]:
         """The inverse isomorphism as an index map into et, G's element
         table: entry t is the element of G sent to the reference's element
-        t.  It is walked breadth-first from the identity by the images and
-        their sources, and checked to be a bijection."""
-        etT = element_table(self.group)
-        into = [-1] * etT.n
-        into[0] = 0
-        pairs = list(zip(self.images, self.source))
-        queue = [0]
-        for t in queue:  # grows as elements are reached
-            row, image_row = etT.rows[t], et.rows[into[t]]
-            for a, b in pairs:
-                u = row[a]
-                if into[u] < 0:
-                    into[u] = image_row[b]
-                    queue.append(u)
-        if len(queue) != etT.n or etT.n != et.n or len(set(into)) != et.n:
+        t.  The map is checked to be a bijection."""
+        phi = self.to_reference
+        if len(phi) != et.n or set(phi) != set(range(et.n)):
             raise RuntimeError("the isomorphism from the reference is not a bijection")
+        into = [0] * et.n
+        for g, t in enumerate(phi):
+            into[t] = g
         return into
 
 
@@ -348,12 +317,11 @@ def reference_match(G: PermGroup) -> Optional[ReferenceMatch]:
     if ref is not None and not G.is_abelian():
         T = _reference(*ref)
         if G is T:
-            gens = [g for g in element_table(T).generator_indices if g]
-            found: Optional[tuple[list[int], list[int]]] = (gens, gens)
+            found: Optional[list[int]] = list(range(T.order))
         else:
             found = _backtrack_iso(G, T) if fingerprint(G) == fingerprint(T) else None
         if found is not None:
-            match = ReferenceMatch(*ref, T, *found)
+            match = ReferenceMatch(*ref, T, found)
     G._cache["reference_match"] = match
     return match
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .gf import _is_prime, field_make, field_of_order
-from .groups import CapExceededError, PermGroup, coset_action, normalizer
+from .groups import CapExceededError, InputError, PermGroup, coset_action, normalizer
 from .iso import GroupId, _reference, identify, is_isomorphic, l2_parameters
 from .lattice import (SubgroupClass, _as_class, _conjugates, _normal_covers, all_subgroups,
                       certify_maximal, maximal_subgroups, minimal_normal_subgroups,
@@ -274,7 +274,7 @@ def verify_lemma2a(n: int, *, subject: Optional[str] = None) -> VerdictReport:
     """A_n has no subgroup of index strictly between 1 and n, except the
     documented index-3 subgroup of A_4."""
     if n not in (4, 5, 6):
-        raise ValueError("supported degrees: 4, 5, 6")
+        raise InputError("supported degrees: 4, 5, 6")
     A = _reference("alt", n)
     rows = []
     ok = True
@@ -294,7 +294,7 @@ def verify_lemma3(n: int, *, subject: Optional[str] = None) -> VerdictReport:
     """Index-n subgroups of A_n form one conjugacy class, except two for n=6;
     representatives are point stabilizers up to isomorphism."""
     if n not in (5, 6, 7):
-        raise ValueError("supported degrees: 5, 6, 7")
+        raise InputError("supported degrees: 5, 6, 7")
     A = _reference("alt", n)
     classes = subgroups_of_index(A, n)
     expected = 2 if n == 6 else 1
@@ -315,9 +315,9 @@ def verify_lemma4(n: int, q: int, *, trials: int = 100, seed: int = 0,
     field, and their projective images, are not supersolvable; the bottom-row
     subgroup is a minimal normal subgroup of both."""
     if (n, q) not in _LEMMA4_ORDERS:
-        raise ValueError("supported (dimension, field size): (2,4), (2,8), (2,9), (3,4)")
+        raise InputError("supported (dimension, field size): (2,4), (2,8), (2,9), (3,4)")
     if trials < 1:
-        raise ValueError("lemma4 needs at least one randomized trial")
+        raise InputError("lemma4 needs at least one randomized trial")
     from .matgroups import conjugation_check, triangular_instance
 
     fieldq = field_of_order(q)
@@ -371,7 +371,7 @@ def verify_example(p: int = 7, *, subject: Optional[str] = None) -> VerdictRepor
     and CapExceededError is raised before G is built.
     """
     if not _is_prime(p) or p % 8 not in (1, 7):
-        raise ValueError("p must be a prime congruent to +-1 mod 8")
+        raise InputError("p must be a prime congruent to +-1 mod 8")
     order = p * (p * p - 1)
     if order > MAX_ORDER:
         raise CapExceededError(f"group order {order} exceeds element cap {MAX_ORDER}")

@@ -21,13 +21,15 @@ rows are in lexicographic order, so element i is the i-th smallest image
 tuple.  An element is found by its images of the chain's base points: the
 table keeps those keys sorted and searches a whole array of them at once.
 Each generator row of the Cayley table is one gather of the image array and
-one such search, checked row for row; every other row is gathered from the
-table itself.  A subgroup is held as a `lattice.SubgroupClass` record, its
-indices in the parent's table; a caller's subgroup, a `PermGroup` on the
-parent's points, is read into one by `index_of` on its generators.  Every
-group the pipeline derives, a quotient D/L or a subgroup (a record's
-`group`), is a `TableGroup`: its table is read off the parent's table, and
-no element is enumerated.  A table does not refer back to its group, so a
+one such search, checked row for row.  Every other row is one gather from
+the table itself, row g*x being generator g's row read at row x; the rows
+are filled breadth-first from the identity, so each is set once.  A
+subgroup is held as a `lattice.SubgroupClass` record, its indices in the
+parent's table; a caller's subgroup, a `PermGroup` on the parent's points,
+is read into one by `index_of` on its generators.  Every group the pipeline
+derives, a quotient D/L or a subgroup (a record's `group`), is a
+`TableGroup`: its table is read off the parent's table, and no element is
+enumerated.  A table does not refer back to its group, so a
 group, its caches and its tables hold no reference cycle, and they are freed
 as soon as the group is.
 """
@@ -45,8 +47,8 @@ from .perms import Permutation
 
 # Largest group order that gets an element table, the bound of every search.
 MAX_ORDER = 10_000
-# Rows are gathered in chunks of about this many cells, bounding the temporaries
-# to about 0.2 MB.
+# A quotient's Cayley table is read off its parent's in blocks of about this
+# many cells, bounding the temporaries to about 0.2 MB.
 _TABLE_CHUNK = 1 << 14
 
 
@@ -99,43 +101,36 @@ class ElementTable:
 
         Only the generator rows are composed from the image array, each
         checked against it row for row.  Every other row follows from
-        (a*b)*j = a*(b*j): row a*b is row a gathered at row b.
-        Rows are filled breadth-first from the generators, a layer at a time;
-        each element b of a layer yields g*b for every generator g, and b*b,
-        so a cyclic group is crossed in O(log n) layers.
+        (g*x)*j = g*(x*j): row g*x is row g gathered at row x.  The rows are
+        filled breadth-first from the identity and the generators, one
+        gather into the table each.
         """
         n = self.n
         images = self.images
         table = np.empty((n, n), dtype=np.uint16)
         table[0] = np.arange(n)
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        gens = np.array(sorted(set(self.generator_indices) - {0}), dtype=np.intp)
+        gens = sorted(set(self.generator_indices) - {0})
         for g in gens:
             # Row j of `products` is element g * element j: element j's images at g's.
             row = self._indices(np.take(images, images[g], axis=1))
             if row is None:
                 raise RuntimeError("a generator's product fell outside the group's elements")
             table[g] = row
-        seen[gens] = True
-        cells = table.reshape(-1)
-        rows = max(1, _TABLE_CHUNK // n)
-        layer = gens
-        while layer.size:
-            # Row r of the products is gens[r] * layer, and the last row is layer * layer.
-            lefts = np.empty((gens.size + 1, layer.size), dtype=np.intp)
-            lefts[:-1] = gens[:, None]
-            lefts[-1] = layer
-            new, first = np.unique(table[lefts, layer], return_index=True)
-            fresh = ~seen[new]
-            new, first = new[fresh], first[fresh]
-            seen[new] = True
-            left, right = lefts.reshape(-1)[first], layer[first % layer.size]
-            for start in range(0, new.size, rows):
-                chunk = slice(start, start + rows)
-                table[new[chunk]] = cells.take(table[right[chunk]] + (left[chunk] * n)[:, None])
-            layer = new
-        if not seen.all():
+        left = [(table[g], table[g].tolist()) for g in gens]
+        seen = [False] * n
+        queue = [0, *gens]  # grows as rows are filled
+        for x in queue:
+            seen[x] = True
+        for x in queue:
+            row = table[x]
+            for row_g, cells_g in left:
+                u = cells_g[x]
+                if not seen[u]:
+                    seen[u] = True
+                    # every cell is an index below n: clipping only skips the bounds check
+                    row_g.take(row, out=table[u], mode="clip")
+                    queue.append(u)
+        if len(queue) != n:
             raise RuntimeError("the generators do not reach every element of the group")
         self._adopt(table)
 
@@ -268,11 +263,14 @@ class ElementTable:
                     queue.append(u)
         return frozenset(S)
 
-    def extract_generators(self, subset: Iterable[int]) -> list[int]:
-        """Small deterministic generating sequence for a closed subset."""
+    def extract_generators(self, subset: Iterable[int],
+                           key: Optional[Callable[[int], object]] = None) -> list[int]:
+        """Small deterministic generating sequence for a closed subset: its
+        members in sorted order (by `key`, when one is given), each kept
+        when it lies outside the span of those kept before it."""
         gens: list[int] = []
         current: frozenset[int] = frozenset([0])
-        for e in sorted(subset):
+        for e in sorted(subset, key=key):
             if e and e not in current:
                 gens.append(e)
                 grown = self.closure(current, gens[:-1], [e])

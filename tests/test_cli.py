@@ -12,12 +12,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from csection import __version__, cli
+from csection import __version__, cli, sections
 from csection.catalog import build_group, builtin_battery, parse_group_spec
 from csection.cli import emit_report, main
-from csection.groups import CapExceededError
+from csection.groups import CapExceededError, NotNormalError
 from csection.sections import VerdictReport, check_hypothesis
 
 S4 = '{"kind":"named","name":"Sym","params":[4]}'
@@ -108,10 +109,26 @@ def test_group_spec_from_file(tmp_path, capsys):
     '{"name":',              # malformed JSON
     '{"name": "Sym"}',       # missing params
     "/no/such/spec.json",    # missing file
+    '{"kind":"perm","degree":3,"generators":[[[1,2],[2,3]]]}',  # a point in two cycles
+    '{"kind":"named","name":"PSL2","params":[6]}',               # no field of order 6
+    '{"kind":"named","name":"Sym","params":[0]}',
 ])
 def test_bad_group_inputs_exit_3(arg, capsys):
     assert main(["order", "--group", arg]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_spec_nested_past_the_parser_exits_3(capsys):
+    deep = '{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    assert main(["order", "--group", deep]) == 3
+    assert capsys.readouterr().err.startswith("error: spec is not valid JSON: maximum recursion")
+
+
+def test_a_spec_file_that_is_not_text_exits_3(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["order", "--group", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: spec file {path} is not UTF-8 text\n"
 
 
 def test_max_order_cap_enforced(capsys):
@@ -145,11 +162,52 @@ def test_order_of_psl2_521_over_a_large_field():
 def _cli_process(*args):
     """`python -m csection.cli` on this checkout's src/, in a fresh process
     with a 10 s timeout."""
+    return _python("-m", "csection.cli", *args)
+
+
+def _python(*args):
+    """The interpreter on this checkout's src/, in a fresh process with a
+    10 s timeout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "csection.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=10, env=env)
+
+
+def _numpy_shape_error(G):
+    """A bare ValueError from numpy, as a bug deep in the pipeline raises it."""
+    return np.zeros(3) + np.zeros(4)
+
+
+def _not_normal(G):
+    raise NotNormalError("quotient requires a normal subgroup")
+
+
+@pytest.mark.parametrize("broken", [_numpy_shape_error, _not_normal],
+                         ids=["numpy ValueError", "NotNormalError"])
+def test_a_value_error_past_the_input_stage_is_an_internal_error(broken, monkeypatch, capsys):
+    """A ValueError that check_conclusion meets after the group is read is a
+    bug, not bad input: it exits 4, never 3."""
+    monkeypatch.setattr(sections, "composition_factors", broken)
+    assert main(["conclusion", "--group", S4]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(("internal error: ValueError: operands could not be broadcast",
+                              "internal error: NotNormalError: quotient requires"))
+
+
+def test_an_internal_error_exits_4_from_a_fresh_process():
+    """The exit code and the one `internal error:` line reach the shell."""
+    proc = _python("-c", (
+        "import sys, numpy as np\n"
+        "from csection import cli, sections\n"
+        "sections.composition_factors = lambda G: np.zeros(3) + np.zeros(4)\n"
+        f"sys.exit(cli.main(['conclusion', '--group', {S4!r}]))\n"))
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: ValueError: operands could not be broadcast")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("error,code", [

@@ -12,7 +12,7 @@ from csection.series import is_supersolvable
 from csection.tables import ElementTable, element_table
 
 from gtools import elements_of, named, product, quaternion, relabeled, sympy_group
-from oracles import abelian_order_counts_match, brute_isomorphic
+from oracles import abelian_order_counts_match, brute_isomorphic, compose
 
 SMALL = [
     ("C2", lambda: named("Cyclic", 2)),
@@ -34,6 +34,8 @@ SMALL = [
 
 
 def test_small_orders_all_pairs_against_brute_search():
+    """On a nonabelian isomorphic pair the search's index map is also checked
+    to be a bijection and a homomorphism on every product."""
     built = [(label, make()) for label, make in SMALL]
     elems = {label: elements_of(G) for label, G in built}
     for i, (la, Ga) in enumerate(built):
@@ -41,6 +43,49 @@ def test_small_orders_all_pairs_against_brute_search():
             want = brute_isomorphic(elems[la], elems[lb])
             assert is_isomorphic(Ga, Gb) is want, f"{la} vs {lb}"
             assert is_isomorphic(Gb, Ga) is want, f"{lb} vs {la}"
+            if want and not Ga.is_abelian():
+                _assert_isomorphism(elems[la], elems[lb], iso._backtrack_iso(Ga, Gb))
+                _assert_isomorphism(elems[lb], elems[la], iso._backtrack_iso(Gb, Ga))
+
+
+def _assert_isomorphism(elems_a, elems_b, phi):
+    """phi, an index map between two element lists in table order, is a
+    bijection and carries every product, composed by the oracle, to the
+    product of the images."""
+    assert sorted(phi) == list(range(len(elems_b)))
+    index_a = {x: i for i, x in enumerate(elems_a)}
+    index_b = {x: i for i, x in enumerate(elems_b)}
+    for i, x in enumerate(elems_a):
+        for j, y in enumerate(elems_a):
+            assert phi[index_a[compose(x, y)]] == index_b[compose(elems_b[phi[i]], elems_b[phi[j]])]
+
+
+def test_graph_map_refuses_an_assignment_that_is_no_homomorphism():
+    """S3's generators, of orders 2 and 3, sent to elements of the same
+    orders in the abelian C6: no homomorphism does that, since it would send
+    the commutator, a 3-cycle, to the identity.  Each generator alone spans a
+    cyclic subgroup that maps, and S3 maps onto itself by the identity."""
+    S3, C6 = element_table(named("Sym", 3)), element_table(named("Cyclic", 6))
+    src = S3.generator_indices
+    assert sorted(S3.element_order(g) for g in src) == [2, 3]
+    images = [next(i for i in range(C6.n) if C6.element_order(i) == S3.element_order(g))
+              for g in src]
+    assert iso._graph_map(S3, C6, src, images) is None
+    for g, h in zip(src, images):
+        phi = iso._graph_map(S3, C6, [g], [h])
+        assert phi is not None and phi[g] == h
+        assert sorted(i for i in range(S3.n) if phi[i] >= 0) == sorted(S3.cyclic_subgroup(g))
+    assert iso._graph_map(S3, S3, src, src) == list(range(S3.n))
+
+
+@pytest.mark.parametrize("a,b", [(("Sym", 4), ("SL", 2, 3)), (("Sym", 5), ("SL", 2, 5))],
+                         ids=["S4-SL(2,3)", "S5-SL(2,5)"])
+def test_the_search_alone_refuses_a_same_order_pair(a, b):
+    """Each pair has one order, so the search runs, and it finds no
+    isomorphism.  S4 and SL(2,3) part at the orders of products of
+    generators; for S5 and SL(2,5) an assignment of both generators passes
+    that test, and only the walk of its map refuses it."""
+    assert iso._backtrack_iso(named(*a), named(*b)) is None
 
 
 EXCEPTIONAL = [

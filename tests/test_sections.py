@@ -178,7 +178,7 @@ def test_sec_rejects_a_pair_that_does_not_separate_M():
     M = next(c for c in maximal_subgroups(G) if c.order == 24)
     z = next(Permutation(t) for t in elements_of(G) if element_order(t) == 2)
     centre = PermGroup(G.degree, [z])
-    assert issubclass(NotAChiefPairError, ValueError)  # exit 3 in the CLI
+    assert issubclass(NotAChiefPairError, ValueError)  # a library caller may catch ValueError
     with pytest.raises(NotAChiefPairError, match="orders \\(2, 2\\)"):
         sec(G, M, pair=ChiefPair(K=centre, L=centre))
     with pytest.raises(NotAChiefPairError):  # K/1 is not a chief factor
